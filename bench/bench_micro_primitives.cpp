@@ -38,7 +38,7 @@ void BM_Aes256CfbEncrypt(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(stream.encrypt(data));
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Aes256CfbEncrypt)->Arg(1400)->Arg(16384);
+BENCHMARK(BM_Aes256CfbEncrypt)->Arg(64)->Arg(1400)->Arg(16384);
 
 void BM_BlindingByteMap(benchmark::State& state) {
   sc::crypto::BlindingCodec codec(sc::toBytes("secret"));

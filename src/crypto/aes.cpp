@@ -1,6 +1,14 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <wmmintrin.h>
+#define SC_AES_NI 1
+#else
+#define SC_AES_NI 0
+#endif
 
 namespace sc::crypto {
 
@@ -36,6 +44,24 @@ constexpr std::uint8_t kRcon[15] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
 std::uint8_t xtime(std::uint8_t x) noexcept {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
+
+#if SC_AES_NI
+// The round keys are already in the byte order aesenc takes, so the
+// hardware rounds read the same schedule as the reference.
+__attribute__((target("aes"))) void encryptBlockAesNi(
+    const std::uint8_t* round_keys, const std::uint8_t in[16],
+    std::uint8_t out[16]) noexcept {
+  const auto key = [round_keys](int round) {
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(round_keys + 16 * round));
+  };
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)), key(0));
+  for (int round = 1; round < 14; ++round) s = _mm_aesenc_si128(s, key(round));
+  s = _mm_aesenclast_si128(s, key(14));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+#endif
 }  // namespace
 
 Aes256::Aes256(ByteView key) noexcept {
@@ -66,8 +92,8 @@ Aes256::Aes256(ByteView key) noexcept {
     for (int j = 0; j < 4; ++j) round_keys_[4 * static_cast<std::size_t>(i) + static_cast<std::size_t>(j)] = w[i][j];
 }
 
-void Aes256::encryptBlock(const std::uint8_t in[16],
-                          std::uint8_t out[16]) const noexcept {
+void Aes256::encryptBlockReference(const std::uint8_t in[16],
+                                   std::uint8_t out[16]) const noexcept {
   constexpr int kRounds = 14;
   std::uint8_t s[16];
   // State is column-major per FIPS 197; we keep a flat array where
@@ -101,78 +127,108 @@ void Aes256::encryptBlock(const std::uint8_t in[16],
   std::memcpy(out, s, 16);
 }
 
-AesCfbStream::AesCfbStream(ByteView key, ByteView iv) noexcept : cipher_(key) {
+bool Aes256::hardwareAccelerated() noexcept {
+#if SC_AES_NI
+  static const bool has_aes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") != 0;
+  }();
+  return has_aes;
+#else
+  return false;
+#endif
+}
+
+void Aes256::encryptBlock(const std::uint8_t in[16],
+                          std::uint8_t out[16]) const noexcept {
+#if SC_AES_NI
+  if (hardwareAccelerated()) {
+    encryptBlockAesNi(round_keys_.data(), in, out);
+    return;
+  }
+#endif
+  encryptBlockReference(in, out);
+}
+
+AesCfbStream::AesCfbStream(const Aes256& cipher, ByteView iv) noexcept
+    : cipher_(cipher) {
   std::memset(feedback_, 0, sizeof(feedback_));
   std::memcpy(feedback_, iv.data(), std::min(iv.size(), kAesBlockSize));
   std::memset(keystream_, 0, sizeof(keystream_));
 }
 
+AesCfbStream::AesCfbStream(ByteView key, ByteView iv) noexcept
+    : AesCfbStream(Aes256(key), iv) {}
+
+// Ciphertext feeds back: the output byte when encrypting, the input byte
+// when decrypting. Each input byte is read before its output is written.
+template <bool kDecrypt>
+void AesCfbStream::transform(const std::uint8_t* in, std::uint8_t* out,
+                             std::size_t n) noexcept {
+  std::size_t i = 0;
+  // Byte at a time through what is left of the current keystream block.
+  const auto drain = [&] {
+    for (; i < n && used_ < kAesBlockSize; ++i, ++used_) {
+      const std::uint8_t x = in[i];
+      out[i] = x ^ keystream_[used_];
+      feedback_[used_] = kDecrypt ? x : out[i];
+    }
+  };
+  drain();  // the block an earlier call left part-used
+  // Whole blocks; used_ is kAesBlockSize here and stays so.
+  for (; n - i >= kAesBlockSize; i += kAesBlockSize) {
+    cipher_.encryptBlock(feedback_, keystream_);
+    std::uint8_t x[kAesBlockSize];
+    std::uint8_t y[kAesBlockSize];
+    std::memcpy(x, in + i, kAesBlockSize);
+    for (std::size_t j = 0; j < kAesBlockSize; ++j)
+      y[j] = static_cast<std::uint8_t>(x[j] ^ keystream_[j]);
+    std::memcpy(out + i, y, kAesBlockSize);
+    std::memcpy(feedback_, kDecrypt ? x : y, kAesBlockSize);
+  }
+  // Tail: start a fresh keystream block and leave it part-used.
+  if (i < n) {
+    cipher_.encryptBlock(feedback_, keystream_);
+    used_ = 0;
+    drain();
+  }
+}
+
 Bytes AesCfbStream::encrypt(ByteView plaintext) {
   Bytes out(plaintext.size());
-  for (std::size_t i = 0; i < plaintext.size(); ++i) {
-    if (used_ == kAesBlockSize) {
-      cipher_.encryptBlock(feedback_, keystream_);
-      used_ = 0;
-    }
-    out[i] = plaintext[i] ^ keystream_[used_];
-    feedback_[used_] = out[i];  // ciphertext feeds back
-    ++used_;
-  }
+  transform<false>(plaintext.data(), out.data(), plaintext.size());
   return out;
 }
 
 Bytes AesCfbStream::decrypt(ByteView ciphertext) {
   Bytes out(ciphertext.size());
-  for (std::size_t i = 0; i < ciphertext.size(); ++i) {
-    if (used_ == kAesBlockSize) {
-      cipher_.encryptBlock(feedback_, keystream_);
-      used_ = 0;
-    }
-    out[i] = ciphertext[i] ^ keystream_[used_];
-    feedback_[used_] = ciphertext[i];
-    ++used_;
-  }
+  transform<true>(ciphertext.data(), out.data(), ciphertext.size());
   return out;
 }
 
 void AesCfbStream::encryptInPlace(Bytes& data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (used_ == kAesBlockSize) {
-      cipher_.encryptBlock(feedback_, keystream_);
-      used_ = 0;
-    }
-    data[i] ^= keystream_[used_];
-    feedback_[used_] = data[i];  // ciphertext feeds back
-    ++used_;
-  }
+  transform<false>(data.data(), data.data(), data.size());
 }
 
 void AesCfbStream::decryptInPlace(Bytes& data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (used_ == kAesBlockSize) {
-      cipher_.encryptBlock(feedback_, keystream_);
-      used_ = 0;
-    }
-    feedback_[used_] = data[i];  // ciphertext feeds back (read before XOR)
-    data[i] ^= keystream_[used_];
-    ++used_;
-  }
+  transform<true>(data.data(), data.data(), data.size());
 }
 
-Bytes aes256CfbEncrypt(ByteView key, ByteView iv, ByteView plaintext) {
-  return AesCfbStream(key, iv).encrypt(plaintext);
+Bytes aes256CfbEncrypt(const Aes256& cipher, ByteView iv, ByteView plaintext) {
+  return AesCfbStream(cipher, iv).encrypt(plaintext);
 }
 
-Bytes aes256CfbDecrypt(ByteView key, ByteView iv, ByteView ciphertext) {
-  return AesCfbStream(key, iv).decrypt(ciphertext);
+Bytes aes256CfbDecrypt(const Aes256& cipher, ByteView iv,
+                       ByteView ciphertext) {
+  return AesCfbStream(cipher, iv).decrypt(ciphertext);
 }
 
-void aes256CfbEncryptInPlace(ByteView key, ByteView iv, Bytes& data) {
-  AesCfbStream(key, iv).encryptInPlace(data);
+void aes256CfbEncryptInPlace(const Aes256& cipher, ByteView iv, Bytes& data) {
+  AesCfbStream(cipher, iv).encryptInPlace(data);
 }
 
-void aes256CfbDecryptInPlace(ByteView key, ByteView iv, Bytes& data) {
-  AesCfbStream(key, iv).decryptInPlace(data);
+void aes256CfbDecryptInPlace(const Aes256& cipher, ByteView iv, Bytes& data) {
+  AesCfbStream(cipher, iv).decryptInPlace(data);
 }
 
 }  // namespace sc::crypto

@@ -33,7 +33,11 @@ PageSpec PageSpec::simpleUsSite(const std::string& host) {
 }
 
 std::string WebOrigin::etagFor(const std::string& path) {
-  return "\"" + toHex(crypto::sha256(toBytes(path))).substr(0, 16) + "\"";
+  const std::string hex = toHex(crypto::sha256(toBytes(path)));
+  std::string etag;
+  etag.reserve(18);
+  etag.append("\"").append(hex, 0, 16).append("\"");
+  return etag;
 }
 
 Bytes WebOrigin::buildBlob(std::size_t size, const std::string& seed) const {

@@ -224,14 +224,14 @@ void TlsStream::handleHandshakeRecord(ByteView payload) {
 void TlsStream::deriveSessionKeys() {
   Bytes secret = client_random_;
   appendBytes(secret, server_random_);
-  const Bytes key = crypto::deriveKey(secret, "tls-master", 32);
+  const crypto::Aes256 cipher(crypto::deriveKey(secret, "tls-master", 32));
   const Bytes iv_c2s = crypto::deriveKey(secret, "tls-iv-c2s", 16);
   const Bytes iv_s2c = crypto::deriveKey(secret, "tls-iv-s2c", 16);
   const bool client = role_ == Role::kClient;
   encryptor_ = std::make_unique<crypto::AesCfbStream>(
-      key, client ? iv_c2s : iv_s2c);
+      cipher, client ? iv_c2s : iv_s2c);
   decryptor_ = std::make_unique<crypto::AesCfbStream>(
-      key, client ? iv_s2c : iv_c2s);
+      cipher, client ? iv_s2c : iv_c2s);
 }
 
 void TlsStream::finishHandshake() {

@@ -38,9 +38,13 @@ std::optional<Url> Url::parse(std::string_view text) {
 }
 
 std::string Url::str() const {
-  std::string s = scheme + "://" + host;
-  if (port != defaultPort()) s += ":" + std::to_string(port);
-  s += path;
+  const std::string port_str =
+      port != defaultPort() ? std::to_string(port) : std::string();
+  std::string s;
+  s.reserve(scheme.size() + 4 + host.size() + port_str.size() + path.size());
+  s.append(scheme).append("://").append(host);
+  if (!port_str.empty()) s.append(":").append(port_str);
+  s.append(path);
   return s;
 }
 

@@ -227,7 +227,9 @@ std::string renderJson(const std::vector<FileReport>& reports) {
         out += ", \"chain\": [";
         for (std::size_t i = 0; i < f.chain.size(); ++i) {
           if (i > 0) out += ", ";
-          out += "\"" + jsonEscape(f.chain[i]) + "\"";
+          const std::string step = jsonEscape(f.chain[i]);
+          out.reserve(out.size() + step.size() + 2);
+          out.append("\"").append(step).append("\"");
         }
         out += "]";
       }

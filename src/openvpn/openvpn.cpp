@@ -47,7 +47,7 @@ OpenVpnServer::OpenVpnServer(transport::HostStack& stack,
     appendU32(out, s.id);
     const std::uint32_t seq = ++s.tx_seq;
     appendU32(out, seq);
-    appendBytes(out, crypto::aes256CfbEncrypt(s.key, dataIv(s.id, seq),
+    appendBytes(out, crypto::aes256CfbEncrypt(s.cipher, dataIv(s.id, seq),
                                               net::serializePacket(inner)));
     net::Packet pkt = net::makeUdp(stack_.node().primaryIp(), s.client.ip,
                                    kOpenVpnPort, s.client.port, std::move(out));
@@ -86,12 +86,11 @@ void OpenVpnServer::onDatagram(net::Endpoint from, ByteView data,
       }
       const Bytes nonce_s = stack_.sim().rng().randomBytes(16);
       const net::Ipv4 inner{options_.inner_base.v + next_inner_++};
-      Session s;
-      s.id = session;
-      s.client = from;
-      s.inner_ip = inner;
-      s.key = sessionKeyFrom(options_.tls_auth_key, nonce, nonce_s);
-      sessions_[session] = std::move(s);
+      sessions_.insert_or_assign(
+          session,
+          Session{session, from, inner,
+                  crypto::Aes256(
+                      sessionKeyFrom(options_.tls_auth_key, nonce, nonce_s))});
 
       Bytes reply;
       appendU8(reply, kOpControl);
@@ -110,7 +109,7 @@ void OpenVpnServer::onDatagram(net::Endpoint from, ByteView data,
       Bytes ct;
       if (!readBytes(data, off, data.size() - off, ct)) return;
       auto inner = net::parsePacket(
-          crypto::aes256CfbDecrypt(it->second.key, dataIv(session, seq), ct));
+          crypto::aes256CfbDecrypt(it->second.cipher, dataIv(session, seq), ct));
       if (!inner.has_value()) return;
       inner->measure_tag = tag;
       ++forwarded_;
@@ -204,7 +203,7 @@ void OpenVpnClient::onDatagram(ByteView data) {
           !readBytes(data, off, 16, nonce_s) || !readU32(data, off, inner) ||
           !readU32(data, off, dns))
         return;
-      key_ = sessionKeyFrom(config_.tls_auth_key, nonce_, nonce_s);
+      cipher_.emplace(sessionKeyFrom(config_.tls_auth_key, nonce_, nonce_s));
       advertised_dns_ = net::Ipv4(dns);
 
       const net::Endpoint server = config_.remote;
@@ -230,7 +229,7 @@ void OpenVpnClient::onDatagram(ByteView data) {
       Bytes ct;
       if (!readBytes(data, off, data.size() - off, ct)) return;
       auto inner = net::parsePacket(
-          crypto::aes256CfbDecrypt(key_, dataIv(session, seq), ct));
+          crypto::aes256CfbDecrypt(*cipher_, dataIv(session, seq), ct));
       if (!inner.has_value()) return;
       tun_->injectInbound(std::move(*inner));
       break;
@@ -246,7 +245,7 @@ void OpenVpnClient::encapsulate(net::Packet&& inner) {
   appendU32(out, session_);
   const std::uint32_t seq = ++tx_seq_;
   appendU32(out, seq);
-  appendBytes(out, crypto::aes256CfbEncrypt(key_, dataIv(session_, seq),
+  appendBytes(out, crypto::aes256CfbEncrypt(*cipher_, dataIv(session_, seq),
                                             net::serializePacket(inner)));
   net::Packet pkt =
       net::makeUdp(stack_.node().primaryIp(), config_.remote.ip, local_port_,

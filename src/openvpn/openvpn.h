@@ -15,9 +15,11 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
+#include "crypto/aes.h"
 #include "openvpn/pki.h"
 #include "vpn/tunnel_common.h"
 
@@ -52,7 +54,7 @@ class OpenVpnServer {
     std::uint32_t id;
     net::Endpoint client;
     net::Ipv4 inner_ip;
-    Bytes key;
+    crypto::Aes256 cipher;  // session key, expanded once
     std::uint32_t tx_seq = 0;
   };
 
@@ -109,7 +111,7 @@ class OpenVpnClient {
   net::Port local_port_ = 0;
   std::uint32_t session_ = 0;
   Bytes nonce_;
-  Bytes key_;
+  std::optional<crypto::Aes256> cipher_;  // set by the control reply
   std::uint32_t tx_seq_ = 0;
   net::Ipv4 advertised_dns_;
   std::unique_ptr<vpn::TunDevice> tun_;

@@ -12,8 +12,9 @@ HopCrypto HopCrypto::fromKeyMaterial(ByteView key) {
   const Bytes k(key.begin(), key.end());
   const Bytes iv_f = crypto::deriveKey(k, "tor-iv-fwd", 16);
   const Bytes iv_b = crypto::deriveKey(k, "tor-iv-bwd", 16);
-  hc.forward = std::make_unique<crypto::AesCfbStream>(k, iv_f);
-  hc.backward = std::make_unique<crypto::AesCfbStream>(k, iv_b);
+  const crypto::Aes256 cipher(k);
+  hc.forward = std::make_unique<crypto::AesCfbStream>(cipher, iv_f);
+  hc.backward = std::make_unique<crypto::AesCfbStream>(cipher, iv_b);
   return hc;
 }
 

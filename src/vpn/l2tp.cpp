@@ -22,17 +22,18 @@ Bytes espIv(std::uint32_t spi, std::uint32_t seq) {
 
 // Serializes `inner` directly into `out` and encrypts it in place: one
 // buffer for the whole encap instead of serialize + encrypt temporaries.
-void espEncryptInto(const Bytes& key, std::uint32_t spi, std::uint32_t seq,
-                    const net::Packet& inner, Bytes& out) {
+void espEncryptInto(const crypto::Aes256& cipher, std::uint32_t spi,
+                    std::uint32_t seq, const net::Packet& inner, Bytes& out) {
   net::serializePacketInto(inner, out);
-  crypto::aes256CfbEncryptInPlace(key, espIv(spi, seq), out);
+  crypto::aes256CfbEncryptInPlace(cipher, espIv(spi, seq), out);
 }
 
 // Consumes the ESP payload: decrypts in place, then the parsed inner packet
 // steals the buffer for its own payload.
-std::optional<net::Packet> espDecrypt(const Bytes& key, std::uint32_t spi,
-                                      std::uint32_t seq, Bytes&& payload) {
-  crypto::aes256CfbDecryptInPlace(key, espIv(spi, seq), payload);
+std::optional<net::Packet> espDecrypt(const crypto::Aes256& cipher,
+                                      std::uint32_t spi, std::uint32_t seq,
+                                      Bytes&& payload) {
+  crypto::aes256CfbDecryptInPlace(cipher, espIv(spi, seq), payload);
   return net::parsePacket(std::move(payload));
 }
 }  // namespace
@@ -58,7 +59,7 @@ L2tpServer::L2tpServer(transport::HostStack& stack, L2tpServerOptions options)
     outer.proto = net::IpProto::kEsp;
     const std::uint32_t seq = ++tx_seq_;
     outer.l4 = net::EspFrame{s.spi, seq};
-    espEncryptInto(s.key, s.spi, seq, inner, outer.payload);
+    espEncryptInto(s.cipher, s.spi, seq, inner, outer.payload);
     outer.measure_tag = inner.measure_tag;
     stack_.node().send(std::move(outer));
   });
@@ -76,12 +77,10 @@ void L2tpServer::onControl(net::Endpoint from, ByteView data,
   const net::Ipv4 inner{options_.inner_base.v + next_inner_++};
   Bytes salt = nonce;
   appendU32(salt, spi);
-  Session s;
-  s.spi = spi;
-  s.client_outer = from.ip;
-  s.inner_ip = inner;
-  s.key = crypto::deriveKey(options_.pre_shared_key, toString(salt), 32);
-  sessions_[spi] = std::move(s);
+  sessions_.insert_or_assign(
+      spi, Session{spi, from.ip, inner,
+                   crypto::Aes256(crypto::deriveKey(options_.pre_shared_key,
+                                                    toString(salt), 32))});
 
   Bytes reply;
   appendU8(reply, kIkeReply);
@@ -96,7 +95,7 @@ void L2tpServer::onEsp(net::Packet&& pkt) {
   const auto it = sessions_.find(esp.spi);
   if (it == sessions_.end()) return;
   auto inner =
-      espDecrypt(it->second.key, esp.spi, esp.seq, std::move(pkt.payload));
+      espDecrypt(it->second.cipher, esp.spi, esp.seq, std::move(pkt.payload));
   if (!inner.has_value()) return;
   inner->measure_tag = pkt.measure_tag;
   ++forwarded_;
@@ -146,7 +145,7 @@ void L2tpClient::connect(ConnectCb cb) {
 
     Bytes salt = nonce;
     appendU32(salt, spi);
-    session_key_cache_ = crypto::deriveKey(psk_, toString(salt), 32);
+    cipher_.emplace(crypto::deriveKey(psk_, toString(salt), 32));
 
     stack_.setRawHandler(net::IpProto::kEsp, [this](net::Packet&& pkt) {
       onEsp(std::move(pkt));
@@ -196,8 +195,6 @@ void L2tpClient::disconnect() {
   }
 }
 
-Bytes L2tpClient::sessionKey() const { return session_key_cache_; }
-
 void L2tpClient::encapsulate(net::Packet&& inner) {
   net::Packet outer;
   outer.src = stack_.node().primaryIp();
@@ -205,7 +202,7 @@ void L2tpClient::encapsulate(net::Packet&& inner) {
   outer.proto = net::IpProto::kEsp;
   const std::uint32_t seq = ++esp_seq_;
   outer.l4 = net::EspFrame{spi_, seq};
-  espEncryptInto(session_key_cache_, spi_, seq, inner, outer.payload);
+  espEncryptInto(*cipher_, spi_, seq, inner, outer.payload);
   outer.measure_tag = inner.measure_tag != 0 ? inner.measure_tag : tag_;
   stack_.node().send(std::move(outer));
 }
@@ -214,7 +211,7 @@ void L2tpClient::onEsp(net::Packet&& pkt) {
   const auto& esp = std::get<net::EspFrame>(pkt.l4);
   if (tun_ == nullptr || esp.spi != spi_) return;
   auto inner =
-      espDecrypt(session_key_cache_, esp.spi, esp.seq, std::move(pkt.payload));
+      espDecrypt(*cipher_, esp.spi, esp.seq, std::move(pkt.payload));
   if (!inner.has_value()) return;
   inner->measure_tag = pkt.measure_tag;
   tun_->injectInbound(std::move(*inner));

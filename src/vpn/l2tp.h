@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "crypto/aes.h"
@@ -38,7 +39,7 @@ class L2tpServer {
     std::uint32_t spi;
     net::Ipv4 client_outer;
     net::Ipv4 inner_ip;
-    Bytes key;
+    crypto::Aes256 cipher;  // session key, expanded once
   };
 
   void onControl(net::Endpoint from, ByteView data, std::uint32_t tag);
@@ -73,7 +74,6 @@ class L2tpClient {
   void encapsulate(net::Packet&& inner);
   void onEsp(net::Packet&& pkt);
   void sendKeepalive();
-  Bytes sessionKey() const;
 
   transport::HostStack& stack_;
   net::Endpoint server_;
@@ -83,7 +83,7 @@ class L2tpClient {
   std::uint32_t spi_ = 0;
   std::uint32_t esp_seq_ = 0;
   net::Ipv4 advertised_dns_;
-  Bytes session_key_cache_;
+  std::optional<crypto::Aes256> cipher_;  // set by the IKE reply
   std::unique_ptr<TunDevice> tun_;
   ConnectCb connect_cb_;
   sim::EventHandle timeout_;

@@ -96,6 +96,31 @@ TEST(Aes256, Fips197AppendixC3) {
   std::uint8_t out[16];
   aes.encryptBlock(plain.data(), out);
   EXPECT_EQ(toHex(ByteView(out, 16)), "8ea2b7ca516745bfeafc49904b496089");
+  aes.encryptBlockReference(plain.data(), out);
+  EXPECT_EQ(toHex(ByteView(out, 16)), "8ea2b7ca516745bfeafc49904b496089");
+}
+
+// The dispatched block function (AES-NI where the CPU has it) must equal the
+// byte-wise reference on every key and block, in place included.
+TEST(Aes256, HardwareRoundsMatchReference) {
+  if (!Aes256::hardwareAccelerated()) GTEST_SKIP() << "CPU lacks AES-NI";
+  std::uint64_t x = 20170;
+  const auto randomBytes = [&x](std::size_t n) {
+    Bytes out(n);
+    for (auto& b : out) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      b = static_cast<std::uint8_t>(x >> 56);
+    }
+    return out;
+  };
+  for (int i = 0; i < 10000; ++i) {
+    const Aes256 aes(randomBytes(kAes256KeySize));
+    Bytes block = randomBytes(kAesBlockSize);
+    std::uint8_t expected[16];
+    aes.encryptBlockReference(block.data(), expected);
+    aes.encryptBlock(block.data(), block.data());
+    ASSERT_EQ(Bytes(expected, expected + 16), block) << "pair " << i;
+  }
 }
 
 TEST(Aes256, NistSp80038aCfb128FirstSegment) {
@@ -103,7 +128,7 @@ TEST(Aes256, NistSp80038aCfb128FirstSegment) {
       "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
   const Bytes iv = fromHex("000102030405060708090a0b0c0d0e0f");
   const Bytes plain = fromHex("6bc1bee22e409f96e93d7e117393172a");
-  EXPECT_EQ(toHex(aes256CfbEncrypt(key, iv, plain)),
+  EXPECT_EQ(toHex(aes256CfbEncrypt(Aes256(key), iv, plain)),
             "dc7e84bfda79164b7ecd8486985d3860");
 }
 
@@ -116,7 +141,8 @@ TEST(AesCfb, RoundTripsArbitraryLengths) {
     Bytes plain(n);
     for (std::size_t i = 0; i < n; ++i)
       plain[i] = static_cast<std::uint8_t>(i);
-    EXPECT_EQ(aes256CfbDecrypt(key, iv, aes256CfbEncrypt(key, iv, plain)),
+    EXPECT_EQ(aes256CfbDecrypt(Aes256(key), iv,
+                               aes256CfbEncrypt(Aes256(key), iv, plain)),
               plain)
         << "n=" << n;
   }
@@ -135,19 +161,19 @@ TEST(AesCfb, StreamingMatchesOneShot) {
     const std::size_t n = std::min<std::size_t>(37, plain.size() - off);
     appendBytes(streamed, enc.encrypt(ByteView(plain.data() + off, n)));
   }
-  EXPECT_EQ(streamed, aes256CfbEncrypt(key, iv, plain));
+  EXPECT_EQ(streamed, aes256CfbEncrypt(Aes256(key), iv, plain));
 }
 
 TEST(AesCfb, CiphertextOfConstantInputIsHighEntropy) {
   const Bytes ct =
-      aes256CfbEncrypt(Bytes(32, 1), Bytes(16, 2), Bytes(8192, 'A'));
+      aes256CfbEncrypt(Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(8192, 'A'));
   EXPECT_GT(shannonEntropy(ct), 7.5);
 }
 
 TEST(AesCfb, DifferentIvsDifferentCiphertext) {
   const Bytes plain = toBytes("same plaintext");
-  EXPECT_NE(aes256CfbEncrypt(Bytes(32, 1), Bytes(16, 1), plain),
-            aes256CfbEncrypt(Bytes(32, 1), Bytes(16, 2), plain));
+  EXPECT_NE(aes256CfbEncrypt(Aes256(Bytes(32, 1)), Bytes(16, 1), plain),
+            aes256CfbEncrypt(Aes256(Bytes(32, 1)), Bytes(16, 2), plain));
 }
 
 // ---- Blinding: the paper's f : [0,2^8) -> [0,2^8) byte mapping ----
@@ -220,9 +246,9 @@ TEST(Blinding, PrintableModeLooksLikeTextAndRoundTrips) {
 TEST(Blinding, PrintableModeRoundTripsAllRemainders) {
   BlindingCodec codec(toBytes("s"), 3, BlindingMode::kPrintable);
   for (std::size_t n = 0; n <= 10; ++n) {
-    Bytes data(n);
+    Bytes data;
     for (std::size_t i = 0; i < n; ++i)
-      data[i] = static_cast<std::uint8_t>(200 + i);
+      data.push_back(static_cast<std::uint8_t>(200 + i));
     EXPECT_EQ(codec.unblind(codec.blind(data)), data) << "n=" << n;
   }
 }
@@ -256,7 +282,7 @@ TEST(Entropy, ChiSquaredSeparatesTextFromCiphertext) {
   while (text.size() < 4096)
     appendBytes(text, toBytes("the quick brown fox "));
   const Bytes random =
-      aes256CfbEncrypt(Bytes(32, 3), Bytes(16, 4), Bytes(4096, 0));
+      aes256CfbEncrypt(Aes256(Bytes(32, 3)), Bytes(16, 4), Bytes(4096, 0));
   EXPECT_GT(chiSquaredUniform(text), 10.0 * chiSquaredUniform(random));
 }
 

@@ -158,9 +158,9 @@ std::vector<Bytes> scanCorpus() {
   corpus.push_back(makeClientHelloBytes("tor.relays.example", "chrome-56"));
   corpus.push_back(toBytes(std::string(400, 'a')));
   corpus.push_back(toBytes("random bytes"));
-  corpus.push_back(crypto::aes256CfbEncrypt(Bytes(32, 1), Bytes(16, 2),
+  corpus.push_back(crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2),
                                             Bytes(400, 7)));
-  corpus.push_back(crypto::aes256CfbEncrypt(Bytes(32, 3), Bytes(16, 4),
+  corpus.push_back(crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 3)), Bytes(16, 4),
                                             Bytes(48, 9)));
   corpus.push_back(Bytes{0x38});
   corpus.push_back(Bytes{});
@@ -332,7 +332,7 @@ TEST(DpiClassifierEdge, ShortPayloadEntropyCapAgreesAcrossPaths) {
   ClassifierThresholds thresholds;
   for (const std::size_t n : {48u, 64u, 100u, 256u}) {
     const net::Packet pkt = tcpPacket(crypto::aes256CfbEncrypt(
-        Bytes(32, 3), Bytes(16, 4), Bytes(n, 9)));
+        crypto::Aes256(Bytes(32, 3)), Bytes(16, 4), Bytes(n, 9)));
     scanner.scan(pkt.payload, &engine.automaton(), scan);
     const Engine::Flags flags = engine.analyze(scan, pkt.payload);
     EXPECT_EQ(classifyScan(scan, flags, pkt, thresholds),

@@ -190,7 +190,7 @@ TEST(Classifier, EntropyClassifierCatchesCiphertextButNotText) {
   net::Packet ct = net::makeTcp(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2),
                                 50000, 8388, net::TcpFlags{.psh = true}, 0, 0,
                                 crypto::aes256CfbEncrypt(
-                                    Bytes(32, 1), Bytes(16, 2), Bytes(400, 7)));
+                                    crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(400, 7)));
   EXPECT_EQ(classifyTcpPayload(ct, thresholds), FlowClass::kHighEntropy);
 
   net::Packet text = ct;
@@ -204,7 +204,7 @@ TEST(Classifier, CatchesSmallHighEntropyFirstPacket) {
   net::Packet small = net::makeTcp(
       net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2), 50000, 8388,
       net::TcpFlags{.psh = true}, 0, 0,
-      crypto::aes256CfbEncrypt(Bytes(32, 3), Bytes(16, 4), Bytes(48, 9)));
+      crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 3)), Bytes(16, 4), Bytes(48, 9)));
   EXPECT_EQ(classifyTcpPayload(small, thresholds), FlowClass::kHighEntropy);
 }
 
@@ -343,7 +343,7 @@ TEST(Gfw, DisciplinesHighEntropyFlows) {
       });
   // Push ciphertext through the flow.
   const Bytes ct =
-      crypto::aes256CfbEncrypt(Bytes(32, 1), Bytes(16, 2), Bytes(30000, 5));
+      crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(30000, 5));
   sock->send(ct);
   w.sim.runUntil(w.sim.now() + 2 * sim::kMinute);
   EXPECT_GT(w.gfw.stats().disciplined_drops, 3u);
@@ -362,7 +362,7 @@ TEST(Gfw, RegisteredIcpLeniencySparesTheFlow) {
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), 8388}, [](bool) {});
   sock->send(
-      crypto::aes256CfbEncrypt(Bytes(32, 1), Bytes(16, 2), Bytes(30000, 5)));
+      crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(30000, 5)));
   w.sim.runUntil(w.sim.now() + 2 * sim::kMinute);
   EXPECT_EQ(w.gfw.stats().disciplined_drops, 0u);
   EXPECT_GE(w.gfw.stats().leniency_granted, 1u);
@@ -384,7 +384,7 @@ TEST(Gfw, ActiveProbeConfirmsMuteServerAndBlocksFutureFlows) {
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), 8388}, [](bool) {});
   sock->send(
-      crypto::aes256CfbEncrypt(Bytes(32, 1), Bytes(16, 2), Bytes(500, 5)));
+      crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(500, 5)));
   w.sim.runUntil(w.sim.now() + 30 * sim::kSecond);
   EXPECT_GE(w.gfw.stats().probes_launched, 1u);
   EXPECT_GE(w.gfw.stats().suspects_confirmed, 1u);
@@ -406,7 +406,7 @@ TEST(Gfw, ActiveProbeExoneratesServersThatAnswer) {
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), 8388}, [](bool) {});
   sock->send(
-      crypto::aes256CfbEncrypt(Bytes(32, 1), Bytes(16, 2), Bytes(500, 5)));
+      crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(500, 5)));
   w.sim.runUntil(w.sim.now() + 30 * sim::kSecond);
   EXPECT_GE(w.gfw.stats().probes_launched, 1u);
   EXPECT_FALSE(w.gfw.isSuspectServer(w.server_node.primaryIp()));

@@ -149,7 +149,9 @@ TEST(Population, ClassPartitionCoversEveryScholarOnce) {
   std::uint64_t covered = 0;
   for (std::size_t i = 0; i < model.classes().size(); ++i) {
     covered += model.classSize(i);
-    if (i > 0) EXPECT_EQ(model.classBegin(i), model.classEnd(i - 1));
+    if (i > 0) {
+      EXPECT_EQ(model.classBegin(i), model.classEnd(i - 1));
+    }
   }
   EXPECT_EQ(covered, opts.scholars);
   EXPECT_EQ(model.classOf(0), 0u);

@@ -77,7 +77,7 @@ TEST_P(AesChunking, ChunkedEncryptionMatchesOneShot) {
     const std::size_t n = std::min(chunk, plain.size() - off);
     appendBytes(streamed, enc.encrypt(ByteView(plain.data() + off, n)));
   }
-  EXPECT_EQ(streamed, crypto::aes256CfbEncrypt(key, iv, plain));
+  EXPECT_EQ(streamed, crypto::aes256CfbEncrypt(crypto::Aes256(key), iv, plain));
 
   crypto::AesCfbStream dec(key, iv);
   Bytes recovered;
@@ -85,6 +85,31 @@ TEST_P(AesChunking, ChunkedEncryptionMatchesOneShot) {
     const std::size_t n = std::min(chunk, streamed.size() - off);
     appendBytes(recovered, dec.decrypt(ByteView(streamed.data() + off, n)));
   }
+  EXPECT_EQ(recovered, plain);
+}
+
+// The in-place variants carry a part-used keystream block across calls the
+// same way, whether a chunk ends mid-block or on a block boundary.
+TEST_P(AesChunking, ChunkedInPlaceMatchesOneShot) {
+  const std::size_t chunk = GetParam();
+  const Bytes key = pseudoRandom(32, 1);
+  const Bytes iv = pseudoRandom(16, 2);
+  const Bytes plain = pseudoRandom(10000, 3);
+
+  crypto::AesCfbStream enc(key, iv);
+  crypto::AesCfbStream dec(key, iv);
+  Bytes streamed;
+  Bytes recovered;
+  for (std::size_t off = 0; off < plain.size(); off += chunk) {
+    const std::size_t n = std::min(chunk, plain.size() - off);
+    Bytes piece(plain.begin() + static_cast<std::ptrdiff_t>(off),
+                plain.begin() + static_cast<std::ptrdiff_t>(off + n));
+    enc.encryptInPlace(piece);
+    appendBytes(streamed, piece);
+    dec.decryptInPlace(piece);
+    appendBytes(recovered, piece);
+  }
+  EXPECT_EQ(streamed, crypto::aes256CfbEncrypt(crypto::Aes256(key), iv, plain));
   EXPECT_EQ(recovered, plain);
 }
 
