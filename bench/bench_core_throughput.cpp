@@ -1,9 +1,8 @@
 // Core hot-path throughput, the numbers behind the event-loop rework:
 //
-//   1. events/sec through sim::Simulator (inline callbacks, generation
-//      cancellation, flat 4-ary heap) vs an in-bench replica of the old
-//      loop (std::function + shared_ptr<bool> flags + std::priority_queue),
-//      both running the same schedule/cancel/re-arm workload;
+//   1. events/sec through sim::Simulator (inline callbacks in a body slab,
+//      generation cancellation, flat 4-ary heap of 24-byte keys) on a
+//      schedule/cancel/re-arm workload;
 //   2. packets/sec across a two-node link (the stash-based delivery path);
 //   3. serial vs parallel campaign wall clock over identical cells, plus a
 //      check that both produce identical results.
@@ -16,15 +15,11 @@
 //   SC_BENCH_THREADS        parallel workers          (default hardware)
 #include <chrono>
 #include <functional>
-#include <memory>
-#include <queue>
 
 #include "bench_common.h"
 #include "measure/parallel.h"
 
 namespace {
-
-using sc::sim::Time;
 
 // sclint:allow(det-wallclock) events/sec & packets/sec are wall-clock measurements of the host
 double secondsSince(std::chrono::steady_clock::time_point start) {
@@ -34,66 +29,12 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Replica of the pre-rework event loop, kept as the fixed baseline the
-// events/sec ratio is measured against: every event heap-allocates its
-// std::function state, cancellation is a shared_ptr<bool> checked at fire
-// time, and storage is std::priority_queue.
-class LegacySim {
- public:
-  struct Handle {
-    std::shared_ptr<bool> cancelled;
-    void cancel() {
-      if (cancelled != nullptr) *cancelled = true;
-    }
-  };
-
-  Time now() const { return now_; }
-  std::uint64_t eventsExecuted() const { return executed_; }
-
-  Handle schedule(Time delay, std::function<void()> fn) {
-    auto flag = std::make_shared<bool>(false);
-    queue_.push(Event{now_ + delay, ++seq_, flag, std::move(fn)});
-    return Handle{std::move(flag)};
-  }
-
-  void run() {
-    while (!queue_.empty()) {
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      now_ = ev.at;
-      if (*ev.cancelled) continue;
-      ++executed_;
-      ev.fn();
-    }
-  }
-
- private:
-  struct Event {
-    Time at;
-    std::uint64_t seq;
-    std::shared_ptr<bool> cancelled;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
-
-  Time now_ = 0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
-// The simulator's hot pattern, run identically on both loops: concurrent
-// chains where each step re-arms a timeout (cancel + schedule, like a TCP
-// RTO) and schedules its successor.
-template <class Sim>
-double eventsPerSec(Sim& sim, long long target, std::uint64_t& executed) {
+// The simulator's hot pattern: concurrent chains where each step re-arms a
+// timeout (cancel + schedule, like a TCP RTO) and schedules its successor.
+double eventsPerSec(long long target, std::uint64_t& executed) {
   constexpr int kChains = 64;
-  using Handle = decltype(sim.schedule(Time{1}, [] {}));
-  std::vector<Handle> timeouts(kChains);
+  sc::sim::Simulator sim;
+  std::vector<sc::sim::EventHandle> timeouts(kChains);
   long long fired = 0;
   std::function<void(int)> step = [&](int c) {
     ++fired;
@@ -177,15 +118,10 @@ int main() {
 
   std::printf("Core throughput — event loop, link delivery, parallel sweep\n");
 
-  std::uint64_t new_executed = 0, legacy_executed = 0;
-  sim::Simulator fast;
-  const double new_eps = eventsPerSec(fast, n_events, new_executed);
-  LegacySim legacy;
-  const double legacy_eps = eventsPerSec(legacy, n_events, legacy_executed);
-  const double event_speedup = legacy_eps > 0 ? new_eps / legacy_eps : 0;
-  std::printf("  events/sec: %.3g (legacy %.3g, speedup %.2fx, %llu fired)\n",
-              new_eps, legacy_eps, event_speedup,
-              static_cast<unsigned long long>(new_executed));
+  std::uint64_t executed = 0;
+  const double eps = eventsPerSec(n_events, executed);
+  std::printf("  events/sec: %.3g (%llu fired)\n", eps,
+              static_cast<unsigned long long>(executed));
 
   const double pps = packetsPerSec(n_packets);
   std::printf("  packets/sec: %.3g\n", pps);
@@ -219,10 +155,8 @@ int main() {
   jw.beginObject();
   jw.beginObject("events")
       .field("requested", n_events)
-      .field("fired", new_executed)
-      .field("events_per_sec", new_eps)
-      .field("legacy_events_per_sec", legacy_eps)
-      .field("speedup", event_speedup)
+      .field("fired", executed)
+      .field("events_per_sec", eps)
       .endObject();
   jw.beginObject("packets")
       .field("requested", n_packets)

@@ -90,19 +90,35 @@ void BM_TorCellRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_TorCellRoundTrip);
 
+// A delivery-sized closure ({Link*, Node*, u32} in the link hop; here two
+// pointers and a counter) that re-arms itself with a varying delay.
+struct ChurnHop {
+  sc::sim::Simulator* sim;
+  std::int64_t* remaining;
+  std::uint32_t hop;
+  void operator()() const {
+    if (--*remaining > 0)
+      sim->schedule(1 + hop % 7, ChurnHop{sim, remaining, hop + 1});
+  }
+};
+
+// Event churn at a fixed queue depth: range(0) chains each keep one closure
+// pending, so every fire and re-arm sifts through a heap of that size. 128
+// is fig5_campaign's sim.max_queue_depth.
 void BM_SimulatorEventChurn(benchmark::State& state) {
+  constexpr std::int64_t kEvents = 10000;
+  std::uint64_t executed = 0;
   for (auto _ : state) {
     sc::sim::Simulator sim(1);
-    int remaining = 10000;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) sim.schedule(10, tick);
-    };
-    sim.schedule(1, tick);
+    std::int64_t remaining = kEvents;
+    for (std::int64_t c = 0; c < state.range(0); ++c)
+      sim.schedule(1, ChurnHop{&sim, &remaining, static_cast<std::uint32_t>(c)});
     sim.run();
     benchmark::DoNotOptimize(remaining);
+    executed += sim.eventsExecuted();
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
-BENCHMARK(BM_SimulatorEventChurn);
+BENCHMARK(BM_SimulatorEventChurn)->Arg(1)->Arg(128);
 
 }  // namespace

@@ -43,6 +43,17 @@ bool EventHandle::active() const {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
+Simulator::~Simulator() {
+  // Every outstanding handle goes inactive before any pending body dies: a
+  // capture's destructor may cancel a handle (a socket's RTO timer), which
+  // must then find a stale slot rather than freed state.
+  for (auto& gen : slot_gen_) ++gen;
+  live_events_ = 0;
+  for (std::size_t i = 0; i < bodies_.size(); ++i) {
+    EventFn dead = std::move(bodies_[i]);
+  }
+}
+
 EventHandle Simulator::schedule(Time delay, EventFn fn) {
   assert(delay >= 0);
   return scheduleAt(now_ + delay, std::move(fn));
@@ -57,9 +68,11 @@ EventHandle Simulator::scheduleAt(Time at, EventFn fn) {
   } else {
     slot = static_cast<std::uint32_t>(slot_gen_.size());
     slot_gen_.push_back(0);
+    bodies_.emplace_back();
   }
   const std::uint32_t gen = slot_gen_[slot];
-  heap_.push_back(Event{at, next_seq_++, slot, gen, std::move(fn)});
+  bodies_[slot] = std::move(fn);
+  heap_.push_back(Event{at, next_seq_++, slot, gen});
   siftUp(heap_.size() - 1);
   ++live_events_;
   if (live_events_ > max_queue_depth_) max_queue_depth_ = live_events_;
@@ -69,19 +82,19 @@ EventHandle Simulator::scheduleAt(Time at, EventFn fn) {
 // ---- 4-ary heap primitives -------------------------------------------------
 
 void Simulator::siftUp(std::size_t i) {
-  Event ev = std::move(heap_[i]);
+  const Event ev = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!earlier(ev, heap_[parent])) break;
-    heap_[i] = std::move(heap_[parent]);
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_[i] = std::move(ev);
+  heap_[i] = ev;
 }
 
 void Simulator::siftDown(std::size_t i) {
   const std::size_t n = heap_.size();
-  Event ev = std::move(heap_[i]);
+  const Event ev = heap_[i];
   while (true) {
     const std::size_t first_child = 4 * i + 1;
     if (first_child >= n) break;
@@ -91,10 +104,10 @@ void Simulator::siftDown(std::size_t i) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
     if (!earlier(heap_[best], ev)) break;
-    heap_[i] = std::move(heap_[best]);
+    heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = std::move(ev);
+  heap_[i] = ev;
 }
 
 void Simulator::rebuildHeap() {
@@ -103,7 +116,7 @@ void Simulator::rebuildHeap() {
 }
 
 void Simulator::discardTop() {
-  heap_.front() = std::move(heap_.back());
+  heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) siftDown(0);
 }
@@ -122,46 +135,58 @@ void Simulator::cancelEvent(std::uint32_t slot, std::uint32_t gen) {
     compact();
 }
 
+void Simulator::releaseSlot(std::uint32_t slot) {
+  // Move the body out first: its captures' destructors may cancel (and so
+  // compact) or schedule (and so grow bodies_), which must not happen under
+  // a reference into bodies_.
+  const EventFn dead = std::move(bodies_[slot]);
+  free_slots_.push_back(slot);
+}
+
 void Simulator::compact() {
+  std::vector<std::uint32_t> swept;
+  swept.reserve(cancelled_in_heap_);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     if (isLive(heap_[i].slot, heap_[i].gen)) {
-      if (kept != i) heap_[kept] = std::move(heap_[i]);
-      ++kept;
+      heap_[kept++] = heap_[i];
     } else {
-      free_slots_.push_back(heap_[i].slot);
+      swept.push_back(heap_[i].slot);
     }
   }
   heap_.resize(kept);
   cancelled_in_heap_ = 0;
   rebuildHeap();
   ++compactions_;
+  // The swept bodies die only once the heap is consistent again.
+  for (const std::uint32_t slot : swept) releaseSlot(slot);
 }
 
 // ---- run loop --------------------------------------------------------------
 
 bool Simulator::settleTop() {
   while (!heap_.empty()) {
-    const Event& top = heap_.front();
+    const Event top = heap_.front();
     if (isLive(top.slot, top.gen)) return true;
-    free_slots_.push_back(top.slot);
     --cancelled_in_heap_;
     discardTop();
+    releaseSlot(top.slot);
   }
   return false;
 }
 
 void Simulator::fireTop() {
-  // Move the whole event out before invoking: the body may schedule (grow
-  // the heap) or cancel (compact it), so no reference into heap_ survives.
-  Event ev = std::move(heap_.front());
+  // Move the body out before invoking: it may schedule (grow the heap and
+  // bodies_) or cancel (compact them), so no reference into either survives.
+  const Event top = heap_.front();
   discardTop();
-  now_ = ev.at;
-  ++slot_gen_[ev.slot];  // fired: handles to this event go inactive NOW
-  free_slots_.push_back(ev.slot);
+  now_ = top.at;
+  ++slot_gen_[top.slot];  // fired: handles to this event go inactive NOW
+  EventFn fn = std::move(bodies_[top.slot]);
+  free_slots_.push_back(top.slot);
   --live_events_;
   ++events_executed_;
-  ev.fn();
+  fn();
 }
 
 std::size_t Simulator::run(Time deadline) {

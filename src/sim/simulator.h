@@ -8,6 +8,9 @@
 // Hot-path memory layout (see DESIGN.md "Event-loop memory layout"):
 //   - event bodies are InplaceFunction<void()> — 64 bytes of inline capture,
 //     move-only, no heap for every timer/delivery closure in the tree;
+//   - bodies stay put in a slab indexed by the event's slot; the queue holds
+//     only 24-byte (time, seq, slot, gen) keys, so reordering it never moves
+//     a closure;
 //   - cancellation is a (slot, generation) pair checked against a flat
 //     per-slot generation table — no shared_ptr control block per event;
 //   - the queue is a flat 4-ary min-heap on (time, seq) in one contiguous
@@ -17,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/inplace_function.h"
@@ -32,7 +36,7 @@ namespace sc::sim {
 class Simulator;
 
 // The scheduled-closure type. Capture-light lambdas (up to 64 bytes) are
-// stored inline in the event record; larger captures pay one heap allocation.
+// stored inline in the body slab; larger captures pay one heap allocation.
 using EventFn = InplaceFunction<void()>;
 
 // Handle for cancelling a scheduled event (e.g. a TCP retransmission timer
@@ -48,7 +52,9 @@ using EventFn = InplaceFunction<void()>;
 //   - copies of a handle share fate: cancelling or firing through one makes
 //     every copy inactive.
 // A handle must not outlive the Simulator it came from (handles are held by
-// components that already reference the simulator).
+// components that already reference the simulator). While the Simulator is
+// being destroyed every handle reads inactive, so a pending body whose
+// captures cancel a handle on destruction is safe.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -67,6 +73,8 @@ class EventHandle {
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 42);
+
+  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -114,13 +122,15 @@ class Simulator {
  private:
   friend class EventHandle;
 
+  // A heap entry is only the ordering key plus the slot of its body in
+  // bodies_; sifts copy these 24 bytes and never touch a closure.
   struct Event {
     Time at = 0;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
-    EventFn fn;
   };
+  static_assert(sizeof(Event) == 24 && std::is_trivially_copyable_v<Event>);
 
   static bool earlier(const Event& a, const Event& b) noexcept {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
@@ -130,7 +140,7 @@ class Simulator {
   void siftUp(std::size_t i);
   void siftDown(std::size_t i);
   void rebuildHeap();
-  // Removes heap_[0] without touching its body (used for cancelled tops).
+  // Removes heap_[0]; its body stays in bodies_.
   void discardTop();
 
   // Pops cancelled entries off the top; true iff a live top remains.
@@ -142,12 +152,17 @@ class Simulator {
     return slot < slot_gen_.size() && slot_gen_[slot] == gen;
   }
   void cancelEvent(std::uint32_t slot, std::uint32_t gen);
+  // Destroys a cancelled event's body and returns its slot to the free list.
+  void releaseSlot(std::uint32_t slot);
   // Drops every cancelled entry from the heap in one pass.
   void compact();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::vector<Event> heap_;
+  // Per slot: the body of the event holding it (empty once fired or
+  // released) and its generation.
+  std::vector<EventFn> bodies_;
   std::vector<std::uint32_t> slot_gen_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_events_ = 0;

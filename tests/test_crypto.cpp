@@ -86,6 +86,22 @@ TEST(DeriveKey, DeterministicAndLabelSeparated) {
   EXPECT_TRUE(std::equal(short_key.begin(), short_key.end(), long_key.begin()));
 }
 
+// Pinned outputs of the 1024-byte derivation BlindingCodec runs per table
+// build (32 chained HMACs), with a short and a longer-than-block secret.
+// Computed with the straightforward two-HMAC-per-block implementation; the
+// keyed-midstate one must reproduce them byte for byte.
+TEST(DeriveKey, GoldenKiloByteDerivation) {
+  const Bytes blinding = deriveKey(toBytes("blinding-secret"), "blind-epoch-7", 1024);
+  ASSERT_EQ(blinding.size(), 1024u);
+  EXPECT_EQ(toHex(ByteView(blinding.data(), 40)),
+            "a40671f18568512103e820fc9fc15529174f3bc6a904d42bff9b32a6f54cfa3c"
+            "69308623717e5e59");
+  EXPECT_EQ(toHex(sha256(blinding)),
+            "bf0d62657794a102c5a58226c54124210dc05ee4a4034c7de0f8eefca728bc8d");
+  EXPECT_EQ(toHex(sha256(deriveKey(Bytes(100, 0x5c), "x", 1024))),
+            "5b5dd1dc41ae2d4af5d183962eb60a24a99fbaa0aaf7c891b2584cec379e936c");
+}
+
 // ---- AES-256 (FIPS 197 / NIST SP 800-38A vectors) ----
 
 TEST(Aes256, Fips197AppendixC3) {

@@ -26,6 +26,13 @@ struct BlindingCase {
   std::size_t size;
 };
 
+// Names the case by its fields: gtest's default printer dumps the struct's
+// raw bytes, padding included, so test names would change from run to run.
+void PrintTo(const BlindingCase& c, std::ostream* os) {
+  *os << (c.mode == crypto::BlindingMode::kByteMap ? "ByteMap" : "Printable")
+      << " epoch=" << c.epoch << " size=" << c.size;
+}
+
 class BlindingProperty : public ::testing::TestWithParam<BlindingCase> {};
 
 TEST_P(BlindingProperty, RoundTripsAndChangesBytes) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "sim/rng.h"
@@ -290,6 +296,148 @@ TEST(Simulator, CancelInsideEventAffectsLaterEvent) {
   sim.schedule(10, [&] { victim.cancel(); });
   sim.run();
   EXPECT_EQ(fired, 0);
+}
+
+// A pending body may own an object whose destructor cancels another handle
+// on the same simulator (a socket closing its RTO timer). Destroying the
+// simulator must make that handle inactive before the body dies, rather than
+// let the cancel read the freed generation table.
+TEST(Simulator, DestroyingWithPendingBodiesThatCancelIsSafe) {
+  struct CancelsOnDestruction {
+    EventHandle* victim = nullptr;
+    bool* saw_active = nullptr;
+    ~CancelsOnDestruction() {
+      *saw_active = victim->active();
+      victim->cancel();
+    }
+  };
+  EventHandle victim;
+  bool saw_active = true;
+  auto owner = std::make_shared<CancelsOnDestruction>();
+  owner->victim = &victim;
+  owner->saw_active = &saw_active;
+  const std::weak_ptr<CancelsOnDestruction> watch = owner;
+  {
+    Simulator sim;
+    victim = sim.schedule(20, [] {});
+    sim.schedule(10, [owner = std::move(owner)] { (void)owner; });
+    EXPECT_TRUE(victim.active());
+  }
+  EXPECT_TRUE(watch.expired());
+  EXPECT_FALSE(saw_active);
+}
+
+// Seeded mix of schedules (ties, nested), cancels (from outside and inside
+// bodies, enough to compact) and partial runs. Every event that was not
+// cancelled must fire, in exactly (at, seq) order; every cancelled body must
+// release its captures by the time its entry surfaces or is compacted away.
+TEST(Simulator, PropertyFiringOrderAndCancelledCaptureRelease) {
+  struct Record {
+    Time at = 0;
+    std::uint64_t seq = 0;
+    EventHandle handle;
+    std::shared_ptr<int> token;  // the test's copy; the body holds another
+    bool fired = false;
+    bool cancelled = false;
+  };
+  using Key = std::tuple<Time, std::uint64_t, std::size_t>;
+
+  Simulator sim;
+  Rng rng(20171211);
+  std::vector<Record> events;
+  std::vector<std::size_t> fired_order;
+  // Cancelled events whose entries have not provably left the heap yet,
+  // earliest key on top.
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> unreleased;
+  std::uint64_t next_seq = 0;
+  std::uint64_t compactions_seen = 0;
+  std::size_t ops = 0;
+
+  const Key kAfterAll{std::numeric_limits<Time>::max(), 0, 0};
+  const auto expectReleasedBefore = [&](const Key& bound) {
+    while (!unreleased.empty() && unreleased.top() < bound) {
+      const auto& rec = events[std::get<2>(unreleased.top())];
+      EXPECT_EQ(rec.token.use_count(), 1) << "cancelled seq " << rec.seq;
+      unreleased.pop();
+    }
+  };
+  std::function<void(std::size_t)> fire;
+  const auto scheduleOne = [&](Time delay) {
+    const std::size_t id = events.size();
+    events.push_back(Record{sim.now() + delay, next_seq++, {},
+                            std::make_shared<int>(0), false, false});
+    events[id].handle =
+        sim.schedule(delay, [&fire, id, token = events[id].token] {
+          (void)token;
+          fire(id);
+        });
+    ++ops;
+  };
+  const auto cancelOne = [&](std::size_t id) {
+    Record& rec = events[id];
+    const bool pending = !rec.fired && !rec.cancelled;
+    EXPECT_EQ(rec.handle.active(), pending);
+    rec.handle.cancel();
+    EXPECT_FALSE(rec.handle.active());
+    ++ops;
+    if (!pending) return;
+    rec.cancelled = true;
+    unreleased.emplace(rec.at, rec.seq, id);
+    if (sim.compactions() != compactions_seen) {
+      // A compaction swept every cancelled entry.
+      compactions_seen = sim.compactions();
+      expectReleasedBefore(kAfterAll);
+    }
+  };
+  const auto randomId = [&] {
+    return static_cast<std::size_t>(rng.uniformU64(events.size()));
+  };
+  fire = [&](std::size_t id) {
+    Record& rec = events[id];
+    EXPECT_FALSE(rec.cancelled);
+    EXPECT_FALSE(rec.fired);
+    EXPECT_EQ(sim.now(), rec.at);
+    rec.fired = true;
+    fired_order.push_back(id);
+    expectReleasedBefore(Key{rec.at, rec.seq, 0});
+    // Nested schedules: delay 0 ties with events already due now.
+    const auto nested = rng.uniformInt(0, 1);
+    for (std::int64_t i = 0; i < nested && events.size() < 12000; ++i)
+      scheduleOne(rng.uniformInt(0, 20));
+    if (rng.chance(0.3)) cancelOne(randomId());
+  };
+
+  while (events.size() < 11000) {
+    // A batch of coarse times (many exact ties), then a cancel storm over
+    // most of it so the dead majority triggers compaction.
+    const std::size_t first = events.size();
+    const auto batch = rng.uniformInt(80, 200);
+    for (std::int64_t i = 0; i < batch; ++i)
+      scheduleOne(rng.uniformInt(0, 40) * 5);
+    const auto cancels = rng.uniformInt(0, 2 * batch);
+    for (std::int64_t i = 0; i < cancels; ++i)
+      cancelOne(first + static_cast<std::size_t>(rng.uniformU64(
+                            static_cast<std::uint64_t>(batch))));
+    sim.run(sim.now() + rng.uniformInt(0, 240));
+  }
+  sim.run();
+  expectReleasedBefore(kAfterAll);
+
+  std::vector<Key> expected;
+  for (std::size_t id = 0; id < events.size(); ++id) {
+    EXPECT_NE(events[id].fired, events[id].cancelled) << "event " << id;
+    EXPECT_EQ(events[id].token.use_count(), 1) << "event " << id;
+    if (!events[id].cancelled)
+      expected.emplace_back(events[id].at, events[id].seq, id);
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(fired_order.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    ASSERT_EQ(fired_order[i], std::get<2>(expected[i])) << "position " << i;
+  EXPECT_GE(ops, 10000u);
+  EXPECT_GE(sim.compactions(), 5u);
+  EXPECT_EQ(sim.pendingEvents(), 0u);
+  EXPECT_EQ(sim.queuedEntries(), 0u);
 }
 
 }  // namespace
