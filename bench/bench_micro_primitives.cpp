@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of the hot primitives: the crypto the
-// tunnels run on, the blinding codec, Tor cell handling and the simulator's
-// event loop. Useful for spotting regressions that would silently stretch
-// the figure benches' wall time.
+// tunnels run on, the blinding codec, Tor cell handling, the HTTP message
+// codec and the simulator's event loop. Useful for spotting regressions that
+// would silently stretch the figure benches' wall time.
 #include <benchmark/benchmark.h>
 
 #include "crypto/aes.h"
@@ -9,6 +9,8 @@
 #include "crypto/entropy.h"
 #include "crypto/sha256.h"
 #include "core/blinded_stream.h"
+#include "http/message.h"
+#include "http/origin.h"
 #include "sim/simulator.h"
 #include "tor/cell.h"
 
@@ -89,6 +91,49 @@ void BM_TorCellRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TorCellRoundTrip);
+
+// One Scholar homepage response (the 6 KiB page every access fetches),
+// parsed from its wire bytes in a single feed.
+void BM_HttpResponseParse(benchmark::State& state) {
+  sc::http::Response page;
+  page.headers.set("Content-Type", "text/html; charset=utf-8");
+  page.headers.set("Cache-Control", "private, max-age=0");
+  page.headers.set("ETag", "\"scholar-home\"");
+  page.headers.set("Server", "scholar");
+  page.body = makeData(sc::http::PageSpec::scholarDefault().html_size);
+  const sc::Bytes wire = page.serialize();
+  for (auto _ : state) {
+    sc::http::ResponseParser parser;
+    auto messages = parser.feed(wire);
+    benchmark::DoNotOptimize(messages.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_HttpResponseParse);
+
+// A browser GET with eight request headers, serialized to wire bytes.
+void BM_HttpRequestSerialize(benchmark::State& state) {
+  sc::http::Request req;
+  req.target.assign("/scholar?hl=en&q=internet+censorship");
+  for (const auto& [name, value] :
+       std::initializer_list<std::pair<const char*, const char*>>{
+           {"Host", "scholar.google.com"},
+           {"User-Agent", "Mozilla/5.0 (Windows NT 10.0; Win64; x64)"},
+           {"Accept", "text/html,application/xhtml+xml"},
+           {"Accept-Language", "zh-CN,zh;q=0.9,en;q=0.8"},
+           {"Accept-Encoding", "gzip, deflate"},
+           {"Connection", "keep-alive"},
+           {"Cookie", "GSP=LM=1500000000:S=scholar"},
+           {"Cache-Control", "max-age=0"}})
+    req.headers.set(name, value);
+  for (auto _ : state) {
+    sc::Bytes wire = req.serialize();
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_HttpRequestSerialize);
 
 // A delivery-sized closure ({Link*, Node*, u32} in the link hop; here two
 // pointers and a counter) that re-arms itself with a varying delay.

@@ -155,8 +155,9 @@ transport::Stream::Ptr Tunnel::wrapIfEncrypted(TunnelStream::Ptr stream,
   const Bytes key = crypto::deriveKey(options_.secret, toString(label), 32);
   // Directional IVs derived, not random: both ends must agree without an
   // extra exchange (the blinding layer already randomizes the wire bytes).
-  const Bytes iv_c = crypto::deriveKey(key, "iv-client", 16);
-  const Bytes iv_s = crypto::deriveKey(key, "iv-server", 16);
+  const crypto::KeyedHmac ivs(key);
+  const Bytes iv_c = ivs.derive("iv-client", 16);
+  const Bytes iv_s = ivs.derive("iv-server", 16);
   (void)client_side;
   return transport::CipherStream::wrap(std::move(stream), key,
                                        client_side ? iv_c : iv_s);

@@ -4,9 +4,10 @@
 // blocking mechanisms the paper lists.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "http/url.h"
@@ -14,17 +15,23 @@
 
 namespace sc::http {
 
-// Case-insensitive header map would be ideal; we normalize keys to
-// canonical lowercase on insert instead, which keeps lookups trivial.
+// Header fields as a flat vector sorted by name. Names are lowercased once
+// on insert, so lookups fold only the query's case and iteration (and thus
+// the serialized order) is byte order of the lowercased names.
 class Headers {
  public:
-  void set(const std::string& key, std::string value);
-  std::optional<std::string> get(const std::string& key) const;
-  bool has(const std::string& key) const;
-  const std::map<std::string, std::string>& all() const { return map_; }
+  using Field = std::pair<std::string, std::string>;
+
+  // Overwrites an existing field of the same name.
+  void set(std::string_view key, std::string value);
+  std::optional<std::string> get(std::string_view key) const;
+  bool has(std::string_view key) const;
+  const std::vector<Field>& all() const { return fields_; }
 
  private:
-  std::map<std::string, std::string> map_;
+  const Field* find(std::string_view key) const;
+
+  std::vector<Field> fields_;
 };
 
 struct Request {
@@ -56,7 +63,9 @@ class MessageParser {
   void reset();
 
  private:
-  bool tryParseHeader();
+  // Parses the header block starting `used` bytes into buffer_ and moves
+  // `used` past it; false when it is incomplete or malformed.
+  bool tryParseHeader(std::size_t& used);
 
   Bytes buffer_;
   std::optional<Message> partial_;

@@ -29,12 +29,12 @@ struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
     }
     for (auto& req : requests) {
       req.headers.set(kPeerHeader, peer.str());
-      handleRequest(req);
+      handleRequest(std::move(req));
       if (closing) break;
     }
   }
 
-  void handleRequest(const Request& req) {
+  void handleRequest(Request&& req) {
     ++server.requests_;
     if (req.method == "CONNECT" && server.connect_) {
       // Hand the raw stream over; this session is out of the HTTP business.
@@ -47,7 +47,8 @@ struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
       server.sessions_.erase(shared_from_this());
       HttpServer& srv = server;
       srv.stack_.cpu().submit(
-          srv.options_.cycles_per_request, [&srv, req, stream] {
+          srv.options_.cycles_per_request,
+          [&srv, req = std::move(req), stream] {
             srv.connect_(req, stream, [stream](Response resp) {
               stream->send(resp.serialize());
             });
@@ -60,11 +61,10 @@ struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
 
     // Charge CPU for request handling; respond once the core gets to it.
     const double cycles = server.options_.cycles_per_request;
-    Request req_copy = req;
-    server.stack_.cpu().submit(cycles, [self, req_copy = std::move(req_copy),
+    server.stack_.cpu().submit(cycles, [self, req = std::move(req),
                                         close_after] {
       self->server.dispatch(
-          req_copy, [self, close_after](Response resp) {
+          req, [self, close_after](Response resp) {
             if (self->closing || self->stream == nullptr) return;
             resp.headers.set("server", "sc-httpd/1.0");
             const double body_cycles =

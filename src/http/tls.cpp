@@ -224,9 +224,10 @@ void TlsStream::handleHandshakeRecord(ByteView payload) {
 void TlsStream::deriveSessionKeys() {
   Bytes secret = client_random_;
   appendBytes(secret, server_random_);
-  const crypto::Aes256 cipher(crypto::deriveKey(secret, "tls-master", 32));
-  const Bytes iv_c2s = crypto::deriveKey(secret, "tls-iv-c2s", 16);
-  const Bytes iv_s2c = crypto::deriveKey(secret, "tls-iv-s2c", 16);
+  const crypto::KeyedHmac keys(secret);
+  const crypto::Aes256 cipher(keys.derive("tls-master", 32));
+  const Bytes iv_c2s = keys.derive("tls-iv-c2s", 16);
+  const Bytes iv_s2c = keys.derive("tls-iv-s2c", 16);
   const bool client = role_ == Role::kClient;
   encryptor_ = std::make_unique<crypto::AesCfbStream>(
       cipher, client ? iv_c2s : iv_s2c);

@@ -10,8 +10,9 @@ namespace sc::tor {
 HopCrypto HopCrypto::fromKeyMaterial(ByteView key) {
   HopCrypto hc;
   const Bytes k(key.begin(), key.end());
-  const Bytes iv_f = crypto::deriveKey(k, "tor-iv-fwd", 16);
-  const Bytes iv_b = crypto::deriveKey(k, "tor-iv-bwd", 16);
+  const crypto::KeyedHmac keys(k);
+  const Bytes iv_f = keys.derive("tor-iv-fwd", 16);
+  const Bytes iv_b = keys.derive("tor-iv-bwd", 16);
   const crypto::Aes256 cipher(k);
   hc.forward = std::make_unique<crypto::AesCfbStream>(cipher, iv_f);
   hc.backward = std::make_unique<crypto::AesCfbStream>(cipher, iv_b);

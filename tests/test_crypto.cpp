@@ -102,6 +102,24 @@ TEST(DeriveKey, GoldenKiloByteDerivation) {
             "5b5dd1dc41ae2d4af5d183962eb60a24a99fbaa0aaf7c891b2584cec379e936c");
 }
 
+// The three TLS session-key labels over one 64-byte client||server random
+// secret, as TlsStream::deriveSessionKeys takes them. Pinned at the
+// one-HMAC-key-per-label implementation; one KeyedHmac over the secret
+// must give the same bytes.
+TEST(DeriveKey, GoldenTlsSessionLabels) {
+  Bytes secret(64);
+  for (std::size_t i = 0; i < secret.size(); ++i)
+    secret[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  const KeyedHmac keys(secret);
+  EXPECT_EQ(toHex(keys.derive("tls-master", 32)),
+            "a7231d8790eae7b2490f2ae77e6ea57e69997153ffa7aa19597e6fa90e547130");
+  EXPECT_EQ(toHex(keys.derive("tls-iv-c2s", 16)),
+            "abd8a5832465dc39e76427d04a0ecfd2");
+  EXPECT_EQ(toHex(keys.derive("tls-iv-s2c", 16)),
+            "db878a36c7e1129b20655606093ce495");
+  EXPECT_EQ(deriveKey(secret, "tls-iv-c2s", 16), keys.derive("tls-iv-c2s", 16));
+}
+
 // ---- AES-256 (FIPS 197 / NIST SP 800-38A vectors) ----
 
 TEST(Aes256, Fips197AppendixC3) {
