@@ -1,8 +1,11 @@
 // Microbenchmarks (google-benchmark) of the hot primitives: the crypto the
 // tunnels run on, the blinding codec, Tor cell handling, the HTTP message
-// codec and the simulator's event loop. Useful for spotting regressions that
+// codec, a router's next-hop lookup and the simulator's event loop. Useful for spotting regressions that
 // would silently stretch the figure benches' wall time.
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/blinding.h"
@@ -11,6 +14,7 @@
 #include "core/blinded_stream.h"
 #include "http/message.h"
 #include "http/origin.h"
+#include "net/topology.h"
 #include "sim/simulator.h"
 #include "tor/cell.h"
 
@@ -134,6 +138,35 @@ void BM_HttpRequestSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HttpRequestSerialize);
+
+// The campus router of a 128-client cell, as the World builds it: one
+// router-side interface address and one /32 host route per client, plus two
+// shorter prefixes and the default route. Lookups alternate between a
+// client (a /32 hit) and a US server (falls through to the default route),
+// the two directions of every access.
+void BM_NodeRoute(benchmark::State& state) {
+  sc::sim::Simulator sim(1);
+  sc::net::Network network(sim);
+  sc::net::World world(network);
+  std::vector<sc::net::Ipv4> destinations;
+  for (int i = 0; i < 128; ++i) {
+    const sc::net::Node& host = world.addCampusHost(std::to_string(i));
+    destinations.push_back(host.primaryIp());
+    destinations.push_back(
+        sc::net::Ipv4(203, 0, 1, static_cast<std::uint8_t>(i + 1)));
+  }
+  sc::net::Node& router = world.campusRouter();
+  sc::net::Link& uplink = *network.findLink("campus-cernet");
+  router.addRoute(sc::net::Prefix{sc::net::Ipv4(10, 9, 0, 0), 16}, uplink);
+  router.addRoute(sc::net::Prefix{sc::net::Ipv4(10, 0, 0, 0), 8}, uplink);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.nextHop(destinations[i]));
+    i = (i + 1) % destinations.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NodeRoute);
 
 // A delivery-sized closure ({Link*, Node*, u32} in the link hop; here two
 // pointers and a counter) that re-arms itself with a varying delay.

@@ -1,6 +1,5 @@
 #include "core/tunnel.h"
 
-#include "crypto/hmac.h"
 #include "transport/cipher_stream.h"
 
 namespace sc::core {
@@ -152,15 +151,13 @@ transport::Stream::Ptr Tunnel::wrapIfEncrypted(TunnelStream::Ptr stream,
   if (passthrough) return stream;
   Bytes label = toBytes("stream-");
   appendU32(label, stream->id());
-  const Bytes key = crypto::deriveKey(options_.secret, toString(label), 32);
+  const Bytes key = stream_keys_.derive(asStringView(label), 32);
   // Directional IVs derived, not random: both ends must agree without an
   // extra exchange (the blinding layer already randomizes the wire bytes).
-  const crypto::KeyedHmac ivs(key);
-  const Bytes iv_c = ivs.derive("iv-client", 16);
-  const Bytes iv_s = ivs.derive("iv-server", 16);
-  (void)client_side;
-  return transport::CipherStream::wrap(std::move(stream), key,
-                                       client_side ? iv_c : iv_s);
+  // Each end derives only the IV it sends; the peer's arrives on the wire.
+  const Bytes tx_iv = crypto::KeyedHmac(key).derive(
+      client_side ? "iv-client" : "iv-server", 16);
+  return transport::CipherStream::wrap(std::move(stream), key, tx_iv);
 }
 
 transport::Stream::Ptr Tunnel::openStream(

@@ -21,6 +21,7 @@
 #include <memory>
 
 #include "core/blinded_stream.h"
+#include "crypto/hmac.h"
 #include "obs/hub.h"
 #include "sim/simulator.h"
 #include "transport/stream.h"
@@ -108,7 +109,10 @@ class Tunnel : public std::enable_shared_from_this<Tunnel> {
   }
 
  private:
-  Tunnel(sim::Simulator& sim, Options options) : sim_(sim), options_(std::move(options)) {}
+  Tunnel(sim::Simulator& sim, Options options)
+      : sim_(sim),
+        options_(std::move(options)),
+        stream_keys_(options_.secret) {}
 
   void start(transport::Stream::Ptr raw_wire);
   void sendFrame(FrameType type, std::uint32_t stream_id, ByteView payload);
@@ -122,6 +126,8 @@ class Tunnel : public std::enable_shared_from_this<Tunnel> {
 
   sim::Simulator& sim_;
   Options options_;
+  // HMAC keyed once on options_.secret: every stream key derives from it.
+  crypto::KeyedHmac stream_keys_;
   BlindedStream::Ptr wire_;
   Bytes rx_buffer_;
   // std::map, not unordered: wire teardown walks this calling remoteClosed()

@@ -57,6 +57,10 @@ class AesCfbStream {
   void encryptInPlace(Bytes& data);
   void decryptInPlace(Bytes& data);
 
+  // The expanded key, so a stream for the other direction can start from
+  // it without running the key schedule again.
+  const Aes256& cipher() const noexcept { return cipher_; }
+
  private:
   // `in` and `out` may alias exactly.
   template <bool kDecrypt>

@@ -1,17 +1,23 @@
 #include "crypto/hmac.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace sc::crypto {
 
 KeyedHmac::KeyedHmac(ByteView key) {
-  constexpr std::size_t kBlock = 64;
-  Bytes k(key.begin(), key.end());
-  if (k.size() > kBlock) k = sha256(k);
-  k.resize(kBlock, 0);
+  std::uint8_t k[kSha256BlockSize] = {};
+  if (key.size() > kSha256BlockSize) {
+    Sha256 h;
+    h.update(key);
+    const Digest d = h.finish();
+    std::memcpy(k, d.data(), d.size());
+  } else if (!key.empty()) {
+    std::memcpy(k, key.data(), key.size());
+  }
 
-  std::array<std::uint8_t, kBlock> ipad{}, opad{};
-  for (std::size_t i = 0; i < kBlock; ++i) {
+  std::uint8_t ipad[kSha256BlockSize] = {}, opad[kSha256BlockSize] = {};
+  for (std::size_t i = 0; i < kSha256BlockSize; ++i) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
@@ -34,6 +40,7 @@ Bytes KeyedHmac::mac(ByteView message) const {
 }
 
 Bytes KeyedHmac::derive(std::string_view label, std::size_t n) const {
+  if (n > kMaxDerive) return {};
   const ByteView label_bytes(reinterpret_cast<const std::uint8_t*>(label.data()),
                              label.size());
   Bytes out;

@@ -19,8 +19,12 @@ class KeyedHmac {
   Bytes mac(ByteView message) const;
 
   // `n` bytes of key material for `label`, HKDF-expand flavour:
-  // T(i) = HMAC(key, T(i-1) || label || i).
+  // T(i) = HMAC(key, T(i-1) || label || i), with i one byte. Returns empty
+  // when `n` exceeds kMaxDerive: a 256th block would wrap the counter and
+  // repeat the first block's input.
   Bytes derive(std::string_view label, std::size_t n) const;
+
+  static constexpr std::size_t kMaxDerive = 255 * kSha256DigestSize;
 
  private:
   using Digest = std::array<std::uint8_t, kSha256DigestSize>;

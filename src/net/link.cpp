@@ -27,7 +27,7 @@ Direction Link::directionFrom(const Node& from) const {
   return &from == a_ ? Direction::kAtoB : Direction::kBtoA;
 }
 
-void Link::transmit(Packet pkt, const Node& from) {
+void Link::transmit(Packet&& pkt, const Node& from) {
   const Direction dir = directionFrom(from);
 
   if (!up_) {
@@ -95,7 +95,7 @@ void Link::transmit(Packet pkt, const Node& from) {
   scheduleDelivery(dir, std::move(pkt));
 }
 
-void Link::scheduleDelivery(Direction dir, Packet pkt) {
+void Link::scheduleDelivery(Direction dir, Packet&& pkt) {
   auto& sim = net_.sim();
   const int d = static_cast<int>(dir);
   sim::Time arrival = std::max(next_free_[d], sim.now()) + params_.prop_delay;

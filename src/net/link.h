@@ -55,7 +55,7 @@ class Link {
 
   // Entry point used by Node: runs filters, models loss/queueing, and
   // schedules delivery at the far end.
-  void transmit(Packet pkt, const Node& from);
+  void transmit(Packet&& pkt, const Node& from);
 
   // Delivers a fabricated packet toward the `dir` endpoint without running
   // filters again (the injector *is* the middlebox).
@@ -91,7 +91,7 @@ class Link {
   sim::Time lastQueueDelay() const noexcept { return last_queue_delay_; }
 
  private:
-  void scheduleDelivery(Direction dir, Packet pkt);
+  void scheduleDelivery(Direction dir, Packet&& pkt);
 
   Network& net_;
   Node* a_;

@@ -1,5 +1,7 @@
 #include "net/network.h"
 
+#include <algorithm>
+
 namespace sc::net {
 
 obs::FlowKey flowKeyOf(const Packet& pkt) {
@@ -13,6 +15,10 @@ obs::FlowKey flowKeyOf(const Packet& pkt) {
 }
 
 namespace {
+constexpr auto kTagBelow = [](const auto& entry, std::uint32_t tag) {
+  return entry.tag < tag;
+};
+
 void traceDrop(sim::Simulator& sim, const Packet& pkt, const char* cause) {
   obs::Tracer* tracer = obs::tracerOf(sim);
   if (tracer == nullptr) return;
@@ -57,9 +63,17 @@ Link* Network::findLink(const std::string& name) {
   return nullptr;
 }
 
+Network::TagStats& Network::statsFor(std::uint32_t tag) {
+  auto it = std::lower_bound(tag_stats_.begin(), tag_stats_.end(), tag,
+                             kTagBelow);
+  if (it == tag_stats_.end() || it->tag != tag)
+    it = tag_stats_.insert(it, TaggedStats{tag, TagStats{}});
+  return it->stats;
+}
+
 void Network::noteOriginated(const Packet& pkt) {
   ++total_originated_;
-  auto& s = tag_stats_[pkt.measure_tag];
+  auto& s = statsFor(pkt.measure_tag);
   ++s.originated;
   s.bytes_originated += pkt.wireSize();
   // Lazy re-resolve covers hubs installed after network construction; once
@@ -72,31 +86,32 @@ void Network::noteOriginated(const Packet& pkt) {
 }
 
 void Network::noteDelivered(const Packet& pkt) {
-  ++tag_stats_[pkt.measure_tag].delivered;
+  ++statsFor(pkt.measure_tag).delivered;
   if (c_delivered_ != nullptr) c_delivered_->inc();
 }
 
 void Network::noteLostRandom(const Packet& pkt) {
-  ++tag_stats_[pkt.measure_tag].lost_random;
+  ++statsFor(pkt.measure_tag).lost_random;
   if (c_drop_random_ != nullptr) c_drop_random_->inc();
   traceDrop(sim_, pkt, "random");
 }
 
 void Network::noteLostFilter(const Packet& pkt) {
-  ++tag_stats_[pkt.measure_tag].lost_filter;
+  ++statsFor(pkt.measure_tag).lost_filter;
   if (c_drop_filter_ != nullptr) c_drop_filter_->inc();
   traceDrop(sim_, pkt, "filter");
 }
 
 void Network::noteLostQueue(const Packet& pkt) {
-  ++tag_stats_[pkt.measure_tag].lost_queue;
+  ++statsFor(pkt.measure_tag).lost_queue;
   if (c_drop_queue_ != nullptr) c_drop_queue_->inc();
   traceDrop(sim_, pkt, "queue");
 }
 
 Network::TagStats Network::tagStats(std::uint32_t tag) const {
-  const auto it = tag_stats_.find(tag);
-  return it == tag_stats_.end() ? TagStats{} : it->second;
+  const auto it = std::lower_bound(tag_stats_.begin(), tag_stats_.end(), tag,
+                                   kTagBelow);
+  return it == tag_stats_.end() || it->tag != tag ? TagStats{} : it->stats;
 }
 
 }  // namespace sc::net

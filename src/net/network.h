@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.h"
@@ -87,6 +86,8 @@ class Network {
   // Resolves metric handles once the simulator has a hub; every note* path
   // afterwards is a pre-resolved pointer bump (no map lookup per packet).
   void resolveInstruments();
+  // The counters for `tag`, created on first use.
+  TagStats& statsFor(std::uint32_t tag);
 
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -94,7 +95,13 @@ class Network {
   std::uint64_t next_packet_id_ = 0;
   std::vector<Packet> stash_;
   std::vector<std::uint32_t> stash_free_;
-  std::unordered_map<std::uint32_t, TagStats> tag_stats_;
+  // Sorted by tag. A network sees a handful of tags, so a binary search
+  // over a flat vector beats hashing on every packet.
+  struct TaggedStats {
+    std::uint32_t tag;
+    TagStats stats;
+  };
+  std::vector<TaggedStats> tag_stats_;
   std::uint64_t total_originated_ = 0;
 
   obs::Counter* c_originated_ = nullptr;

@@ -1,48 +1,75 @@
 #include "net/node.h"
 
+#include <algorithm>
+
 #include "net/network.h"
 
 namespace sc::net {
 
+namespace {
+constexpr auto kByIp = [](const auto& lhs, const auto& rhs) {
+  return lhs.ip < rhs.ip;
+};
+}  // namespace
+
 Node::Node(Network& net, std::string name) : net_(net), name_(std::move(name)) {}
 
+void Node::insertExact(Entry entry) {
+  // After every entry for the same address, so the first one added stays
+  // first among them.
+  exact_.insert(std::upper_bound(exact_.begin(), exact_.end(), entry, kByIp),
+                entry);
+}
+
 void Node::attach(Link& link, Ipv4 ip) {
-  interfaces_.push_back(Interface{&link, ip});
+  (void)link;
+  if (!has_interface_) primary_ip_ = ip;
+  has_interface_ = true;
+  insertExact(Entry{ip, EntryKind::kInterface, nullptr});
 }
 
-void Node::addRoute(Prefix prefix, Link& via) {
-  routes_.push_back(Route{prefix, &via});
+bool Node::addRoute(Prefix prefix, Link& via) {
+  if (prefix.length < 0 || prefix.length > 32) return false;
+  if (prefix.length == 32) {
+    insertExact(Entry{prefix.base, EntryKind::kHostRoute, &via});
+    return true;
+  }
+  const auto longer = [](int length, const Route& r) {
+    return length > r.prefix.length;
+  };
+  prefixes_.insert(std::upper_bound(prefixes_.begin(), prefixes_.end(),
+                                    prefix.length, longer),
+                   Route{prefix, &via});
+  return true;
 }
 
-bool Node::hasIp(Ipv4 ip) const {
-  for (const auto& itf : interfaces_)
-    if (itf.ip == ip) return true;
-  for (const auto& vip : virtual_ips_)
-    if (vip == ip) return true;
-  return false;
+Node::Hop Node::nextHop(Ipv4 dst) const {
+  Hop hop;
+  auto it = std::lower_bound(exact_.begin(), exact_.end(),
+                             Entry{dst, EntryKind::kInterface, nullptr}, kByIp);
+  for (; it != exact_.end() && it->ip == dst; ++it) {
+    if (it->kind != EntryKind::kHostRoute) return Hop{true, nullptr};
+    if (hop.via == nullptr) hop.via = it->via;
+  }
+  if (hop.via != nullptr) return hop;
+  for (const Route& r : prefixes_)
+    if (r.prefix.contains(dst)) return Hop{false, r.via};
+  return Hop{false, default_route_};
 }
 
-void Node::addVirtualIp(Ipv4 ip) { virtual_ips_.push_back(ip); }
+void Node::addVirtualIp(Ipv4 ip) {
+  insertExact(Entry{ip, EntryKind::kVirtual, nullptr});
+}
 
-void Node::removeVirtualIp(Ipv4 ip) { std::erase(virtual_ips_, ip); }
+void Node::removeVirtualIp(Ipv4 ip) {
+  std::erase_if(exact_, [ip](const Entry& e) {
+    return e.ip == ip && e.kind == EntryKind::kVirtual;
+  });
+}
 
 void Node::deliverLocal(Packet&& pkt) {
   net_.noteDelivered(pkt);
   if (local_handler_) local_handler_(std::move(pkt));
-}
-
-Ipv4 Node::primaryIp() const {
-  return interfaces_.empty() ? Ipv4{} : interfaces_.front().ip;
-}
-
-Link* Node::route(Ipv4 dst) const {
-  const Route* best = nullptr;
-  for (const auto& r : routes_) {
-    if (!r.prefix.contains(dst)) continue;
-    if (best == nullptr || r.prefix.length > best->prefix.length) best = &r;
-  }
-  if (best != nullptr) return best->via;
-  return default_route_;
 }
 
 void Node::send(Packet pkt) {
@@ -55,7 +82,8 @@ void Node::send(Packet pkt) {
     // outer form hits the wire, and packet accounting measures the wire.
     if (egress_hook_ && egress_hook_(pkt)) return;
   }
-  if (hasIp(pkt.dst)) {
+  const Hop hop = nextHop(pkt.dst);
+  if (hop.local) {
     // Loopback delivery (e.g. a local proxy on the same host). Stays off the
     // wire, so it doesn't enter the loss accounting either. Stashed like a
     // link hop so the closure stays inline in the event record.
@@ -69,14 +97,14 @@ void Node::send(Packet pkt) {
     return;
   }
   if (originating) net_.noteOriginated(pkt);
-  Link* via = route(pkt.dst);
-  if (via == nullptr) return;  // no route: silently dropped (like ICMP-less)
-  via->transmit(std::move(pkt), *this);
+  if (hop.via == nullptr) return;  // no route: silently dropped (like ICMP-less)
+  hop.via->transmit(std::move(pkt), *this);
 }
 
-void Node::deliverFromLink(Packet pkt, Link& from) {
+void Node::deliverFromLink(Packet&& pkt, Link& from) {
   (void)from;
-  if (hasIp(pkt.dst)) {
+  const Hop hop = nextHop(pkt.dst);
+  if (hop.local) {
     net_.noteDelivered(pkt);
     if (local_handler_) local_handler_(std::move(pkt));
     return;
@@ -84,9 +112,8 @@ void Node::deliverFromLink(Packet pkt, Link& from) {
   if (pkt.ttl == 0) return;
   --pkt.ttl;
   ++forwarded_;
-  Link* via = route(pkt.dst);
-  if (via == nullptr) return;
-  via->transmit(std::move(pkt), *this);
+  if (hop.via == nullptr) return;
+  hop.via->transmit(std::move(pkt), *this);
 }
 
 }  // namespace sc::net

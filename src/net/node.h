@@ -1,10 +1,13 @@
 // Nodes: hosts and routers of the simulated internet.
 //
-// A Node routes by longest-prefix match over its interface table. Endpoints
-// register a local handler (the transport stack); routers simply leave it
-// unset and forward. A Node may also install an egress hook — the tun-device
-// abstraction used by VPN clients to swallow all locally-originated traffic
-// into a tunnel before it reaches routing.
+// A Node delivers packets for its own addresses to a local handler (the
+// transport stack) and forwards the rest by longest-prefix match; routers
+// simply leave the handler unset. One binary search answers both: a sorted
+// table holds the node's addresses and its /32 host routes (a router has
+// one of each per attached host), and the few shorter prefixes sit in a
+// list ordered longest first. A Node may also install an egress hook — the
+// tun-device abstraction used by VPN clients to swallow all
+// locally-originated traffic into a tunnel before it reaches routing.
 #pragma once
 
 #include <functional>
@@ -29,7 +32,10 @@ class Node {
   // Attaches this node to a link with the given interface address.
   void attach(Link& link, Ipv4 ip);
 
-  void addRoute(Prefix prefix, Link& via);
+  // Longest prefix wins; among equal lengths the route added first wins; a
+  // /0 route beats the default route. Returns false, adding nothing, when
+  // the prefix length is outside 0..32.
+  bool addRoute(Prefix prefix, Link& via);
   void setDefaultRoute(Link& via) { default_route_ = &via; }
 
   // Originates (or forwards) a packet. Fills in pkt.src with the primary
@@ -38,14 +44,24 @@ class Node {
   void send(Packet pkt);
 
   // Called by Link on arrival.
-  void deliverFromLink(Packet pkt, Link& from);
+  void deliverFromLink(Packet&& pkt, Link& from);
 
-  bool hasIp(Ipv4 ip) const;
-  Ipv4 primaryIp() const;
+  // Where a packet for `dst` goes: local delivery when `dst` is one of this
+  // node's addresses, else out by `via` (null when no route matches).
+  struct Hop {
+    bool local = false;
+    Link* via = nullptr;
+  };
+  Hop nextHop(Ipv4 dst) const;
+
+  // True for an interface address or a virtual address of this node.
+  bool hasIp(Ipv4 ip) const { return nextHop(ip).local; }
+  Ipv4 primaryIp() const noexcept { return primary_ip_; }
 
   // ---- tun-device support (VPN clients) ----
   // Adds an address with no attached link (a tun interface). Delivery to it
-  // hits the local handler; it never participates in routing.
+  // hits the local handler; it never participates in routing. Removal drops
+  // every virtual copy of the address and leaves interface addresses alone.
   void addVirtualIp(Ipv4 ip);
   void removeVirtualIp(Ipv4 ip);
   // When set, locally-originated packets use this source address instead of
@@ -76,22 +92,28 @@ class Node {
   std::uint64_t packetsForwarded() const noexcept { return forwarded_; }
 
  private:
-  Link* route(Ipv4 dst) const;
-
-  Network& net_;
-  std::string name_;
-  struct Interface {
-    Link* link;
+  // One entry of the exact-match table, ordered by address; entries for one
+  // address keep the order they were added in.
+  enum class EntryKind : std::uint8_t { kInterface, kVirtual, kHostRoute };
+  struct Entry {
     Ipv4 ip;
+    EntryKind kind;
+    Link* via;  // kHostRoute only
   };
   struct Route {
     Prefix prefix;
     Link* via;
   };
-  std::vector<Interface> interfaces_;
-  std::vector<Ipv4> virtual_ips_;
+
+  void insertExact(Entry entry);
+
+  Network& net_;
+  std::string name_;
+  Ipv4 primary_ip_;  // the first attached interface's address
+  bool has_interface_ = false;
   Ipv4 preferred_source_;
-  std::vector<Route> routes_;
+  std::vector<Entry> exact_;
+  std::vector<Route> prefixes_;  // lengths 0..31, longest first, stable
   Link* default_route_ = nullptr;
   LocalHandler local_handler_;
   EgressHook egress_hook_;

@@ -2,8 +2,14 @@
 // Shadowsocks-style convention that each direction is prefixed by its 16-byte
 // IV. Used by Shadowsocks (ss-local <-> ss-remote) and by the ScholarCloud
 // tunnel's inner encryption layer.
+//
+// The key is expanded once per stream: the decryptor, built when the peer's
+// IV has arrived, copies the encryptor's schedule. Outgoing data is
+// encrypted in the caller's buffer.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <memory>
 
 #include "crypto/aes.h"
@@ -17,22 +23,21 @@ class CipherStream final : public Stream,
   using Ptr = std::shared_ptr<CipherStream>;
 
   // `tx_iv` must be 16 bytes; it is transmitted ahead of the first payload.
-  static Ptr wrap(Stream::Ptr inner, Bytes key, Bytes tx_iv) {
-    auto s = Ptr(new CipherStream(std::move(inner), std::move(key),
-                                  std::move(tx_iv)));
+  static Ptr wrap(Stream::Ptr inner, ByteView key, ByteView tx_iv) {
+    auto s = Ptr(new CipherStream(std::move(inner), key, tx_iv));
     s->hook();
     return s;
   }
 
   void send(Bytes data) override {
     if (inner_ == nullptr) return;
-    Bytes out;
+    encryptor_.encryptInPlace(data);
     if (!iv_sent_) {
       iv_sent_ = true;
-      out = tx_iv_;
+      data.reserve(tx_iv_.size() + data.size());  // exact, not doubled
+      data.insert(data.begin(), tx_iv_.begin(), tx_iv_.end());
     }
-    appendBytes(out, encryptor_.encrypt(data));
-    inner_->send(std::move(out));
+    inner_->send(std::move(data));
   }
 
   void close() override {
@@ -49,11 +54,18 @@ class CipherStream final : public Stream,
   }
 
  private:
-  CipherStream(Stream::Ptr inner, Bytes key, Bytes tx_iv)
+  using Iv = std::array<std::uint8_t, crypto::kAesBlockSize>;
+
+  CipherStream(Stream::Ptr inner, ByteView key, ByteView tx_iv)
       : inner_(std::move(inner)),
-        key_(std::move(key)),
-        tx_iv_(std::move(tx_iv)),
-        encryptor_(key_, tx_iv_) {}
+        tx_iv_(toIv(tx_iv)),
+        encryptor_(crypto::Aes256(key), tx_iv_) {}
+
+  static Iv toIv(ByteView bytes) {
+    Iv iv{};
+    std::copy_n(bytes.begin(), std::min(bytes.size(), iv.size()), iv.begin());
+    return iv;
+  }
 
   void hook() {
     auto self = shared_from_this();
@@ -68,10 +80,11 @@ class CipherStream final : public Stream,
     std::size_t off = 0;
     if (decryptor_ == nullptr) {
       // Accumulate the peer's IV before any payload can be decrypted.
-      while (rx_iv_.size() < crypto::kAesBlockSize && off < data.size())
-        rx_iv_.push_back(data[off++]);
-      if (rx_iv_.size() < crypto::kAesBlockSize) return;
-      decryptor_ = std::make_unique<crypto::AesCfbStream>(key_, rx_iv_);
+      while (rx_iv_size_ < rx_iv_.size() && off < data.size())
+        rx_iv_[rx_iv_size_++] = data[off++];
+      if (rx_iv_size_ < rx_iv_.size()) return;
+      decryptor_ =
+          std::make_unique<crypto::AesCfbStream>(encryptor_.cipher(), rx_iv_);
     }
     if (off >= data.size()) return;
     const Bytes plain =
@@ -80,9 +93,9 @@ class CipherStream final : public Stream,
   }
 
   Stream::Ptr inner_;
-  Bytes key_;
-  Bytes tx_iv_;
-  Bytes rx_iv_;
+  Iv tx_iv_;
+  Iv rx_iv_{};
+  std::uint8_t rx_iv_size_ = 0;
   bool iv_sent_ = false;
   crypto::AesCfbStream encryptor_;
   std::unique_ptr<crypto::AesCfbStream> decryptor_;

@@ -10,6 +10,7 @@
 #include "http/origin.h"
 #include "obs/hub.h"
 #include "regulation/tca_agency.h"
+#include "util/hash.h"
 
 namespace sc::core {
 namespace {
@@ -223,6 +224,87 @@ TEST(Tunnel, PingPong) {
   bool pong = false;
   w.client_tunnel->ping([&] { pong = true; });
   w.runUntilDone([&] { return pong; });
+}
+
+// Passes bytes through to the stream beneath and keeps a copy of each
+// direction: what the tunnel writes (tx) and what it reads (rx).
+class WireTap final : public transport::Stream {
+ public:
+  static std::shared_ptr<WireTap> wrap(transport::Stream::Ptr inner) {
+    auto tap = std::shared_ptr<WireTap>(new WireTap(std::move(inner)));
+    std::weak_ptr<WireTap> weak = tap;
+    tap->inner_->setOnData([weak](ByteView d) {
+      if (auto t = weak.lock()) {
+        appendBytes(t->rx, d);
+        t->emitData(d);
+      }
+    });
+    tap->inner_->setOnClose([weak] {
+      if (auto t = weak.lock()) t->emitClose();
+    });
+    return tap;
+  }
+
+  void send(Bytes data) override {
+    appendBytes(tx, data);
+    inner_->send(std::move(data));
+  }
+  void close() override { inner_->close(); }
+  bool connected() const override { return inner_->connected(); }
+
+  Bytes tx;
+  Bytes rx;
+
+ private:
+  explicit WireTap(transport::Stream::Ptr inner) : inner_(std::move(inner)) {}
+  transport::Stream::Ptr inner_;
+};
+
+// FNV-1a of the raw wire bytes, both directions, of an encrypted stream's
+// first frames under a fixed secret: the OPEN, then two requests and their
+// echoes. Pinned before the tunnel kept one HMAC key schedule and derived
+// one IV per stream end; stream keys, IVs and ciphertext must not move.
+TEST(Tunnel, EncryptedStreamWireBytesGolden) {
+  TunnelWorld w;
+  auto client_raw = w.connectRaw();
+  ASSERT_NE(client_raw, nullptr);
+  const auto tap = WireTap::wrap(client_raw);
+  Tunnel::Options copts;
+  copts.secret = toBytes("tunnel-secret");
+  w.client_tunnel = Tunnel::create(tap, w.sim, copts);
+  Tunnel::Options sopts = copts;
+  sopts.client_side = false;
+  w.server_tunnel = Tunnel::create(w.server_raw, w.sim, sopts);
+  w.server_tunnel->setOpenHandler(
+      [](transport::Stream::Ptr stream, transport::ConnectTarget, bool) {
+        auto held = stream;
+        stream->setOnData([held](ByteView d) {
+          Bytes reply = toBytes("echo:");
+          appendBytes(reply, d);
+          held->send(std::move(reply));
+        });
+      });
+
+  auto stream = w.client_tunnel->openStream(
+      transport::ConnectTarget::byHostname("scholar.google.com", 443),
+      /*passthrough=*/false);
+  Bytes got;
+  stream->setOnData([&](ByteView d) { appendBytes(got, d); });
+  const std::string first = "GET /scholar?q=blinding HTTP/1.1\r\n\r\n";
+  stream->send(toBytes(first));
+  w.runUntilDone([&] { return got.size() >= 5 + first.size(); });
+  stream->send(toBytes("second request"));
+  w.runUntilDone([&] { return got.size() >= 10 + first.size() + 14; });
+  EXPECT_EQ(toString(got), "echo:" + first + "echo:second request");
+
+  Fnv1a tx;
+  tx.add(asStringView(tap->tx));
+  Fnv1a rx;
+  rx.add(asStringView(tap->rx));
+  EXPECT_EQ(tap->tx.size(), 140u);
+  EXPECT_EQ(tap->rx.size(), 110u);
+  EXPECT_EQ(tx.value(), 0x9442f6ba4c047123ULL);
+  EXPECT_EQ(rx.value(), 0x2e5761a74a8ad6a1ULL);
 }
 
 // ---- full split-proxy system ----

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <string>
+#include <utility>
+
 #include "crypto/aes.h"
 #include "crypto/blinding.h"
 #include "crypto/entropy.h"
@@ -44,6 +50,101 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.update(ByteView(data.data() + i, 1));
   const auto digest = h.finish();
   EXPECT_EQ(Bytes(digest.begin(), digest.end()), sha256(data));
+}
+
+// Random split points: every way of cutting a message into update() calls,
+// including empty and block-straddling pieces, gives the one-shot digest.
+TEST(Sha256, IncrementalMatchesOneShotAtRandomSplits) {
+  std::uint64_t x = 180;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % bound;
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    Bytes data(next(300));
+    for (auto& b : data) b = static_cast<std::uint8_t>(next(256));
+    Sha256 h;
+    std::size_t off = 0;
+    while (off < data.size()) {
+      const std::size_t n = std::min<std::size_t>(next(80), data.size() - off);
+      h.update(ByteView(data.data() + off, n));
+      off += n;
+    }
+    const auto digest = h.finish();
+    ASSERT_EQ(Bytes(digest.begin(), digest.end()), sha256(data))
+        << "trial " << trial << " size " << data.size();
+  }
+}
+
+// FIPS 180-4 padding written out here, so a compression function can be
+// checked on its own against the published vectors.
+using ProcessBlocks = void (*)(std::uint32_t*, const std::uint8_t*,
+                               std::size_t);
+std::string digestWith(ProcessBlocks process, const Bytes& message) {
+  Bytes padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % kSha256BlockSize != kSha256BlockSize - 8)
+    padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int i = 7; i >= 0; --i)
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  std::array<std::uint32_t, 8> state = kSha256InitialState;
+  process(state.data(), padded.data(), padded.size() / kSha256BlockSize);
+  Bytes out;
+  for (const std::uint32_t word : state) appendU32(out, word);
+  return toHex(out);
+}
+
+TEST(Sha256, Fips180VectorsThroughDispatchedAndReferenceRounds) {
+  const std::pair<Bytes, const char*> vectors[] = {
+      {toBytes("abc"),
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {toBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {Bytes(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const auto& [message, expected] : vectors) {
+    EXPECT_EQ(digestWith(&Sha256::processBlocks, message), expected);
+    EXPECT_EQ(digestWith(&Sha256::processBlocksReference, message), expected);
+  }
+}
+
+// finish() against the padding spelled out above, at every length around
+// the one- and two-block boundaries (55 and 56 bytes leave no room for the
+// bit count after the 0x80).
+TEST(Sha256, FinishPadsLikeFips180AtEveryLength) {
+  Bytes message;
+  for (std::size_t n = 0; n <= 200; ++n) {
+    ASSERT_EQ(toHex(sha256(message)),
+              digestWith(&Sha256::processBlocksReference, message))
+        << "length " << n;
+    message.push_back(static_cast<std::uint8_t>(n * 31 + 7));
+  }
+}
+
+// The dispatched compression (SHA-NI where the CPU has it) must equal the
+// portable rounds from any chaining state, over one block and over runs.
+TEST(Sha256, HardwareRoundsMatchReference) {
+  if (!Sha256::hardwareAccelerated()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  std::uint64_t x = 20171211;
+  const auto nextWord = [&x] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(x >> 32);
+  };
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t blocks = i % 10 == 0 ? 3 : 1;
+    std::uint32_t expected[8], actual[8];
+    for (int j = 0; j < 8; ++j) expected[j] = actual[j] = nextWord();
+    Bytes data(blocks * kSha256BlockSize);
+    for (std::size_t j = 0; j < data.size(); j += 4) {
+      const std::uint32_t w = nextWord();
+      std::memcpy(data.data() + j, &w, 4);
+    }
+    Sha256::processBlocksReference(expected, data.data(), blocks);
+    Sha256::processBlocks(actual, data.data(), blocks);
+    ASSERT_TRUE(std::equal(expected, expected + 8, actual)) << "pair " << i;
+  }
 }
 
 // ---- HMAC-SHA256 (RFC 4231 vectors) ----
@@ -118,6 +219,17 @@ TEST(DeriveKey, GoldenTlsSessionLabels) {
   EXPECT_EQ(toHex(keys.derive("tls-iv-s2c", 16)),
             "db878a36c7e1129b20655606093ce495");
   EXPECT_EQ(deriveKey(secret, "tls-iv-c2s", 16), keys.derive("tls-iv-c2s", 16));
+}
+
+// The block counter is one byte: a 256th block would reuse the first
+// block's HMAC input, so derive refuses more than 255 blocks.
+TEST(DeriveKey, RejectsMoreThan255Blocks) {
+  const KeyedHmac keys(toBytes("secret"));
+  const Bytes longest = keys.derive("x", KeyedHmac::kMaxDerive);
+  ASSERT_EQ(longest.size(), 8160u);
+  EXPECT_EQ(Bytes(longest.begin(), longest.begin() + 32), keys.derive("x", 32));
+  EXPECT_TRUE(keys.derive("x", KeyedHmac::kMaxDerive + 1).empty());
+  EXPECT_TRUE(deriveKey(toBytes("secret"), "x", 1u << 20).empty());
 }
 
 // ---- AES-256 (FIPS 197 / NIST SP 800-38A vectors) ----

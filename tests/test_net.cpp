@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "net/topology.h"
+#include "sim/rng.h"
 
 namespace sc::net {
 namespace {
@@ -356,6 +362,151 @@ TEST(Node, EgressHookConsumedPacketsAreNotOriginated) {
   host.send(std::move(p));
   sim.run();
   EXPECT_EQ(net.tagStats(5).originated, 0u);
+}
+
+TEST(Network, TagStatsKeepEachTagApartAndReset) {
+  sim::Simulator sim(9);
+  Network net(sim);
+  Node& a = net.addNode("a");
+  Node& b = net.addNode("b");
+  Link& link = net.addLink(a, b, {}, "ab");
+  a.attach(link, Ipv4(1, 0, 0, 1));
+  b.attach(link, Ipv4(1, 0, 0, 2));
+  a.setDefaultRoute(link);
+  // Tags arrive out of order and interleaved; each keeps its own counts.
+  for (const std::uint32_t tag : {901u, 7u, 600u, 7u, 0u, 901u, 901u}) {
+    Packet p = makeUdp(Ipv4(1, 0, 0, 1), Ipv4(1, 0, 0, 2), 1, 2, Bytes(10));
+    p.measure_tag = tag;
+    a.send(std::move(p));
+  }
+  sim.run();
+  EXPECT_EQ(net.tagStats(901).originated, 3u);
+  EXPECT_EQ(net.tagStats(901).delivered, 3u);
+  EXPECT_EQ(net.tagStats(901).bytes_originated, 3u * 38u);
+  EXPECT_EQ(net.tagStats(7).delivered, 2u);
+  EXPECT_EQ(net.tagStats(600).originated, 1u);
+  EXPECT_EQ(net.tagStats(0).originated, 1u);
+  EXPECT_EQ(net.tagStats(8).originated, 0u);
+  net.resetTagStats();
+  EXPECT_EQ(net.tagStats(901).originated, 0u);
+  EXPECT_EQ(net.totalOriginated(), 7u);
+}
+
+// ---- Node lookup against the linear scans it replaced ----
+
+// Node's lookup before its tables were indexed: a local address (interface
+// or virtual) first; then the longest matching prefix, where the strict `>`
+// lets the route added first win a tie; then the default route.
+struct LinearNode {
+  std::vector<Ipv4> interfaces;
+  std::vector<Ipv4> virtual_ips;
+  std::vector<std::pair<Prefix, Link*>> routes;
+  Link* default_route = nullptr;
+
+  bool hasIp(Ipv4 ip) const {
+    return std::find(interfaces.begin(), interfaces.end(), ip) !=
+               interfaces.end() ||
+           std::find(virtual_ips.begin(), virtual_ips.end(), ip) !=
+               virtual_ips.end();
+  }
+  Link* route(Ipv4 dst) const {
+    const std::pair<Prefix, Link*>* best = nullptr;
+    for (const auto& r : routes) {
+      if (!r.first.contains(dst)) continue;
+      if (best == nullptr || r.first.length > best->first.length) best = &r;
+    }
+    return best != nullptr ? best->second : default_route;
+  }
+};
+
+TEST(Node, IndexedLookupMatchesLinearScan) {
+  sim::Rng rng(20170630);
+  // A 64-address pool makes duplicate /32s, equal-length ties, addresses
+  // that are both local and routed, and nested prefixes common.
+  const auto pick = [&rng] {
+    return Ipv4(10, 0, static_cast<std::uint8_t>(rng.uniformU64(8)),
+                static_cast<std::uint8_t>(rng.uniformU64(8)));
+  };
+  constexpr int kLengths[] = {0, 8, 16, 24, 28, 29, 30, 31, 32, 32};
+  std::uint64_t checked = 0;
+  for (int round = 0; round < 40; ++round) {
+    sim::Simulator sim(1);
+    Network net(sim);
+    Node& router = net.addNode("router");
+    std::vector<Link*> links;
+    for (int i = 0; i < 6; ++i) {
+      Node& peer = net.addNode("peer");
+      links.push_back(&net.addLink(router, peer, {}, "link"));
+    }
+    const auto anyLink = [&] { return links[rng.uniformU64(links.size())]; };
+    LinearNode ref;
+    for (int step = 0; step < 120; ++step) {
+      const Ipv4 ip = pick();
+      switch (rng.uniformU64(8)) {
+        case 0: {
+          Link* link = anyLink();
+          router.attach(*link, ip);
+          ref.interfaces.push_back(ip);
+          break;
+        }
+        case 1:
+        case 2:
+        case 3: {
+          const Prefix prefix{ip, kLengths[rng.uniformU64(std::size(kLengths))]};
+          Link* link = anyLink();
+          ASSERT_TRUE(router.addRoute(prefix, *link));
+          ref.routes.emplace_back(prefix, link);
+          break;
+        }
+        case 4: {
+          Link* link = anyLink();
+          router.setDefaultRoute(*link);
+          ref.default_route = link;
+          break;
+        }
+        case 5:
+          router.addVirtualIp(ip);
+          ref.virtual_ips.push_back(ip);
+          break;
+        case 6:
+          router.removeVirtualIp(ip);
+          std::erase(ref.virtual_ips, ip);
+          break;
+        default:
+          break;
+      }
+      for (int q = 0; q < 16; ++q) {
+        const Ipv4 dst =
+            q == 0 ? Ipv4(static_cast<std::uint32_t>(rng.nextU64())) : pick();
+        const Node::Hop hop = router.nextHop(dst);
+        ASSERT_EQ(hop.local, ref.hasIp(dst))
+            << "round " << round << " step " << step << " dst " << dst.str();
+        if (!hop.local) {
+          ASSERT_EQ(hop.via, ref.route(dst))
+              << "round " << round << " step " << step << " dst " << dst.str();
+        }
+        ++checked;
+      }
+      ASSERT_EQ(router.primaryIp(),
+                ref.interfaces.empty() ? Ipv4{} : ref.interfaces.front());
+    }
+  }
+  EXPECT_EQ(checked, 40u * 120u * 16u);
+}
+
+TEST(Node, AddRouteRejectsPrefixLengthsOutsideZeroToThirtyTwo) {
+  sim::Simulator sim(1);
+  Network net(sim);
+  Node& a = net.addNode("a");
+  Node& b = net.addNode("b");
+  Link& link = net.addLink(a, b, {}, "ab");
+  EXPECT_FALSE(a.addRoute(Prefix{Ipv4(10, 0, 0, 0), 33}, link));
+  EXPECT_FALSE(a.addRoute(Prefix{Ipv4(10, 0, 0, 0), -1}, link));
+  EXPECT_EQ(a.nextHop(Ipv4(10, 0, 0, 0)).via, nullptr);
+  EXPECT_TRUE(a.addRoute(Prefix{Ipv4(10, 0, 0, 0), 32}, link));
+  EXPECT_TRUE(a.addRoute(Prefix{Ipv4(0, 0, 0, 0), 0}, link));
+  EXPECT_EQ(a.nextHop(Ipv4(10, 0, 0, 0)).via, &link);
+  EXPECT_EQ(a.nextHop(Ipv4(99, 0, 0, 0)).via, &link);
 }
 
 }  // namespace
