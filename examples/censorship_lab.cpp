@@ -51,7 +51,8 @@ void keywordFilterDemo(Testbed& tb) {
   // the plaintext Host header alone, exactly like the real backbone filter.
   bool closed = false;
   auto sock = stack.tcpConnect(
-      net::Endpoint{tb.amazonIp(), 80}, [&](bool ok) {
+      net::Endpoint{tb.amazonIp(), 80}, [&](const auto& conn) {
+        const bool ok = conn != nullptr;
         std::printf("  TCP to a non-blocked US host, port 80: %s\n",
                     ok ? "connected" : "failed");
       });

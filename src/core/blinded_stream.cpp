@@ -20,12 +20,24 @@ BlindedStream::Ptr BlindedStream::wrap(transport::Stream::Ptr inner,
   return s;
 }
 
+BlindedStream::~BlindedStream() {
+  if (inner_ != nullptr) {
+    inner_->setOnData(nullptr);
+    inner_->setOnClose(nullptr);
+  }
+}
+
+// The inner stream's handlers hold only `this`: we own the inner stream and
+// clear them in the destructor.
 void BlindedStream::hook() {
-  auto self = shared_from_this();
-  inner_->setOnData([self](ByteView data) { self->onInner(data); });
-  inner_->setOnClose([self] {
-    self->inner_ = nullptr;
-    self->emitClose();
+  inner_->setOnData([this](ByteView data) {
+    const Ptr keep = shared_from_this();  // onInner reads inner_ afterwards
+    onInner(data);
+  });
+  inner_->setOnClose([this] {
+    const Ptr keep = shared_from_this();  // the close may drop our owner
+    inner_ = nullptr;
+    emitClose();
   });
 }
 

@@ -29,6 +29,8 @@ class BlindedStream final : public transport::Stream,
                   std::uint32_t epoch = 0,
                   crypto::BlindingMode mode = crypto::BlindingMode::kByteMap);
 
+  ~BlindedStream() override;
+
   void send(Bytes data) override;
   void close() override;
   bool connected() const override {

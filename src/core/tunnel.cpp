@@ -76,6 +76,13 @@ bool TunnelStream::connected() const {
 
 // --------------------------------------------------------------------- Tunnel
 
+Tunnel::~Tunnel() {
+  if (wire_ != nullptr) {
+    wire_->setOnData(nullptr);
+    wire_->setOnClose(nullptr);
+  }
+}
+
 Tunnel::Ptr Tunnel::create(transport::Stream::Ptr wire, sim::Simulator& sim,
                            Options options) {
   auto t = Ptr(new Tunnel(sim, std::move(options)));
@@ -86,15 +93,20 @@ Tunnel::Ptr Tunnel::create(transport::Stream::Ptr wire, sim::Simulator& sim,
 void Tunnel::start(transport::Stream::Ptr raw_wire) {
   wire_ = BlindedStream::wrap(std::move(raw_wire), options_.secret,
                               options_.blinding_epoch, options_.blinding_mode);
-  auto self = shared_from_this();
-  wire_->setOnData([self](ByteView data) { self->onWireData(data); });
-  wire_->setOnClose([self] {
-    for (auto& [id, weak] : self->streams_) {
+  // The tunnel owns its wire, so the wire's handlers hold only `this`;
+  // ~Tunnel clears them. Each call keeps the tunnel alive while it runs.
+  wire_->setOnData([this](ByteView data) {
+    const Ptr keep = shared_from_this();
+    onWireData(data);
+  });
+  wire_->setOnClose([this] {
+    const Ptr keep = shared_from_this();
+    for (auto& [id, weak] : streams_) {
       if (auto stream = weak.lock()) stream->remoteClosed();
     }
-    self->streams_.clear();
-    self->wire_ = nullptr;
-    if (self->on_close_) self->on_close_();
+    streams_.clear();
+    wire_ = nullptr;
+    if (on_close_) on_close_();
   });
   // Server allocates even ids, client odd, so ids never collide.
   next_stream_id_ = options_.client_side ? 1 : 2;

@@ -81,6 +81,7 @@ class Tunnel : public std::enable_shared_from_this<Tunnel> {
 
   static Ptr create(transport::Stream::Ptr wire, sim::Simulator& sim,
                     Options options);
+  ~Tunnel();
 
   // Client side: opens a logical stream to `target` through the remote
   // proxy. Returns immediately (0-RTT); the stream is usable at once.

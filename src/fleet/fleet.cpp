@@ -6,7 +6,8 @@ namespace {
 
 // Decorates a tunnel stream so the balancer lease is returned exactly once,
 // whichever side closes first (domestic proxy after a fetch, or the wire
-// dying under the stream).
+// dying under the stream). Not on destruction: a destructor touches no
+// fleet state.
 class LeasedStream final : public transport::Stream,
                            public std::enable_shared_from_this<LeasedStream> {
  public:
@@ -26,8 +27,6 @@ class LeasedStream final : public transport::Stream,
     });
     return s;
   }
-
-  ~LeasedStream() override { releaseOnce(); }
 
   void send(Bytes data) override { inner_->send(std::move(data)); }
   void close() override {

@@ -30,22 +30,28 @@ struct ProbeOp : std::enable_shared_from_this<ProbeOp> {
     callback(confirmed);
   }
 
+  // The connect callback, then the mute timer, own the probe; the socket's
+  // handlers only observe it.
   void start(net::Endpoint target) {
-    auto self = shared_from_this();
-    sock = stack.tcpConnect(target, [self](bool ok) {
-      if (!ok) {
+    stack.tcpConnect(target, [self = shared_from_this()](
+                                 transport::TcpSocket::Ptr s) {
+      if (s == nullptr) {
         // Connection refused / filtered: nothing to learn.
         self->finish(false);
         return;
       }
-      self->sock->setOnData([self](ByteView) {
+      self->sock = std::move(s);
+      std::weak_ptr<ProbeOp> weak = self;
+      self->sock->setOnData([weak](ByteView) {
         // Any response at all exonerates the server.
-        self->got_data = true;
-        self->finish(false);
+        if (auto op = weak.lock()) {
+          op->got_data = true;
+          op->finish(false);
+        }
       });
-      self->sock->setOnClose([self] {
+      self->sock->setOnClose([weak] {
         // Accepted then silently closed without a byte: confirmed.
-        self->finish(!self->got_data);
+        if (auto op = weak.lock()) op->finish(!op->got_data);
       });
       self->sock->send(self->stack.sim().rng().randomBytes(64));
       self->mute_timer = self->stack.sim().schedule(

@@ -9,11 +9,19 @@ class FetchOp : public std::enable_shared_from_this<FetchOp> {
           HttpClient::FetchCb cb)
       : stream_(std::move(stream)), sim_(sim), cb_(std::move(cb)) {}
 
+  // The timeout event owns the fetch; the stream's handlers only observe it,
+  // so a stream never keeps the fetch it serves alive.
   void start(Request req, sim::Time timeout) {
-    auto self = shared_from_this();
-    stream_->setOnData([self](ByteView data) { self->onData(data); });
-    stream_->setOnClose([self] { self->finish(std::nullopt); });
-    timer_ = sim_.schedule(timeout, [self] { self->finish(std::nullopt); });
+    std::weak_ptr<FetchOp> weak = weak_from_this();
+    stream_->setOnData([weak](ByteView data) {
+      if (auto self = weak.lock()) self->onData(data);
+    });
+    stream_->setOnClose([weak] {
+      if (auto self = weak.lock()) self->finish(std::nullopt);
+    });
+    timer_ = sim_.schedule(timeout, [self = shared_from_this()] {
+      self->finish(std::nullopt);
+    });
     stream_->send(req.serialize());
   }
 

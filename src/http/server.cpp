@@ -14,10 +14,16 @@ struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
   Session(HttpServer& srv, transport::Stream::Ptr s, net::Ipv4 p)
       : server(srv), stream(std::move(s)), peer(p) {}
 
+  // The server's session set owns the session until it closes; the
+  // stream's handlers only observe it.
   void start() {
-    auto self = shared_from_this();
-    stream->setOnData([self](ByteView data) { self->onData(data); });
-    stream->setOnClose([self] { self->onClose(); });
+    std::weak_ptr<Session> weak = weak_from_this();
+    stream->setOnData([weak](ByteView data) {
+      if (auto self = weak.lock()) self->onData(data);
+    });
+    stream->setOnClose([weak] {
+      if (auto self = weak.lock()) self->onClose();
+    });
   }
 
   void onData(ByteView data) {

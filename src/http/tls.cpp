@@ -72,14 +72,21 @@ void TlsStream::startServer(std::string cert_name,
 }
 
 void TlsStream::hookRaw() {
-  // Hold a self-reference only until the handshake resolves; afterwards the
-  // application owns us and the raw stream's callbacks hold weak pointers,
-  // avoiding a TlsStream <-> socket reference cycle for pooled connections.
-  self_ref_ = shared_from_this();
-  std::weak_ptr<TlsStream> weak = self_ref_;
+  // Until the handshake resolves nothing else owns us, so the raw stream's
+  // close handler does; the socket drops it when it closes, and ~HostStack
+  // when the world ends. Afterwards the application owns us and both
+  // callbacks only observe.
+  std::weak_ptr<TlsStream> weak = weak_from_this();
   raw_->setOnData([weak](ByteView data) {
     if (auto self = weak.lock()) self->onRawData(data);
   });
+  raw_->setOnClose([weak, pending = shared_from_this()] {
+    if (auto self = weak.lock()) self->onRawClose();
+  });
+}
+
+void TlsStream::observeRaw() {
+  std::weak_ptr<TlsStream> weak = weak_from_this();
   raw_->setOnClose([weak] {
     if (auto self = weak.lock()) self->onRawClose();
   });
@@ -239,8 +246,9 @@ void TlsStream::finishHandshake() {
   deriveSessionKeys();
   hs_state_ = HsState::kDone;
   established_ = true;
-  auto keep = std::move(self_ref_);  // ownership passes to the callback
-  if (auto cb = std::move(handshake_cb_)) cb(shared_from_this());
+  auto keep = shared_from_this();  // ownership passes to the callback
+  if (raw_ != nullptr) observeRaw();
+  if (auto cb = std::move(handshake_cb_)) cb(keep);
 }
 
 void TlsStream::fail() {
@@ -251,20 +259,19 @@ void TlsStream::fail() {
   // silently" as confirmation of a circumvention server.
   if (role_ == Role::kServer && raw_ != nullptr)
     sendRecord(0x15, Bytes{0x02, 0x28});  // fatal handshake_failure
+  auto keep = shared_from_this();  // the raw stream's handler owned us
   if (raw_ != nullptr) {
     raw_->setOnData(nullptr);
     raw_->setOnClose(nullptr);
     raw_->close();
     raw_ = nullptr;
   }
-  auto keep = std::move(self_ref_);  // may be the last reference
   if (auto cb = std::move(handshake_cb_)) cb(nullptr);
 }
 
 void TlsStream::onRawClose() {
   const bool mid_handshake = !established_;
   raw_ = nullptr;
-  auto keep = std::move(self_ref_);  // keep alive through the callbacks below
   if (mid_handshake) {
     if (auto cb = std::move(handshake_cb_)) cb(nullptr);
     return;

@@ -97,6 +97,7 @@ class TlsStream final : public transport::Stream,
                    std::function<Bytes()> ticket_mint, HandshakeCb cb);
 
   void hookRaw();
+  void observeRaw();
   void onRawData(ByteView data);
   void onRawClose();
   void handleHandshakeRecord(ByteView payload);
@@ -118,7 +119,6 @@ class TlsStream final : public transport::Stream,
   std::function<bool(ByteView)> ticket_valid_;
   std::function<Bytes()> ticket_mint_;
 
-  Ptr self_ref_;  // held only during the handshake
   Bytes client_random_;
   Bytes server_random_;
   Bytes pending_ticket_;

@@ -247,14 +247,13 @@ ChaosCellResult runFleetChaosCell(const ChaosCellOptions& opt) {
     ChaosUser* u = &user;  // stable: users holds unique_ptrs
     ++out.attempts;
     const sim::Time started = sim.now();
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
     const auto next = [&, u, started](bool ok) {
       if (ok) ++out.successes;
       traceAccess(sim, ok, sim.now() - started, Testbed::kScTunnelTag);
       sim.schedule(opt.access_interval, [&fetch, u] { fetch(*u); });
     };
-    *holder = u->stack->tcpConnect(proxy_ep, [&, holder, next](bool ok) {
-      if (!ok || *holder == nullptr) {
+    u->stack->tcpConnect(proxy_ep, [&, next](transport::TcpSocket::Ptr sock) {
+      if (sock == nullptr) {
         next(false);
         return;
       }
@@ -262,9 +261,9 @@ ChaosCellResult runFleetChaosCell(const ChaosCellOptions& opt) {
       req.target = std::string("http://") + kChaosHost + "/";
       req.headers.set("host", kChaosHost);
       http::HttpClient::fetchOn(
-          *holder, sim, std::move(req), opt.fetch_timeout,
-          [holder, next](std::optional<http::Response> resp) {
-            (*holder)->close();
+          sock, sim, std::move(req), opt.fetch_timeout,
+          [sock, next](std::optional<http::Response> resp) {
+            sock->close();
             next(resp.has_value() && resp->status == 200);
           });
     });

@@ -146,7 +146,6 @@ FleetCellResult runFleetCell(const FleetCellOptions& opt) {
   std::function<void(FleetUser&)> fetch = [&](FleetUser& user) {
     FleetUser* u = &user;  // stable: users_ holds unique_ptrs
     ++out.attempts;
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
     const auto next = [&, u](bool ok) {
       if (ok) ++out.successes;
       const auto think =
@@ -155,8 +154,8 @@ FleetCellResult runFleetCell(const FleetCellOptions& opt) {
           sim::kMillisecond;
       sim.schedule(think, [&fetch, u] { fetch(*u); });
     };
-    *holder = u->stack->tcpConnect(proxy_ep, [&, holder, next](bool ok) {
-      if (!ok || *holder == nullptr) {
+    u->stack->tcpConnect(proxy_ep, [&, next](transport::TcpSocket::Ptr sock) {
+      if (sock == nullptr) {
         next(false);
         return;
       }
@@ -164,9 +163,9 @@ FleetCellResult runFleetCell(const FleetCellOptions& opt) {
       req.target = std::string("http://") + kFleetHost + "/";
       req.headers.set("host", kFleetHost);
       http::HttpClient::fetchOn(
-          *holder, sim, std::move(req), kFetchTimeout,
-          [holder, next](std::optional<http::Response> resp) {
-            (*holder)->close();
+          sock, sim, std::move(req), kFetchTimeout,
+          [sock, next](std::optional<http::Response> resp) {
+            sock->close();
             next(resp.has_value() && resp->status == 200);
           });
     });

@@ -141,7 +141,6 @@ PopulationCellResult runPopulationCell(const PopulationCellOptions& opt) {
     CohortUser* u = &user;
     ++out.cohort_attempts;
     const sim::Time started = sim.now();
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
     const auto next = [&, u, started](bool ok) {
       if (ok) {
         ++out.cohort_successes;
@@ -156,8 +155,8 @@ PopulationCellResult runPopulationCell(const PopulationCellOptions& opt) {
           sim::kMillisecond;
       sim.schedule(think, [&fetch, u] { fetch(*u); });
     };
-    *holder = u->stack->tcpConnect(proxy_ep, [&, holder, next](bool ok) {
-      if (!ok || *holder == nullptr) {
+    u->stack->tcpConnect(proxy_ep, [&, next](transport::TcpSocket::Ptr sock) {
+      if (sock == nullptr) {
         next(false);
         return;
       }
@@ -165,9 +164,9 @@ PopulationCellResult runPopulationCell(const PopulationCellOptions& opt) {
       req.target = std::string("http://") + kHost + "/";
       req.headers.set("host", kHost);
       http::HttpClient::fetchOn(
-          *holder, sim, std::move(req), kFetchTimeout,
-          [holder, next](std::optional<http::Response> resp) {
-            (*holder)->close();
+          sock, sim, std::move(req), kFetchTimeout,
+          [sock, next](std::optional<http::Response> resp) {
+            sock->close();
             next(resp.has_value() && resp->status == 200);
           });
     });

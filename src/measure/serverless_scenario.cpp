@@ -171,7 +171,6 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
     const sim::Time started = sim.now();
     const bool after_wave = started > last_fault_at;
     if (after_wave) ++out.attempts_after_last_fault;
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
     const auto next = [&, u, started, after_wave](bool ok) {
       if (ok) {
         ++out.successes;
@@ -180,8 +179,8 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
       traceAccess(sim, ok, sim.now() - started, Testbed::kServerlessTunnelTag);
       sim.schedule(opt.access_interval, [&fetch, u] { fetch(*u); });
     };
-    *holder = u->stack->tcpConnect(gateway_ep, [&, holder, next](bool ok) {
-      if (!ok || *holder == nullptr) {
+    u->stack->tcpConnect(gateway_ep, [&, next](transport::TcpSocket::Ptr sock) {
+      if (sock == nullptr) {
         next(false);
         return;
       }
@@ -189,9 +188,9 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
       req.target = std::string("http://") + kHost + "/";
       req.headers.set("host", kHost);
       http::HttpClient::fetchOn(
-          *holder, sim, std::move(req), opt.fetch_timeout,
-          [holder, next](std::optional<http::Response> resp) {
-            (*holder)->close();
+          sock, sim, std::move(req), opt.fetch_timeout,
+          [sock, next](std::optional<http::Response> resp) {
+            sock->close();
             next(resp.has_value() && resp->status == 200);
           });
     });

@@ -75,7 +75,10 @@ void ShadowsocksRemote::onAuthStream(transport::TcpSocket::Ptr sock) {
     Bytes nonce;
   };
   auto session = std::make_shared<AuthSession>();
-  auto keep = sock;  // keep the socket alive while handlers run
+  // The channel owns itself through its data handler: the server never
+  // closes an idle channel, and a client's hangup leaves it in CloseWait,
+  // still answering late segments. Its teardown (or ~HostStack) frees it.
+  auto keep = sock;
   sock->setOnData([this, keep, session](ByteView data) {
     appendBytes(session->buffer, data);
     auto& buf = session->buffer;
@@ -121,7 +124,6 @@ void ShadowsocksRemote::onAuthStream(transport::TcpSocket::Ptr sock) {
       }
     }
   });
-  sock->setOnClose([keep]() mutable { /* released with the lambda */ });
 }
 
 void ShadowsocksRemote::onDataStream(transport::TcpSocket::Ptr sock) {
@@ -140,9 +142,14 @@ void ShadowsocksRemote::startDataStream(transport::TcpSocket::Ptr sock) {
   // then connect out and bridge.
   auto buffer = std::make_shared<Bytes>();
   auto connected = std::make_shared<bool>(false);
-  transport::Stream::Ptr client = cipher;
+  // The server owns the stream until it is bridged (or fails); its own
+  // handlers only observe it.
+  pending_streams_.insert(cipher);
+  std::weak_ptr<transport::Stream> weak = cipher;
 
-  cipher->setOnData([this, client, buffer, connected](ByteView data) {
+  cipher->setOnData([this, weak, buffer, connected](ByteView data) {
+    const transport::Stream::Ptr client = weak.lock();
+    if (client == nullptr) return;
     if (*connected) return;  // bridging installed; shouldn't happen
     appendBytes(*buffer, data);
     std::size_t off = 0;
@@ -153,6 +160,7 @@ void ShadowsocksRemote::startDataStream(transport::TcpSocket::Ptr sock) {
         // sending a byte.
         ++decode_failures_;
         client->close();
+        pending_streams_.erase(client);
       }
       return;
     }
@@ -165,6 +173,7 @@ void ShadowsocksRemote::startDataStream(transport::TcpSocket::Ptr sock) {
     client->setOnData(nullptr);
 
     auto finish = [this, client, residue](transport::Stream::Ptr upstream) {
+      pending_streams_.erase(client);
       if (upstream == nullptr) {
         client->close();
         return;
@@ -191,7 +200,6 @@ void ShadowsocksRemote::startDataStream(transport::TcpSocket::Ptr sock) {
           finish);
     }
   });
-  cipher->setOnClose([client]() mutable {});
 }
 
 // --------------------------------------------------------------------- local
@@ -265,12 +273,10 @@ void ShadowsocksLocal::establishAuthChannel() {
   if (auto* sp = obs::spansOf(stack_.sim()))
     auth_span_ = sp->begin(obs::SpanKind::kTunnelHandshake, tag_, "ss-auth",
                            options_.remote.str());
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = stack_.tcpConnect(
+  stack_.tcpConnect(
       net::Endpoint{options_.remote.ip, kDefaultAuthPort},
-      [this, holder](bool ok) {
-        auto sock = *holder;
-        if (!ok || sock == nullptr) {
+      [this](transport::TcpSocket::Ptr sock) {
+        if (sock == nullptr) {
           failAuthChannel();
           return;
         }

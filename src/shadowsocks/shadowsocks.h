@@ -70,6 +70,8 @@ class ShadowsocksRemote {
   Bytes key_;
   RemoteOptions options_;
   dns::Resolver resolver_;
+  // Data streams whose target header has not been decoded yet.
+  std::unordered_set<transport::Stream::Ptr> pending_streams_;
   transport::TcpListener::Ptr auth_listener_;
   transport::TcpListener::Ptr data_listener_;
   std::uint64_t connections_ = 0;

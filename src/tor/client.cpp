@@ -170,19 +170,11 @@ void TorClient::tryDirectGuard(
   auto cb_shared =
       std::make_shared<std::function<void(transport::Stream::Ptr)>>(
           std::move(cb));
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  stack_.sim().schedule(options_.guard_timeout, [done, cb_shared, holder] {
-    if (*done) return;
-    *done = true;
-    if (*holder != nullptr) (*holder)->abort();  // give up on the SYN
-    (*cb_shared)(nullptr);
-  });
-
-  *holder = stack_.tcpConnect(
+  auto sock = stack_.tcpConnect(
       net::Endpoint{guard.address, guard.port},
-      [this, done, cb_shared, holder](bool ok) {
+      [this, done, cb_shared](transport::TcpSocket::Ptr raw) {
         if (*done) return;
-        if (!ok) {
+        if (raw == nullptr) {
           *done = true;
           (*cb_shared)(nullptr);
           return;
@@ -191,7 +183,7 @@ void TorClient::tryDirectGuard(
         tls.sni = "www.github-mirror.net";  // Tor's camouflage SNI
         tls.fingerprint = options_.link_fingerprint;
         http::TlsStream::clientHandshake(
-            *holder, stack_.sim(), tls, nullptr,
+            std::move(raw), stack_.sim(), tls, nullptr,
             [done, cb_shared](http::TlsStream::Ptr link) {
               if (*done) {
                 if (link != nullptr) link->close();
@@ -202,6 +194,13 @@ void TorClient::tryDirectGuard(
             });
       },
       tag_);
+  // The guard timeout keeps the socket until it fires, to give up on the SYN.
+  stack_.sim().schedule(options_.guard_timeout, [done, cb_shared, sock] {
+    if (*done) return;
+    *done = true;
+    sock->abort();
+    (*cb_shared)(nullptr);
+  });
 }
 
 void TorClient::openMeekLink(

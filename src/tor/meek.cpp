@@ -132,7 +132,11 @@ void MeekServer::onRequest(const http::Request& req,
                   return;
                 }
                 session->link = link;
-                link->setOnData([session](ByteView data) {
+                // sessions_ owns the session; its link only observes it.
+                std::weak_ptr<Session> weak = session;
+                link->setOnData([weak](ByteView data) {
+                  const auto session = weak.lock();
+                  if (session == nullptr) return;
                   appendBytes(session->downstream, data);
                   // Wake a parked long-poll immediately.
                   if (auto finish = std::move(session->pending_finish)) {
@@ -140,7 +144,9 @@ void MeekServer::onRequest(const http::Request& req,
                     finish();
                   }
                 });
-                link->setOnClose([session] {
+                link->setOnClose([weak] {
+                  const auto session = weak.lock();
+                  if (session == nullptr) return;
                   session->link_failed = true;
                   if (auto finish = std::move(session->pending_finish)) {
                     session->hold_timer.cancel();
@@ -162,15 +168,18 @@ void MeekServer::onRequest(const http::Request& req,
     } else if (!session->link_failed) {
       // Link still connecting: deliver once it exists.
       auto self_stack = &stack_;
+      // Each pending retry owns the retry function; it does not own itself.
       auto deliver = std::make_shared<std::function<void(int)>>();
-      *deliver = [session, upstream, self_stack, deliver](int tries) {
+      *deliver = [session, upstream, self_stack,
+                  weak = std::weak_ptr(deliver)](int tries) {
         if (session->link != nullptr) {
           session->link->send(upstream);
           return;
         }
         if (session->link_failed || tries > 50) return;
-        self_stack->sim().schedule(20 * sim::kMillisecond,
-                                   [deliver, tries] { (*deliver)(tries + 1); });
+        self_stack->sim().schedule(
+            20 * sim::kMillisecond,
+            [retry = weak.lock(), tries] { (*retry)(tries + 1); });
       };
       (*deliver)(0);
     }
@@ -179,7 +188,10 @@ void MeekServer::onRequest(const http::Request& req,
   // Long-poll semantics: answer immediately when downstream bytes are
   // already buffered; otherwise park the response and finish the moment the
   // bridge produces data (or the hold window expires).
-  auto finish = [session, respond = std::move(respond)] {
+  // Parked in the session it answers, so it only observes the session.
+  auto finish = [weak = std::weak_ptr(session), respond = std::move(respond)] {
+    const auto session = weak.lock();
+    if (session == nullptr) return;
     session->pending_finish = nullptr;
     http::Response resp;
     if (session->link_failed && session->downstream.empty()) {

@@ -46,10 +46,16 @@ void TorRelay::acceptLink(transport::Stream::Ptr stream) {
   auto conn = std::make_shared<Conn>();
   conn->stream = std::move(stream);
   conns_.insert(conn);
-  conn->stream->setOnData([this, conn](ByteView data) {
+  // conns_ and the circuits own each link; its handlers only observe it.
+  std::weak_ptr<Conn> weak = conn;
+  conn->stream->setOnData([this, weak](ByteView data) {
+    const ConnPtr conn = weak.lock();
+    if (conn == nullptr) return;
     for (auto& cell : conn->reader.feed(data)) onCell(conn, std::move(cell));
   });
-  conn->stream->setOnClose([this, conn] {
+  conn->stream->setOnClose([this, weak] {
+    const ConnPtr conn = weak.lock();
+    if (conn == nullptr) return;
     // Tear down every circuit referencing this link. The scan order over
     // the hash map is irrelevant: the collected set is sorted by circuit id
     // below, so teardown order (and the trace it produces) is stable.
@@ -192,11 +198,10 @@ void TorRelay::handleExtend(const CircuitPtr& circuit,
 
   const std::uint32_t out_circ = next_out_circ_++;
   // Open a TLS link to the next onion router.
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = stack_.tcpConnect(
+  stack_.tcpConnect(
       net::Endpoint{net::Ipv4(next_ip), next_port},
-      [this, holder, circuit, out_circ, key](bool ok) {
-        if (!ok) {
+      [this, circuit, out_circ, key](transport::TcpSocket::Ptr sock) {
+        if (sock == nullptr) {
           destroyCircuit(circuit, /*notify_in=*/true, /*notify_out=*/false);
           return;
         }
@@ -204,7 +209,7 @@ void TorRelay::handleExtend(const CircuitPtr& circuit,
         opts.sni = "www." + options_.nickname + "-link.net";
         opts.fingerprint = "tor-relay-link";
         http::TlsStream::clientHandshake(
-            *holder, stack_.sim(), opts, nullptr,
+            std::move(sock), stack_.sim(), opts, nullptr,
             [this, circuit, out_circ, key](http::TlsStream::Ptr tls) {
               if (tls == nullptr) {
                 destroyCircuit(circuit, true, false);
@@ -213,11 +218,16 @@ void TorRelay::handleExtend(const CircuitPtr& circuit,
               auto conn = std::make_shared<Conn>();
               conn->stream = tls;
               conns_.insert(conn);
-              conn->stream->setOnData([this, conn](ByteView data) {
+              std::weak_ptr<Conn> weak = conn;
+              conn->stream->setOnData([this, weak](ByteView data) {
+                const ConnPtr conn = weak.lock();
+                if (conn == nullptr) return;
                 for (auto& cell : conn->reader.feed(data))
                   onCell(conn, std::move(cell));
               });
-              conn->stream->setOnClose([this, conn] { conns_.erase(conn); });
+              conn->stream->setOnClose([this, weak] {
+                if (const ConnPtr conn = weak.lock()) conns_.erase(conn);
+              });
               circuit->out_conn = conn;
               circuit->out_circ = out_circ;
               circuits_[CircuitKey{conn.get(), out_circ}] = circuit;

@@ -29,6 +29,13 @@ class CipherStream final : public Stream,
     return s;
   }
 
+  ~CipherStream() override {
+    if (inner_ != nullptr) {
+      inner_->setOnData(nullptr);
+      inner_->setOnClose(nullptr);
+    }
+  }
+
   void send(Bytes data) override {
     if (inner_ == nullptr) return;
     encryptor_.encryptInPlace(data);
@@ -67,12 +74,14 @@ class CipherStream final : public Stream,
     return iv;
   }
 
+  // The inner stream's handlers hold only `this`: we own the inner stream
+  // and clear them in the destructor.
   void hook() {
-    auto self = shared_from_this();
-    inner_->setOnData([self](ByteView data) { self->onInner(data); });
-    inner_->setOnClose([self] {
-      self->inner_ = nullptr;
-      self->emitClose();
+    inner_->setOnData([this](ByteView data) { onInner(data); });
+    inner_->setOnClose([this] {
+      const Ptr keep = shared_from_this();  // the close may drop our owner
+      inner_ = nullptr;
+      emitClose();
     });
   }
 

@@ -23,6 +23,19 @@ HostStack::HostStack(net::Node& node, double cpu_hz)
   node_.setLocalHandler([this](net::Packet&& pkt) { onPacket(std::move(pkt)); });
 }
 
+HostStack::~HostStack() {
+  // Sockets still open when the world goes away may sit in handler cycles
+  // with the layers above them; detaching breaks those so the world frees.
+  std::vector<TcpSocket::Ptr> open;
+  open.reserve(conns_.size());
+  // sclint:allow(det-unordered-iter) detaching sends, schedules and draws nothing, so order is unobservable
+  for (const auto& [key, sock] : conns_) {
+    if (auto p = sock->weak_from_this().lock()) open.push_back(std::move(p));
+  }
+  conns_.clear();
+  for (const auto& sock : open) sock->detach();
+}
+
 net::Port HostStack::allocatePort() {
   if (next_port_ == 0) next_port_ = 49152;  // wrapped
   return next_port_++;
@@ -80,13 +93,19 @@ void HostStack::sendPacket(net::Packet pkt) {
   node_.send(std::move(pkt));
 }
 
-void HostStack::registerSocket(const TcpSocket::Ptr& sock) {
-  conns_[ConnKey{sock->local(), sock->remote()}] = sock;
-  sock->registered_ = true;
+void HostStack::registerSocket(TcpSocket& sock) {
+  conns_[ConnKey{sock.local(), sock.remote()}] = &sock;
+  sock.registered_ = true;
 }
 
 void HostStack::unregisterSocket(const TcpSocket& sock) {
   conns_.erase(ConnKey{sock.local(), sock.remote()});
+}
+
+void HostStack::forgetSocket(const TcpSocket& sock) {
+  // A newer socket may have taken the key over; its entry stays.
+  const auto it = conns_.find(ConnKey{sock.local(), sock.remote()});
+  if (it != conns_.end() && it->second == &sock) conns_.erase(it);
 }
 
 void HostStack::onPacket(net::Packet&& pkt) {
@@ -125,11 +144,8 @@ void HostStack::onTcpPacket(net::Packet&& pkt) {
                     net::Endpoint{pkt.src, t.src_port}};
   const auto conn_it = conns_.find(key);
   if (conn_it != conns_.end()) {
-    if (auto sock = conn_it->second.lock()) {
-      sock->onPacket(pkt);
-      return;
-    }
-    conns_.erase(conn_it);
+    conn_it->second->onPacket(pkt);
+    return;
   }
 
   if (t.flags.syn && !t.flags.ack) {
@@ -169,14 +185,8 @@ class DirectConnector final : public Connector {
       cb(nullptr);
       return;
     }
-    auto sock_holder = std::make_shared<TcpSocket::Ptr>();
-    *sock_holder = stack_.tcpConnect(
-        net::Endpoint{target.ip, target.port},
-        [sock_holder, cb = std::move(cb)](bool ok) {
-          cb(ok ? *sock_holder : nullptr);
-          sock_holder->reset();
-        },
-        tag_);
+    stack_.tcpConnect(net::Endpoint{target.ip, target.port}, std::move(cb),
+                      tag_);
   }
 
  private:

@@ -1,6 +1,12 @@
 // Per-host transport stack: TCP/UDP demux over a net::Node, ephemeral port
 // allocation, raw-protocol hooks (GRE/ESP for VPN data planes), and the
 // host CPU service queue used to model single-core servers (Fig. 7).
+//
+// Sockets belong to the streams and applications above them; the stack only
+// indexes them (DESIGN §6, "Ownership"). A released socket leaves the index
+// in its destructor, so late segments for it draw a RST, as for any closed
+// port. The destructor detaches the handlers of sockets still open, which
+// frees whatever they capture with the world.
 #pragma once
 
 #include <functional>
@@ -35,6 +41,7 @@ class CpuQueue {
 class HostStack {
  public:
   explicit HostStack(net::Node& node, double cpu_hz = 2.3e9);
+  ~HostStack();
 
   HostStack(const HostStack&) = delete;
   HostStack& operator=(const HostStack&) = delete;
@@ -80,8 +87,9 @@ class HostStack {
 
   // Internal: packet egress/registration used by TcpSocket.
   void sendPacket(net::Packet pkt);
-  void registerSocket(const TcpSocket::Ptr& sock);
+  void registerSocket(TcpSocket& sock);
   void unregisterSocket(const TcpSocket& sock);
+  void forgetSocket(const TcpSocket& sock);  // from ~TcpSocket
 
  private:
   void onPacket(net::Packet&& pkt);
@@ -102,7 +110,9 @@ class HostStack {
 
   net::Node& node_;
   CpuQueue cpu_;
-  std::unordered_map<ConnKey, std::weak_ptr<TcpSocket>, ConnKeyHash> conns_;
+  // Not owning: each socket's owner is the stream or application above it,
+  // and ~TcpSocket removes its entry.
+  std::unordered_map<ConnKey, TcpSocket*, ConnKeyHash> conns_;
   std::unordered_map<net::Port, TcpListener::Ptr> listeners_;
   std::unordered_map<net::Port, UdpHandler> udp_handlers_;
   std::unordered_map<net::IpProto, RawHandler> raw_handlers_;

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "net/address.h"
 #include "util/bytes.h"
@@ -20,7 +21,12 @@ class Stream {
   using DataHandler = std::function<void(ByteView)>;
   using CloseHandler = std::function<void()>;
 
-  virtual ~Stream() = default;
+  Stream() = default;
+  Stream(const Stream&) = delete;
+  Stream& operator=(const Stream&) = delete;
+  virtual ~Stream() {
+    for (Dispatch* d = dispatch_; d != nullptr; d = d->outer) d->gone = true;
+  }
 
   virtual void send(Bytes data) = 0;
   virtual void close() = 0;
@@ -29,38 +35,75 @@ class Stream {
   // Data arriving while no handler is installed is buffered and flushed to
   // the next handler — so a stream can be handed between owners (proxy
   // bridging, connection pools, 0-RTT tunnel opens) without losing bytes.
+  // A handler may replace or clear itself while it runs (proxy handovers do
+  // this): the running closure stays alive until it returns.
   void setOnData(DataHandler h) {
     on_data_ = std::move(h);
+    markReplaced();
     if (on_data_ && !pending_.empty()) {
-      // Invoke through a copy: the handler may replace itself while running
-      // (proxy handovers do this), which would otherwise destroy the
-      // closure mid-execution.
-      auto handler = on_data_;
       Bytes buffered;
       buffered.swap(pending_);
-      handler(buffered);
+      emitData(buffered);
     }
   }
   void setOnClose(CloseHandler h) { on_close_ = std::move(h); }
 
  protected:
+  // Delivers without copying the handler: it is moved out for the call and
+  // moved back unless it was replaced meanwhile. The handler may destroy
+  // this stream; emitData then touches nothing after the call.
   void emitData(ByteView data) {
-    if (on_data_) {
-      auto handler = on_data_;  // see setOnData: survive self-replacement
-      handler(data);
-    } else {
-      pending_.insert(pending_.end(), data.begin(), data.end());
+    if (dispatch_ != nullptr && !dispatch_->replaced) {
+      // Re-entrant delivery while the installed handler is still running.
+      Dispatch frame{dispatch_, dispatch_->running};
+      dispatch_ = &frame;
+      (*frame.running)(data);
+      if (!frame.gone) dispatch_ = frame.outer;
+      return;
     }
+    if (!on_data_) {
+      pending_.insert(pending_.end(), data.begin(), data.end());
+      return;
+    }
+    DataHandler running = std::move(on_data_);
+    Dispatch frame{dispatch_, &running};
+    dispatch_ = &frame;
+    running(data);
+    if (frame.gone) return;
+    dispatch_ = frame.outer;
+    if (!frame.replaced) on_data_ = std::move(running);
   }
   void emitClose() {
     // Move out first: a close handler commonly destroys this stream.
     if (auto h = std::move(on_close_)) h();
   }
+  // Drops both handlers (and whatever they capture) once the stream can
+  // deliver nothing more. Buffered data stays for a later setOnData.
+  // They are destroyed only after both members are empty: a capture's
+  // destructor may clear this stream's handlers again.
+  void releaseHandlers() {
+    const DataHandler data = std::exchange(on_data_, nullptr);
+    const CloseHandler close = std::exchange(on_close_, nullptr);
+    markReplaced();
+  }
 
  private:
+  // One per emitData call on the stack; lets a handler replace itself and
+  // lets the destructor tell running calls not to touch the stream again.
+  struct Dispatch {
+    Dispatch* outer;
+    DataHandler* running;
+    bool replaced = false;
+    bool gone = false;
+  };
+  void markReplaced() {
+    for (Dispatch* d = dispatch_; d != nullptr; d = d->outer) d->replaced = true;
+  }
+
   DataHandler on_data_;
   CloseHandler on_close_;
   Bytes pending_;
+  Dispatch* dispatch_ = nullptr;
 };
 
 // Where to connect: by address, or by name (proxies resolve names remotely —
@@ -96,7 +139,10 @@ class Connector {
 
 // Splices two streams together (a classic proxy data pump): everything
 // received on one is forwarded to the other; a close on either side closes
-// both. Returns nothing; the lambdas keep both streams alive until close.
+// both. The bridge is the proxy's to own: each side's handlers hold the
+// other side, so the pair lives until one closes, then the closed side drops
+// its data handler; a socket drops the rest when it is torn down, and
+// ~HostStack at the end of the world.
 inline void bridgeStreams(Stream::Ptr a, Stream::Ptr b) {
   a->setOnData([b](ByteView data) { b->send(Bytes(data.begin(), data.end())); });
   b->setOnData([a](ByteView data) { a->send(Bytes(data.begin(), data.end())); });

@@ -37,10 +37,14 @@ TcpSocket::TcpSocket(HostStack& stack, net::Endpoint local,
                      net::Endpoint remote, std::uint32_t measure_tag)
     : stack_(stack), local_(local), remote_(remote), measure_tag_(measure_tag) {}
 
-TcpSocket::~TcpSocket() { rto_timer_.cancel(); }
+TcpSocket::~TcpSocket() {
+  rto_timer_.cancel();
+  if (registered_) stack_.forgetSocket(*this);
+}
 
 void TcpSocket::connect(ConnectHandler cb) {
   on_connect_ = std::move(cb);
+  connect_hold_ = shared_from_this();
   if (auto* sp = obs::spansOf(stack_.sim()))
     connect_span_ = sp->begin(obs::SpanKind::kTcpConnect, measure_tag_, "",
                               remote_.str());
@@ -48,7 +52,7 @@ void TcpSocket::connect(ConnectHandler cb) {
   iss_ = static_cast<std::uint32_t>(stack_.sim().rng().nextU64());
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
-  stack_.registerSocket(shared_from_this());
+  stack_.registerSocket(*this);
   net::TcpFlags syn;
   syn.syn = true;
   sendSegment(syn, iss_, {});
@@ -62,7 +66,7 @@ void TcpSocket::acceptSyn(const net::Packet& syn) {
   iss_ = static_cast<std::uint32_t>(stack_.sim().rng().nextU64());
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
-  stack_.registerSocket(shared_from_this());
+  stack_.registerSocket(*this);
   net::TcpFlags synack;
   synack.syn = true;
   synack.ack = true;
@@ -168,9 +172,10 @@ void TcpSocket::armRetransmitTimer() {
   sim::Time rto = rto_;
   for (int i = 0; i < backoff_ && rto < kMaxRto; ++i) rto *= 2;
   rto = std::min(rto, kMaxRto);
-  std::weak_ptr<TcpSocket> weak = shared_from_this();
-  rto_timer_ = stack_.sim().schedule(rto, [weak] {
-    if (auto self = weak.lock()) self->onRetransmitTimeout();
+  // The destructor cancels this timer, so the body never sees a dead socket.
+  rto_timer_ = stack_.sim().schedule(rto, [this] {
+    const Ptr keep = shared_from_this();  // callbacks may drop the owner
+    onRetransmitTimeout();
   });
 }
 
@@ -184,10 +189,7 @@ void TcpSocket::onRetransmitTimeout() {
     if (++syn_retries_ > kMaxSynRetries) {
       if (auto* sp = obs::spansOf(stack_.sim()))
         sp->end(connect_span_, obs::SpanStatus::kError, syn_retries_);
-      if (on_connect_) {
-        auto cb = std::move(on_connect_);
-        cb(false);
-      }
+      resolveConnect(false);
       teardown(/*reset=*/false);
       return;
     }
@@ -241,10 +243,12 @@ void TcpSocket::enterEstablished() {
     if (auto* sp = obs::spansOf(stack_.sim()))
       sp->end(connect_span_, obs::SpanStatus::kOk, syn_retries_);
   }
-  if (on_connect_) {
-    auto cb = std::move(on_connect_);
-    cb(true);
-  }
+  resolveConnect(true);
+}
+
+void TcpSocket::resolveConnect(bool ok) {
+  const Ptr hold = std::move(connect_hold_);
+  if (auto cb = std::move(on_connect_)) cb(ok ? hold : nullptr);
 }
 
 void TcpSocket::handleAck(const net::Packet& pkt) {
@@ -366,10 +370,7 @@ void TcpSocket::onPacket(const net::Packet& pkt) {
     if (was_connecting) {
       if (auto* sp = obs::spansOf(stack_.sim()))
         sp->end(connect_span_, obs::SpanStatus::kError, -1);
-      if (on_connect_) {
-        auto cb = std::move(on_connect_);
-        cb(false);
-      }
+      resolveConnect(false);
     }
     teardown(/*reset=*/true);
     return;
@@ -415,7 +416,18 @@ void TcpSocket::teardown(bool reset) {
   inflight_.clear();
   send_buffer_.clear();
   if (registered_) stack_.unregisterSocket(*this);
+  registered_ = false;
   if (reset) emitClose();
+  // Closed for good: nothing more can arrive, so let go of the owners the
+  // handlers captured (the usual way a connection's objects are freed).
+  releaseHandlers();
+  on_connect_ = nullptr;
+  connect_hold_ = nullptr;
+}
+
+void TcpSocket::detach() {
+  registered_ = false;  // the stack is going away: leave its index alone
+  teardown(/*reset=*/false);
 }
 
 }  // namespace sc::transport

@@ -35,7 +35,8 @@ class TcpSocket final : public Stream,
                         public std::enable_shared_from_this<TcpSocket> {
  public:
   using Ptr = std::shared_ptr<TcpSocket>;
-  using ConnectHandler = std::function<void(bool ok)>;
+  // Receives the socket once established, nullptr when the connect failed.
+  using ConnectHandler = std::function<void(Ptr)>;
 
   enum class State {
     kClosed,
@@ -81,6 +82,9 @@ class TcpSocket final : public Stream,
 
   // Called by HostStack's demux.
   void onPacket(const net::Packet& pkt);
+  // Called by ~HostStack on a socket still open: forget the stack, stop the
+  // timer and drop the handlers and the connect hold, sending nothing.
+  void detach();
   // Called by listener-side accept path.
   void acceptSyn(const net::Packet& syn);
 
@@ -104,6 +108,7 @@ class TcpSocket final : public Stream,
   void handleAck(const net::Packet& pkt);
   void handleData(const net::Packet& pkt);
   void enterEstablished();
+  void resolveConnect(bool ok);
   void teardown(bool reset);
 
   HostStack& stack_;
@@ -112,6 +117,9 @@ class TcpSocket final : public Stream,
   std::uint32_t measure_tag_;
   State state_ = State::kClosed;
   ConnectHandler on_connect_;
+  // Held from connect() until the connect callback runs: nothing else need
+  // own a socket that is still dialling.
+  Ptr connect_hold_;
 
   // Send side.
   std::deque<std::uint8_t> send_buffer_;  // unsent application bytes

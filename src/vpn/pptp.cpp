@@ -126,12 +126,12 @@ void PptpClient::connect(ConnectCb cb) {
   };
   control_ = stack_.tcpConnect(
       server_,
-      [this](bool ok) {
-        if (!ok) {
+      [this](transport::TcpSocket::Ptr sock) {
+        if (sock == nullptr) {
           if (auto cb = std::move(connect_cb_)) cb(false);
           return;
         }
-        control_->send(makeMsg(kSccrq));
+        sock->send(makeMsg(kSccrq));
       },
       tag_);
   control_->setOnData([this](ByteView data) {

@@ -104,7 +104,7 @@ TEST(Link, DownedLinkBlackholesTraffic) {
   border->setUp(false);
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), 80},
-      [&](bool ok) { connected = ok; });
+      [&](const auto& conn) { const bool ok = conn != nullptr; connected = ok; });
   w.sim.runUntil(2 * sim::kSecond);
   EXPECT_FALSE(connected);  // SYNs eaten silently, no reset either
 

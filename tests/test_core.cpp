@@ -31,7 +31,8 @@ struct PipeWorld : MiniWorld {
     bool done = false;
     auto holder = std::make_shared<transport::TcpSocket::Ptr>();
     *holder = client.tcpConnect(net::Endpoint{server_node.primaryIp(), 443},
-                                [&, holder](bool ok) {
+                                [&, holder](const auto& conn) {
+                                  const bool ok = conn != nullptr;
                                   done = true;
                                   if (ok) client_raw = *holder;
                                 });
@@ -122,8 +123,8 @@ TEST(Tunnel, MultiplexesManyStreams) {
   w.server_tunnel->setOpenHandler(
       [&](transport::Stream::Ptr stream, transport::ConnectTarget target,
           bool) {
-        server_streams.push_back(stream);
-        stream->setOnData([stream, target](ByteView data) {
+        server_streams.push_back(stream);  // owns it; the handler observes
+        stream->setOnData([stream = stream.get(), target](ByteView data) {
           Bytes reply = toBytes(std::to_string(target.port) + ":");
           appendBytes(reply, data);
           stream->send(std::move(reply));
@@ -196,9 +197,11 @@ TEST(Tunnel, BlindingRotationPropagatesBothWays) {
   TunnelWorld w;
   w.connectTunnels();
   Bytes got;
+  std::vector<transport::Stream::Ptr> server_streams;
   w.server_tunnel->setOpenHandler(
       [&](transport::Stream::Ptr stream, transport::ConnectTarget, bool) {
-        auto held = stream;
+        server_streams.push_back(stream);  // owns it; the handler observes
+        auto* held = stream.get();
         stream->setOnData([&got, held](ByteView d) {
           appendBytes(got, d);
           held->send(toBytes("ack"));
@@ -275,9 +278,11 @@ TEST(Tunnel, EncryptedStreamWireBytesGolden) {
   Tunnel::Options sopts = copts;
   sopts.client_side = false;
   w.server_tunnel = Tunnel::create(w.server_raw, w.sim, sopts);
+  std::vector<transport::Stream::Ptr> server_streams;
   w.server_tunnel->setOpenHandler(
-      [](transport::Stream::Ptr stream, transport::ConnectTarget, bool) {
-        auto held = stream;
+      [&](transport::Stream::Ptr stream, transport::ConnectTarget, bool) {
+        server_streams.push_back(stream);  // owns it; the handler observes
+        auto* held = stream.get();
         stream->setOnData([held](ByteView d) {
           Bytes reply = toBytes("echo:");
           appendBytes(reply, d);
@@ -419,7 +424,8 @@ TEST(ScholarCloud, RemoteProxyGivesStrangersTheMuteTreatment) {
   Bytes received;
   bool closed = false;
   auto sock = w.client.tcpConnect(  // client IP is NOT an authorized peer
-      net::Endpoint{w.server_node.primaryIp(), 443}, [&](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 443}, [&](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
       });
   sock->setOnData([&](ByteView d) { appendBytes(received, d); });
@@ -590,7 +596,8 @@ TEST(ScholarCloud, PoolSaturationIsCountedAndTraced) {
   transport::HostStack client(client_node);
   bool done = false;
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = client.tcpConnect(proxy.proxyEndpoint(), [&](bool ok) {
+  *holder = client.tcpConnect(proxy.proxyEndpoint(), [&](const auto& conn) {
+    const bool ok = conn != nullptr;
     ASSERT_TRUE(ok);
     http::Request req;
     req.target = "http://scholar.google.com/";

@@ -399,7 +399,8 @@ struct FleetWorld {
     auto holder = std::make_shared<transport::TcpSocket::Ptr>();
     sim::Simulator& s = sim;
     *holder = client.tcpConnect(
-        proxy->proxyEndpoint(), [&s, st, holder](bool ok) {
+        proxy->proxyEndpoint(), [&s, st, holder](const auto& conn) {
+          const bool ok = conn != nullptr;
           if (!ok) {
             st->done = true;
             return;

@@ -167,7 +167,8 @@ TEST(Classifier, ParsesClientHelloSniAndFingerprint) {
   });
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 443}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 443}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         http::TlsClientOptions opts;
         opts.sni = "scholar.google.com";
@@ -281,7 +282,8 @@ TEST(Gfw, InjectsRstOnBlockedHostHeader) {
   bool closed = false;
   Bytes received;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
       });
   sock->setOnData([&](ByteView data) { appendBytes(received, data); });
@@ -302,7 +304,8 @@ TEST(Gfw, InjectsRstOnBlockedSni) {
   http::TlsStream::Ptr result;
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 443}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 443}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         http::TlsClientOptions opts;
         opts.sni = "scholar.google.com";
@@ -322,7 +325,8 @@ TEST(Gfw, IpBlockingDropsSilently) {
   w.gfw.ips().add(w.server_node.primaryIp());
   bool done = false, ok = true;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 443}, [&](bool r) {
+      net::Endpoint{w.server_node.primaryIp(), 443}, [&](const auto& conn) {
+        const bool r = conn != nullptr;
         done = true;
         ok = r;
       });
@@ -338,7 +342,8 @@ TEST(Gfw, DisciplinesHighEntropyFlows) {
     sock->setOnData([](ByteView) {});
   });
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8388}, [&](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 8388}, [&](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
       });
   // Push ciphertext through the flow.
@@ -360,7 +365,7 @@ TEST(Gfw, RegisteredIcpLeniencySparesTheFlow) {
     sock->setOnData([](ByteView) {});
   });
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8388}, [](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 8388}, [](const auto&) {});
   sock->send(
       crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(30000, 5)));
   w.sim.runUntil(w.sim.now() + 2 * sim::kMinute);
@@ -382,7 +387,7 @@ TEST(Gfw, ActiveProbeConfirmsMuteServerAndBlocksFutureFlows) {
     });
   });
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8388}, [](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 8388}, [](const auto&) {});
   sock->send(
       crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(500, 5)));
   w.sim.runUntil(w.sim.now() + 30 * sim::kSecond);
@@ -404,7 +409,7 @@ TEST(Gfw, ActiveProbeExoneratesServersThatAnswer) {
         [sock](ByteView) { sock->send(toBytes("400 Bad Request")); });
   });
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8388}, [](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 8388}, [](const auto&) {});
   sock->send(
       crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(500, 5)));
   w.sim.runUntil(w.sim.now() + 30 * sim::kSecond);
@@ -433,7 +438,7 @@ TEST(Gfw, FlowTableGarbageCollects) {
     sock->setOnData([](ByteView) {});
   });
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8080}, [](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 8080}, [](const auto&) {});
   sock->send(toBytes("some innocuous request"));
   w.sim.runUntil(w.sim.now() + 2 * sim::kSecond);
   EXPECT_GT(w.gfw.flowTableSize(), 0u);

@@ -474,7 +474,8 @@ struct TlsWorld : MiniWorld {
     auto holder = std::make_shared<transport::TcpSocket::Ptr>();
     *holder = client.tcpConnect(
         net::Endpoint{server_node.primaryIp(), 443},
-        [&, holder](bool ok) {
+        [&, holder](const auto& conn) {
+          const bool ok = conn != nullptr;
           if (!ok) {
             done = true;
             return;
@@ -674,7 +675,8 @@ TEST(HttpServer, ServesRoutedRequests) {
   std::optional<Response> got;
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;
         req.target = "/hello";
@@ -701,7 +703,8 @@ TEST(HttpServer, KeepAliveServesSequentialRequests) {
   std::vector<std::string> bodies;
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;
         req.target = "/a";
@@ -733,7 +736,8 @@ TEST(HttpServer, UnroutedPathReturns404) {
   std::optional<Response> got;
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;
         req.target = "/nowhere";
@@ -832,7 +836,8 @@ TEST(Origin, HttpPortRedirectsToHttps) {
   std::optional<Response> got;
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;  // GET / (the defaults)
         req.headers.set("host", "scholar.google.com");
@@ -873,7 +878,8 @@ TEST(HttpServer, ConnectHandlerTakesOverTheStream) {
   Bytes received;
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8080}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 8080}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request connect_req;
         connect_req.method = "CONNECT";
@@ -902,7 +908,7 @@ TEST(HttpServer, MalformedRequestClosesSession) {
   HttpServer server(w.server, opts);
   bool closed = false;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8080}, [](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 8080}, [](const auto&) {});
   sock->setOnClose([&] { closed = true; });
   sock->send(toBytes("TOTAL GARBAGE\r\n\r\n"));
   w.runUntilDone([&] { return closed; });
@@ -922,7 +928,8 @@ TEST(HttpServer, PeerAddressIsStampedOntoRequests) {
   std::optional<Response> got;
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8080}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 8080}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;  // GET / (the defaults)
         HttpClient::fetchOn(*holder, w.sim, req, sim::kMinute,
@@ -943,7 +950,8 @@ TEST(HttpClient, TimesOutOnSilentServer) {
   std::optional<Response> got = Response{};
   auto holder = std::make_shared<transport::TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 9000}, [&, holder](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 9000}, [&, holder](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;  // GET / (the defaults)
         HttpClient::fetchOn(*holder, w.sim, req, 2 * sim::kSecond,

@@ -177,7 +177,7 @@ TEST(Shadowsocks, ProbeGarbageNeverGetsAReply) {
   bool closed = false;
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), kDefaultDataPort},
-      [&](bool ok) { ASSERT_TRUE(ok); });
+      [&](const auto& conn) { const bool ok = conn != nullptr; ASSERT_TRUE(ok); });
   sock->setOnData([&](ByteView d) { appendBytes(received, d); });
   sock->setOnClose([&] { closed = true; });
   sock->send(Bytes(600, 0x41));  // not valid IV+header, never decodes

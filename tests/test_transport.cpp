@@ -27,7 +27,8 @@ TEST(Tcp, ConnectCompletesHandshake) {
   EchoServer echo(w.server);
   bool connected = false, ok = false;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](bool r) {
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](const auto& conn) {
+        const bool r = conn != nullptr;
         connected = true;
         ok = r;
       });
@@ -41,7 +42,8 @@ TEST(Tcp, ConnectToClosedPortFailsWithRst) {
   MiniWorld w;
   bool connected = false, ok = true;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 9999}, [&](bool r) {
+      net::Endpoint{w.server_node.primaryIp(), 9999}, [&](const auto& conn) {
+        const bool r = conn != nullptr;
         connected = true;
         ok = r;
       });
@@ -54,7 +56,8 @@ TEST(Tcp, EchoesSmallPayload) {
   EchoServer echo(w.server);
   Bytes received;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](bool ok) {
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](const auto& conn) {
+        const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
       });
   sock->setOnData([&](ByteView data) { appendBytes(received, data); });
@@ -71,7 +74,7 @@ TEST(Tcp, TransfersLargePayloadWithSegmentation) {
     sent[i] = static_cast<std::uint8_t>(i * 7);
   Bytes received;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](const auto&) {});
   sock->setOnData([&](ByteView data) { appendBytes(received, data); });
   sock->send(sent);
   w.runUntilDone([&] { return received.size() >= sent.size(); },
@@ -88,7 +91,7 @@ TEST(Tcp, RecoversFromHeavyLoss) {
   Bytes sent(60 * 1000, 0xAB);
   Bytes received;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](const auto&) {});
   sock->setOnData([&](ByteView data) { appendBytes(received, data); });
   sock->send(sent);
   w.runUntilDone([&] { return received.size() >= sent.size(); },
@@ -108,7 +111,7 @@ TEST(Tcp, FinClosesBothSides) {
   bool connected = false;
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), 7777},
-      [&](bool) { connected = true; });
+      [&](const auto&) { connected = true; });
   w.runUntilDone([&] { return connected; });
   sock->close();
   w.runUntilDone([&] { return server_closed; });
@@ -126,7 +129,7 @@ TEST(Tcp, RstAbortsPeer) {
   bool connected = false;
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), 7777},
-      [&](bool) { connected = true; });
+      [&](const auto&) { connected = true; });
   w.runUntilDone([&] { return connected; });
   sock->abort();
   w.runUntilDone([&] { return server_closed; });
@@ -137,7 +140,7 @@ TEST(Tcp, SrttConvergesNearPathRtt) {
   EchoServer echo(w.server);
   Bytes received;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](const auto&) {});
   sock->setOnData([&](ByteView data) { appendBytes(received, data); });
   sock->send(Bytes(50 * 1000, 1));
   w.runUntilDone([&] { return received.size() >= 50 * 1000; },
@@ -151,7 +154,7 @@ TEST(Tcp, MeasureTagPropagatesToServerSide) {
   EchoServer echo(w.server);
   Bytes received;
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](bool) {}, 77);
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [&](const auto&) {}, 77);
   sock->setOnData([&](ByteView data) { appendBytes(received, data); });
   sock->send(toBytes("tag me"));
   w.runUntilDone([&] { return received.size() >= 6; });
@@ -168,7 +171,7 @@ TEST(Tcp, ManyConcurrentConnectionsStayIsolated) {
   std::vector<Bytes> received(kConns);
   for (int i = 0; i < kConns; ++i) {
     auto sock = w.client.tcpConnect(
-        net::Endpoint{w.server_node.primaryIp(), 7777}, [](bool) {});
+        net::Endpoint{w.server_node.primaryIp(), 7777}, [](const auto&) {});
     sock->setOnData([&received, i](ByteView data) {
       appendBytes(received[static_cast<std::size_t>(i)], data);
     });
@@ -256,7 +259,8 @@ TEST(CipherStream, EncryptsInTransitAndDecryptsAtPeer) {
 
   auto holder = std::make_shared<TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(net::Endpoint{w.server_node.primaryIp(), 7000},
-                                [&, holder](bool ok) {
+                                [&, holder](const auto& conn) {
+                                  const bool ok = conn != nullptr;
                                   ASSERT_TRUE(ok);
                                   auto cipher = CipherStream::wrap(
                                       *holder, key, Bytes(16, 0x33));
@@ -282,7 +286,8 @@ TEST(CipherStream, RoundTripsBothDirections) {
   transport::Stream::Ptr client_cipher;
   auto holder = std::make_shared<TcpSocket::Ptr>();
   *holder = w.client.tcpConnect(net::Endpoint{w.server_node.primaryIp(), 7000},
-                                [&, holder](bool ok) {
+                                [&, holder](const auto& conn) {
+                                  const bool ok = conn != nullptr;
                                   ASSERT_TRUE(ok);
                                   client_cipher = CipherStream::wrap(
                                       *holder, key, Bytes(16, 2));
@@ -304,7 +309,7 @@ TEST(Stream, BuffersDataUntilHandlerInstalled) {
     server_side = sock;  // deliberately no onData handler yet
   });
   auto sock = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 7000}, [&](bool) {});
+      net::Endpoint{w.server_node.primaryIp(), 7000}, [&](const auto&) {});
   sock->send(toBytes("early bytes"));
   w.runUntilDone([&] {
     return server_side != nullptr &&
