@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+#include <type_traits>
+
 #include "net/topology.h"
 #include "transport/host_stack.h"
+#include "util/hash.h"
 
 namespace sc::test {
 
@@ -28,5 +33,24 @@ struct MiniWorld {
         << "simulation timed out after " << sim::toSeconds(budget) << "s";
   }
 };
+
+// FNV-1a over a cell's JSONL exports and then its scalar results in argument
+// order (integers as uint64, reals by bit pattern). A same-seed golden built
+// from it pins the cell's traffic across commits, not just across runs.
+template <typename... Scalars>
+std::uint64_t cellDigest(std::string_view metrics_jsonl,
+                         std::string_view trace_jsonl, Scalars... scalars) {
+  Fnv1a h;
+  h.add(metrics_jsonl);
+  h.add(trace_jsonl);
+  const auto add = [&h](auto v) {
+    if constexpr (std::is_floating_point_v<decltype(v)>)
+      h.add(static_cast<double>(v));
+    else
+      h.add(static_cast<std::uint64_t>(v));
+  };
+  (add(scalars), ...);
+  return h.value();
+}
 
 }  // namespace sc::test

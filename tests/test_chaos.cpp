@@ -456,6 +456,14 @@ TEST(RecoveryTracker, FailureOutsideAnyWindowChargesNothing) {
 
 // ---- chaos cells: determinism across thread counts -----------------------
 
+std::uint64_t digestOf(const measure::ChaosCellResult& r) {
+  return test::cellDigest(r.metrics_jsonl, r.trace_jsonl, r.attempts,
+                          r.successes, r.success_ratio, r.faults, r.impacted,
+                          r.recovered, r.unrecovered, r.mean_detect_s,
+                          r.mean_recover_s, r.max_recover_s, r.requests_lost,
+                          r.respawns, r.records.size());
+}
+
 TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
   // The acceptance bar: a chaos sweep's exported trace AND metrics are
   // byte-identical between a serial run and any parallel fan-out. Two cell
@@ -496,6 +504,9 @@ TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
   // The fleet cell actually went through the wringer.
   EXPECT_GT(serial[0].impacted, 0);
   EXPECT_EQ(serial[0].unrecovered, 0);
+  // Goldens: both world shapes keep their traffic across commits.
+  EXPECT_EQ(digestOf(serial[0]), 0x9c42beff61e961c4ULL) << std::hex << digestOf(serial[0]);
+  EXPECT_EQ(digestOf(serial[1]), 0x291212f16e09340bULL) << std::hex << digestOf(serial[1]);
 }
 
 TEST(ChaosScenario, FleetWorldSurvivesEgressBanAndCrash) {

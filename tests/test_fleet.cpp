@@ -9,6 +9,7 @@
 #include "dns/server.h"
 #include "fleet/fleet.h"
 #include "gfw/gfw.h"
+#include "helpers.h"
 #include "http/client.h"
 #include "http/server.h"
 #include "measure/fleet_scenario.h"
@@ -507,6 +508,13 @@ TEST(Fleet, ManualScaleUpAndDown) {
 
 // ---- scenario determinism (satellite: same-seed trace comparison) --------
 
+std::uint64_t digestOf(const measure::FleetCellResult& r) {
+  return test::cellDigest(r.metrics_jsonl, r.trace_jsonl, r.attempts,
+                          r.successes, r.success_ratio, r.cache_hits,
+                          r.cache_misses, r.border_bytes, r.respawns,
+                          r.failovers, r.blocks_applied, r.final_size);
+}
+
 TEST(FleetScenario, SameSeedProducesByteIdenticalTraces) {
   measure::FleetCellOptions cell;
   cell.users = 2;
@@ -522,6 +530,24 @@ TEST(FleetScenario, SameSeedProducesByteIdenticalTraces) {
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.successes, b.successes);
   EXPECT_EQ(a.border_bytes, b.border_bytes);
+  // Golden: the same bytes on the wire, the same metrics and the same trace
+  // as the world this cell has always built.
+  EXPECT_EQ(digestOf(a), 0x4ecd2395b29ad86dULL) << std::hex << digestOf(a);
+}
+
+TEST(FleetScenario, CacheAndAutoscalerCellGolden) {
+  measure::FleetCellOptions cell;
+  cell.users = 3;
+  cell.fleet_size = 1;
+  cell.cache = true;
+  cell.autoscale = true;
+  cell.churn_interval = 10 * sim::kSecond;
+  cell.duration = 40 * sim::kSecond;
+  cell.tracing = true;
+  const auto r = measure::runFleetCell(cell);
+  EXPECT_GT(r.cache_hits, 0u);
+  EXPECT_GT(r.successes, 0);
+  EXPECT_EQ(digestOf(r), 0x79f67151a2e9863bULL) << std::hex << digestOf(r);
 }
 
 TEST(FleetScenario, ResultsAreByteIdenticalAcrossThreadCounts) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "gfw/gfw.h"
+#include "helpers.h"
 #include "measure/calibration.h"
 #include "measure/population_scenario.h"
 #include "net/topology.h"
@@ -254,6 +255,14 @@ TEST(Population, BackgroundLoadIsVisibleToTheCohortWorld) {
   EXPECT_GT(r_with.peak_active_streams, r_without.peak_active_streams);
 }
 
+std::uint64_t digestOf(const measure::PopulationCellResult& r) {
+  return test::cellDigest(r.metrics_jsonl, r.trace_jsonl,
+                          r.background_digest, r.cohort_attempts,
+                          r.cohort_successes, r.cohort_plt_mean_s,
+                          r.cohort_plt_max_s, r.cache_hits, r.cache_misses,
+                          r.final_fleet_size, r.peak_active_streams);
+}
+
 TEST(Population, SameSeedCellsAreByteIdenticalAcrossThreadCounts) {
   std::vector<measure::PopulationCellOptions> cells;
   for (std::uint64_t seed : {21ull, 22ull, 23ull}) {
@@ -273,6 +282,13 @@ TEST(Population, SameSeedCellsAreByteIdenticalAcrossThreadCounts) {
   // And re-running the same cell reproduces the same digest.
   const auto again = measure::runPopulationCell(cells[0]);
   EXPECT_EQ(again.background_digest, serial[0].background_digest);
+  // Goldens: the hybrid world (cohort + background) keeps its traffic
+  // across commits.
+  const std::uint64_t golden[] = {0x0e2dd6cee69e5357ULL, 0xf20cad06cac01ef7ULL,
+                                  0x432c717bb08e60deULL};
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_EQ(digestOf(serial[i]), golden[i])
+        << i << ": " << std::hex << digestOf(serial[i]);
 }
 
 TEST(Population, FlowPredictionMatchesPacketCellForScholarCloud) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "chaos/scripts.h"
+#include "helpers.h"
 #include "measure/campaign.h"
 #include "measure/chaos_scenario.h"
 #include "measure/resource_model.h"
@@ -234,6 +235,32 @@ TEST(ServerlessChaos, EphemeralSurvivesBanWaveStaticSetDies) {
   EXPECT_EQ(dead.final_live, 0);
 }
 
+std::uint64_t digestOf(const measure::ServerlessCellResult& r) {
+  return test::cellDigest(
+      r.metrics_jsonl, r.trace_jsonl, r.attempts, r.successes,
+      r.success_ratio, r.attempts_after_last_fault,
+      r.successes_after_last_fault, r.faults, r.impacted, r.recovered,
+      r.unrecovered, r.mean_detect_s, r.mean_recover_s, r.max_recover_s,
+      r.requests_lost, r.endpoint_seconds, r.cost_units, r.invocations,
+      r.spawns, r.cold_starts, r.bans, r.reaps, r.cold_start_max_ms,
+      r.cold_start_mean_ms, r.final_live, r.final_connected, r.border_bytes,
+      r.records.size());
+}
+
+TEST(ServerlessChaos, StaticBaselineCellGolden) {
+  measure::ServerlessCellOptions opt;
+  opt.script = chaos::endpointBanWave(5 * sim::kSecond, 2);
+  opt.duration = 30 * sim::kSecond;
+  opt.respawn = false;
+  opt.prewarm = 2;
+  opt.max_live = 2;
+  opt.ttl = 0;
+  const auto r = measure::runServerlessCell(opt);
+  EXPECT_GT(r.attempts, 0);
+  EXPECT_GT(r.bans, 0u);
+  EXPECT_EQ(digestOf(r), 0xf01475489e60add5ULL) << std::hex << digestOf(r);
+}
+
 TEST(ServerlessChaos, RunChaosCellDispatchesServerlessMethod) {
   measure::ChaosCellOptions opt;
   opt.method = measure::Method::kServerless;
@@ -243,6 +270,15 @@ TEST(ServerlessChaos, RunChaosCellDispatchesServerlessMethod) {
   EXPECT_GT(cell.attempts, 0);
   EXPECT_GT(cell.successes, 0);
   EXPECT_GT(cell.respawns, 0u);
+  // Golden over the folded-down chaos result: every field the serverless
+  // world hands back survives the fold.
+  const std::uint64_t digest = test::cellDigest(
+      cell.metrics_jsonl, cell.trace_jsonl, cell.attempts, cell.successes,
+      cell.success_ratio, cell.faults, cell.impacted, cell.recovered,
+      cell.unrecovered, cell.mean_detect_s, cell.mean_recover_s,
+      cell.max_recover_s, cell.requests_lost, cell.respawns,
+      cell.records.size());
+  EXPECT_EQ(digest, 0x315d9ad1b3af4140ULL) << std::hex << digest;
 }
 
 TEST(ServerlessChaos, ParallelCellsMatchSerialByteForByte) {
@@ -263,6 +299,8 @@ TEST(ServerlessChaos, ParallelCellsMatchSerialByteForByte) {
     EXPECT_EQ(parallel[i].metrics_jsonl, serial[i].metrics_jsonl);
     EXPECT_EQ(parallel[i].trace_jsonl, serial[i].trace_jsonl);
   }
+  EXPECT_EQ(digestOf(serial[0]), 0xb0d69e91817305e2ULL) << std::hex << digestOf(serial[0]);
+  EXPECT_EQ(digestOf(serial[1]), 0x7aee345b487f5009ULL) << std::hex << digestOf(serial[1]);
 }
 
 // ---- every per-method table covers every method --------------------------
