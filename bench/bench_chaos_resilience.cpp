@@ -92,11 +92,12 @@ int main() {
 
   // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
   const auto par_start = std::chrono::steady_clock::now();
-  const auto results = measure::runChaosCells(cells, threads);
+  const auto results =
+      measure::runCells(cells, threads, measure::runChaosCell);
   const double parallel_s = secondsSince(par_start);
   // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
   const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = measure::runChaosCells(cells, 1);
+  const auto serial = measure::runCells(cells, 1, measure::runChaosCell);
   const double serial_s = secondsSince(serial_start);
   const bool match = sameResults(results, serial);
 

@@ -136,7 +136,7 @@ int main() {
   const measure::ParallelRunner runner(threads_req);
   // sclint:allow(det-wallclock) wall-clock throughput is what this bench reports
   const auto par_start = std::chrono::steady_clock::now();
-  const auto parallel = measure::runScalabilityParallel(
+  const auto parallel = measure::runScalability(
       measure::Method::kScholarCloud, sopts, runner.threads());
   const double parallel_s = secondsSince(par_start);
   const bool match = samePoints(serial, parallel);

@@ -32,7 +32,7 @@ int main() {
                 }());
 
   for (const auto method : methods) {
-    const auto points = runScalabilityParallel(method, opts, threads);
+    const auto points = runScalability(method, opts, threads);
     ReportRow row;
     row.label = methodName(method);
     for (const auto& p : points) row.values.push_back(p.plt_mean_s);

@@ -81,11 +81,12 @@ int main() {
 
   // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
   const auto par_start = std::chrono::steady_clock::now();
-  const auto results = measure::runFleetCells(cells, threads);
+  const auto results =
+      measure::runCells(cells, threads, measure::runFleetCell);
   const double parallel_s = secondsSince(par_start);
   // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
   const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = measure::runFleetCells(cells, 1);
+  const auto serial = measure::runCells(cells, 1, measure::runFleetCell);
   const double serial_s = secondsSince(serial_start);
   const bool match = sameResults(results, serial);
 

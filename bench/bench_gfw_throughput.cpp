@@ -482,7 +482,7 @@ int main() {
   const measure::ParallelRunner runner(threads_req);
   // sclint:allow(det-wallclock) wall-clock speedup is what this bench reports
   const auto par_start = std::chrono::steady_clock::now();
-  const auto parallel = measure::runScalabilityParallel(
+  const auto parallel = measure::runScalability(
       measure::Method::kShadowsocks, sopts, runner.threads());
   const double parallel_s = secondsSince(par_start);
   const bool campaign_match = samePoints(serial, parallel);

@@ -80,7 +80,8 @@ int main() {
     v.accesses = val_accesses;
     vcells.push_back(v);
   }
-  const auto validations = measure::runValidationCells(vcells, threads);
+  const auto validations =
+      measure::runCells(vcells, threads, measure::runValidationCell);
   bool flow_matches_packet = true;
   std::printf("  validation (packet -> flow, %d accesses/method):\n",
               val_accesses);
@@ -162,7 +163,8 @@ int main() {
     h.sc_adoption = 0.0;
     hybrid_cells.push_back(h);
   }
-  const auto hybrid = measure::runPopulationCells(hybrid_cells, threads);
+  const auto hybrid =
+      measure::runCells(hybrid_cells, threads, measure::runPopulationCell);
   const auto& control = hybrid[0];
   const auto& coupled = hybrid[1];
   const bool background_warms_cache = coupled.cache_hits > control.cache_hits;
@@ -186,7 +188,8 @@ int main() {
       control.final_fleet_size, coupled.final_fleet_size);
 
   // ---- 4. serial-vs-parallel byte identity -----------------------------
-  const auto hybrid_serial = measure::runPopulationCells(hybrid_cells, 1);
+  const auto hybrid_serial =
+      measure::runCells(hybrid_cells, 1, measure::runPopulationCell);
   const bool parallel_matches_serial =
       samePopulationResults(hybrid, hybrid_serial);
   std::printf("  determinism: parallel %s serial (digest %016llx)\n",

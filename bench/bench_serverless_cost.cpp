@@ -111,11 +111,13 @@ int main() {
 
   // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
   const auto par_start = std::chrono::steady_clock::now();
-  const auto results = measure::runServerlessCells(cells, threads);
+  const auto results =
+      measure::runCells(cells, threads, measure::runServerlessCell);
   const double parallel_s = secondsSince(par_start);
   // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
   const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = measure::runServerlessCells(cells, 1);
+  const auto serial =
+      measure::runCells(cells, 1, measure::runServerlessCell);
   const double serial_s = secondsSince(serial_start);
   const bool match = sameResults(results, serial);
 
@@ -158,7 +160,8 @@ int main() {
     // IP (one ban exhausts their static set; the rest go unhandled).
     c.ban_method_endpoint = true;
   }
-  const auto base_results = measure::runChaosCells(baselines, threads);
+  const auto base_results =
+      measure::runCells(baselines, threads, measure::runChaosCell);
 
   // Dedicated servers bill for the whole cell whether or not they answer.
   // Server counts per world: SC fleet = fleet_size endpoints + 1 domestic

@@ -175,9 +175,10 @@ int main(int argc, char** argv) {
     trial.testbed.spans = true;
     trials.push_back(trial);
   }
-  const auto serial = measure::runCampaignTrials(trials, 1);
+  const auto serial = measure::runCells(trials, 1, measure::runCampaignTrial);
   const measure::ParallelRunner runner(threads_req);
-  const auto parallel = measure::runCampaignTrials(trials, runner.threads());
+  const auto parallel =
+      measure::runCells(trials, runner.threads(), measure::runCampaignTrial);
   bool identical = serial.size() == parallel.size();
   std::uint64_t serial_bytes = 0;
   for (std::size_t i = 0; identical && i < serial.size(); ++i) {

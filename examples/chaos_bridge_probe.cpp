@@ -12,6 +12,7 @@
 
 #include "chaos/scripts.h"
 #include "measure/chaos_scenario.h"
+#include "measure/parallel.h"
 
 using namespace sc;
 
@@ -46,7 +47,8 @@ int main() {
   sc_cell.script = script;
 
   // One parallel sweep, like the bench runs it (order is still cell order).
-  const auto results = measure::runChaosCells({tor, sc_cell});
+  const std::vector<measure::ChaosCellOptions> cells{tor, sc_cell};
+  const auto results = measure::runCells(cells, 0, measure::runChaosCell);
   std::printf("\nmethod                  outcome\n");
   printCell("tor", results[0]);
   printCell("scholarcloud + fleet", results[1]);

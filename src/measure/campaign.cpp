@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "measure/parallel.h"
 #include "obs/hub.h"
 
 namespace sc::measure {
@@ -210,13 +211,11 @@ ScalabilityPoint runScalabilityPoint(Method method, int n_clients,
 }
 
 std::vector<ScalabilityPoint> runScalability(Method method,
-                                             ScalabilityOptions options) {
-  std::vector<ScalabilityPoint> points;
-  points.reserve(options.client_counts.size());
-  for (const int n_clients : options.client_counts) {
-    points.push_back(runScalabilityPoint(method, n_clients, options));
-  }
-  return points;
+                                             ScalabilityOptions options,
+                                             unsigned threads) {
+  return runCells(options.client_counts, threads, [&](int n_clients) {
+    return runScalabilityPoint(method, n_clients, options);
+  });
 }
 
 }  // namespace sc::measure

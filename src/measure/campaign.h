@@ -64,8 +64,12 @@ struct ScalabilityOptions {
 ScalabilityPoint runScalabilityPoint(Method method, int n_clients,
                                      const ScalabilityOptions& options);
 
-// Builds a fresh testbed per point (cold caches except each client's own).
+// The Fig. 7 sweep: one fresh testbed per point (cold caches except each
+// client's own), fanned across `threads` workers (0 = one per hardware
+// thread). Results arrive in options.client_counts order, byte-identical for
+// any thread count.
 std::vector<ScalabilityPoint> runScalability(Method method,
-                                             ScalabilityOptions options = {});
+                                             ScalabilityOptions options = {},
+                                             unsigned threads = 1);
 
 }  // namespace sc::measure

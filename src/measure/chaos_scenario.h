@@ -4,11 +4,13 @@
 // Two world shapes behind one cell interface:
 //   - baseline methods (native VPN, OpenVPN, Tor, Shadowsocks, direct) run
 //     inside a full Testbed with Link + GFW injectors armed;
-//   - kScholarCloud with `fleet` set runs the fleet_scenario-style world
-//     (domestic proxy in fleet-only mode, RemoteProxy endpoints on fresh US
-//     IPs) with all four injectors, so "egress" IP bans and "fleet:any"
-//     crashes land on live endpoints and the retire/respawn loop is the
-//     recovery under test.
+//   - kScholarCloud with `fleet` set runs a CellWorld with a FleetDeployment
+//     (cell_world.h: domestic proxy in fleet-only mode, RemoteProxy
+//     endpoints on fresh US IPs) and all four injectors, so "egress" IP bans
+//     and "fleet:any" crashes land on live endpoints and the retire/respawn
+//     loop is the recovery under test;
+//   - kServerless runs the serverless world (serverless_scenario.h) and
+//     folds its result down to this one.
 //
 // Tracing is always on in a chaos cell: the RecoveryTracker hangs off the
 // tracer sink, and the exported trace/metrics JSONL are the byte-identity
@@ -18,10 +20,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "chaos/fault.h"
-#include "chaos/recovery.h"
+#include "measure/cell_world.h"
 #include "measure/testbed.h"
 #include "sim/simulator.h"
 
@@ -38,7 +39,8 @@ struct ChaosCellOptions {
   // Fixed access cadence (next attempt this long after the last completes);
   // users start staggered by 250ms so attempts interleave deterministically.
   sim::Time access_interval = 2 * sim::kSecond;
-  sim::Time fetch_timeout = 10 * sim::kSecond;  // fleet-world raw GETs only
+  // Raw-GET worlds only (the fleet and serverless shapes).
+  sim::Time fetch_timeout = 10 * sim::kSecond;
   std::size_t trace_capacity = obs::Tracer::kDefaultCap;
   // Baseline (Testbed) worlds only: resolve symbolic "egress" bans to the
   // method's GFW-visible border IP (Shadowsocks remote, Tor's fronting
@@ -47,31 +49,16 @@ struct ChaosCellOptions {
   bool ban_method_endpoint = false;
 };
 
-struct ChaosCellResult {
+struct ChaosCellResult : RecoveryReadout {
   int attempts = 0;
   int successes = 0;
   double success_ratio = 0.0;
-  // RecoveryTracker aggregates.
-  int faults = 0;
-  int impacted = 0;
-  int recovered = 0;
-  int unrecovered = 0;  // impacted, never saw a success again
-  double mean_detect_s = 0.0;
-  double mean_recover_s = 0.0;
-  double max_recover_s = 0.0;
-  std::uint64_t requests_lost = 0;
-  std::uint64_t respawns = 0;  // fleet worlds only
-  std::vector<chaos::FaultRecord> records;
+  std::uint64_t respawns = 0;  // fleet and serverless worlds only
   // JSONL exports of the cell's own Hub, captured before the world dies.
   std::string metrics_jsonl;
   std::string trace_jsonl;
 };
 
 ChaosCellResult runChaosCell(const ChaosCellOptions& options);
-
-// Runs each cell across `threads` workers; results in cell order,
-// byte-identical to a sequential run.
-std::vector<ChaosCellResult> runChaosCells(
-    const std::vector<ChaosCellOptions>& cells, unsigned threads = 0);
 
 }  // namespace sc::measure

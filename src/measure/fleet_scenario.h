@@ -1,20 +1,18 @@
 // Fleet sweep world: the proxy-fleet subsystem under GFW blocklist churn.
 //
-// A self-contained cell (own Simulator/Hub/World, like a Testbed but
-// fleet-shaped): one domestic proxy running in fleet-only mode, a
-// fleet::Fleet spawning RemoteProxy endpoints on fresh US IPs, a churn
-// driver that block-lists a live egress IP every `churn_interval`, and N
-// campus users issuing whitelisted GETs through the proxy. Success ratio
-// under churn vs fleet size, and cache hits vs border-link bytes, are the
-// sweep observables (BENCH_fleet.json).
+// A self-contained cell on the shared measurement world (cell_world.h): a
+// CellWorld, a FleetDeployment spawning RemoteProxy endpoints on fresh US
+// IPs, a churn driver that block-lists a live egress IP every
+// `churn_interval`, and N campus users (a FetchLoop) issuing whitelisted GETs
+// through the proxy. Success ratio under churn vs fleet size, and cache hits
+// vs border-link bytes, are the sweep observables (BENCH_fleet.json).
 //
-// Cells share no mutable state, so runFleetCells() fans them across
+// Cells share no mutable state, so runCells() fans them across
 // ParallelRunner workers with byte-identical results for any thread count.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/simulator.h"
 
@@ -53,10 +51,5 @@ struct FleetCellResult {
 };
 
 FleetCellResult runFleetCell(const FleetCellOptions& options);
-
-// Runs each cell across `threads` workers; results in cell order,
-// byte-identical to a sequential run.
-std::vector<FleetCellResult> runFleetCells(
-    const std::vector<FleetCellOptions>& cells, unsigned threads = 0);
 
 }  // namespace sc::measure

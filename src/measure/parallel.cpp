@@ -3,11 +3,9 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
-#include "obs/export.h"
-#include "obs/hub.h"
+#include "measure/cell_world.h"
 
 namespace sc::measure {
 
@@ -49,44 +47,14 @@ void ParallelRunner::forEachIndex(
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-std::vector<ScalabilityPoint> runScalabilityParallel(
-    Method method, ScalabilityOptions options, unsigned threads) {
-  std::vector<ScalabilityPoint> points(options.client_counts.size());
-  ParallelRunner(threads).forEachIndex(
-      options.client_counts.size(), [&](std::size_t i) {
-        points[i] =
-            runScalabilityPoint(method, options.client_counts[i], options);
-      });
-  return points;
-}
-
 CampaignTrialResult runCampaignTrial(const CampaignTrial& trial) {
   Testbed tb(trial.testbed);
   CampaignTrialResult out;
   out.result = runAccessCampaign(tb, trial.method, trial.tag, trial.campaign);
-  std::ostringstream metrics;
-  obs::writeMetricsJsonl(tb.hub().registry(), metrics);
-  out.metrics_jsonl = std::move(metrics).str();
-  if (trial.testbed.tracing) {
-    std::ostringstream trace;
-    obs::writeTraceJsonl(tb.hub().tracer(), trace);
-    out.trace_jsonl = std::move(trace).str();
-  }
-  if (trial.testbed.spans) {
-    std::ostringstream spans;
-    obs::writeSpansJsonl(tb.hub().spans().spans(), spans);
-    out.spans_jsonl = std::move(spans).str();
-  }
+  captureJsonl(tb.hub(), out.metrics_jsonl,
+               trial.testbed.tracing ? &out.trace_jsonl : nullptr,
+               trial.testbed.spans ? &out.spans_jsonl : nullptr);
   return out;
-}
-
-std::vector<CampaignTrialResult> runCampaignTrials(
-    const std::vector<CampaignTrial>& trials, unsigned threads) {
-  std::vector<CampaignTrialResult> results(trials.size());
-  ParallelRunner(threads).forEachIndex(trials.size(), [&](std::size_t i) {
-    results[i] = runCampaignTrial(trials[i]);
-  });
-  return results;
 }
 
 }  // namespace sc::measure

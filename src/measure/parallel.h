@@ -1,16 +1,18 @@
-// Parallel campaign executor.
+// Parallel cell executor.
 //
 // Every cell of a measurement sweep — one (method, client_count, seed) point
-// of runScalability, or one trial of a multi-trial access campaign — builds
-// its own Testbed with its own Simulator, obs::Hub, and Rng. Cells share no
-// mutable state, so they are embarrassingly parallel: ParallelRunner fans
-// them across hardware threads and merges results in deterministic cell
-// order. Output is byte-identical regardless of thread count (including 1);
-// parallelism changes only wall-clock time, never results.
+// of runScalability, one trial of a multi-trial access campaign, one fleet,
+// chaos, population, validation or serverless cell — builds its own world
+// with its own Simulator, obs::Hub, and Rng. Cells share no mutable state, so
+// they are embarrassingly parallel: runCells fans them across hardware
+// threads and merges results in deterministic cell order. Output is
+// byte-identical regardless of thread count (including 1); parallelism
+// changes only wall-clock time, never results.
 #pragma once
 
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "measure/campaign.h"
@@ -36,11 +38,16 @@ class ParallelRunner {
   unsigned threads_;
 };
 
-// Fig. 7 sweep with one worker per (method, client_count, seed) cell.
-// Results arrive in options.client_counts order — byte-identical to
-// runScalability(method, options) for any thread count.
-std::vector<ScalabilityPoint> runScalabilityParallel(
-    Method method, ScalabilityOptions options = {}, unsigned threads = 0);
+// Runs fn(cell) for every cell across `threads` workers (0 = one per
+// hardware thread). Results arrive in cell order, byte-identical to a serial
+// run for any thread count because each cell owns its world.
+template <typename Cell, typename Fn>
+auto runCells(const std::vector<Cell>& cells, unsigned threads, Fn fn) {
+  std::vector<std::invoke_result_t<Fn&, const Cell&>> results(cells.size());
+  ParallelRunner(threads).forEachIndex(
+      cells.size(), [&](std::size_t i) { results[i] = fn(cells[i]); });
+  return results;
+}
 
 // One independent access-campaign trial: a fresh testbed (trial.testbed
 // seeds and configures it) driving one client through trial.campaign.
@@ -62,9 +69,5 @@ struct CampaignTrialResult {
 };
 
 CampaignTrialResult runCampaignTrial(const CampaignTrial& trial);
-
-// Runs each trial cell across `threads` workers; results in trial order.
-std::vector<CampaignTrialResult> runCampaignTrials(
-    const std::vector<CampaignTrial>& trials, unsigned threads = 0);
 
 }  // namespace sc::measure

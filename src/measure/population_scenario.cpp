@@ -4,118 +4,32 @@
 #include <cmath>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/deployment.h"
-#include "core/domestic_proxy.h"
-#include "core/remote_proxy.h"
-#include "dns/server.h"
-#include "fleet/fleet.h"
-#include "gfw/gfw.h"
-#include "http/client.h"
-#include "http/server.h"
 #include "measure/calibration.h"
 #include "measure/campaign.h"
-#include "measure/parallel.h"
-#include "measure/testbed.h"
-#include "net/topology.h"
-#include "obs/export.h"
-#include "obs/hub.h"
-#include "regulation/icp_registry.h"
+#include "measure/cell_world.h"
 
 namespace sc::measure {
 
 namespace {
 
-constexpr const char* kHost = "scholar.google.com";
 constexpr sim::Time kFetchTimeout = 15 * sim::kSecond;
-
-struct CohortUser {
-  std::unique_ptr<transport::HostStack> stack;
-  sim::Rng rng;
-
-  CohortUser(net::Node& node, sim::Rng rng_)
-      : stack(std::make_unique<transport::HostStack>(node)),
-        rng(std::move(rng_)) {}
-};
 
 }  // namespace
 
 PopulationCellResult runPopulationCell(const PopulationCellOptions& opt) {
-  sim::Simulator sim(opt.seed);
-  obs::Hub hub(sim);
-  if (opt.tracing) hub.tracer().enable();
-  net::Network network(sim);
-  net::World world(network, calibratedWorld());
-
-  auto& dns_node = world.addUsServer("us-dns");
-  transport::HostStack dns_stack(dns_node);
-  dns::DnsServer us_dns(dns_stack);
-  const net::Ipv4 us_dns_ip = dns_node.primaryIp();
-
-  auto& origin_node = world.addUsServer("scholar-origin");
-  transport::HostStack origin_stack(origin_node, 2.3e9);
-  http::HttpServer origin(origin_stack, {});
-  origin.setDefaultHandler([](const http::Request&,
-                              http::HttpServer::Respond respond) {
-    http::Response resp;
-    resp.body = Bytes(2048, static_cast<std::uint8_t>('s'));
-    resp.headers.set("content-type", "text/html");
-    respond(std::move(resp));
-  });
-  us_dns.addRecord(kHost, origin_node.primaryIp());
-
-  gfw::Gfw gfw(network, calibratedGfw());
-  gfw.attachTo(world.borderLink(), net::Direction::kAtoB);
-  gfw.domains().add("google.com");
-  gfw.ips().add(origin_node.primaryIp());
-  regulation::IcpRegistry registry;
-  gfw.setIcpLookup([&registry](net::Ipv4 ip) {
-    return registry.isRegistered(ip);
-  });
-
-  const Bytes secret = toBytes("scholarcloud-operator-secret");
-
-  std::vector<std::unique_ptr<transport::HostStack>> remote_stacks;
-  std::vector<std::unique_ptr<core::RemoteProxy>> remote_proxies;
-
-  auto& domestic_node = world.addCampusServer("sc-domestic");
-  transport::HostStack domestic_stack(domestic_node, 2.3e9);
-  core::DomesticProxyOptions dom_opts;
-  dom_opts.tunnel_secret = secret;  // fleet-only mode
-  dom_opts.whitelist = {kHost};
-  core::DomesticProxy proxy(domestic_stack, dom_opts, Testbed::kScTunnelTag);
-  core::Deployment deployment(proxy);
-  proxy.setIcpNumber(registry.approve(deployment.buildApplication()));
+  CellWorld cw(opt.seed, opt.tracing);
+  sim::Simulator& sim = cw.sim;
 
   fleet::FleetOptions fopts;
   fopts.initial_size = opt.fleet_size;
   fopts.tunnels_per_endpoint = opt.tunnels_per_endpoint;
-  fopts.tunnel_secret = secret;
   fopts.enable_cache = opt.cache;
   fopts.autoscale = opt.autoscale;
-  const net::Ipv4 domestic_ip = domestic_node.primaryIp();
-  auto spawn = [&world, &remote_stacks, &remote_proxies, us_dns_ip,
-                domestic_ip, secret](int seq)
-      -> std::optional<fleet::EndpointSpawn> {
-    const std::string name = "pop-remote-" + std::to_string(seq);
-    auto& node = world.addUsServer(name);
-    auto stack = std::make_unique<transport::HostStack>(node, 2.3e9);
-    core::RemoteProxyOptions ropts;
-    ropts.tunnel_secret = secret;
-    ropts.dns_server = us_dns_ip;
-    ropts.authorized_peers = {domestic_ip};
-    remote_proxies.push_back(
-        std::make_unique<core::RemoteProxy>(*stack, ropts));
-    remote_stacks.push_back(std::move(stack));
-    return fleet::EndpointSpawn{net::Endpoint{node.primaryIp(), 443}, name};
-  };
-  auto& fl = deployment.spawnFleet<fleet::Fleet>(
-      domestic_stack, fopts, spawn, Testbed::kScTunnelTag);
-  gfw.ips().setOnChange([&fl] { fl.onBlocklistChurn(); });
+  FleetDeployment deployed(cw, "pop", fopts);
+  fleet::Fleet& fl = deployed.fleet;
 
   // ---- flow-level background population --------------------------------
   population::PopulationOptions popts;
@@ -124,7 +38,7 @@ PopulationCellResult runPopulationCell(const PopulationCellOptions& opt) {
   popts.sc_adoption = opt.sc_adoption;
   population::SchedulerOptions sopts = opt.scheduler;
   sopts.streams_per_endpoint = opt.tunnels_per_endpoint;
-  population::FlowModel flow(calibratedWorld(), &gfw);
+  population::FlowModel flow(calibratedWorld(), &cw.gfw);
   std::unique_ptr<population::HybridScheduler> background;
   if (opt.background) {
     background = std::make_unique<population::HybridScheduler>(
@@ -135,50 +49,27 @@ PopulationCellResult runPopulationCell(const PopulationCellOptions& opt) {
   // ---- packet-level cohort ---------------------------------------------
   PopulationCellResult out;
   double plt_sum = 0;
-  const net::Endpoint proxy_ep = proxy.proxyEndpoint();
-  std::vector<std::unique_ptr<CohortUser>> users;
-  std::function<void(CohortUser&)> fetch = [&](CohortUser& user) {
-    CohortUser* u = &user;
-    ++out.cohort_attempts;
-    const sim::Time started = sim.now();
-    const auto next = [&, u, started](bool ok) {
-      if (ok) {
-        ++out.cohort_successes;
-        const double plt =
-            static_cast<double>(sim.now() - started) / sim::kSecond;
-        plt_sum += plt;
-        out.cohort_plt_max_s = std::max(out.cohort_plt_max_s, plt);
-      }
-      const auto think =
-          static_cast<sim::Time>(u->rng.exponential(
-              static_cast<double>(opt.cohort_think_mean))) +
-          sim::kMillisecond;
-      sim.schedule(think, [&fetch, u] { fetch(*u); });
-    };
-    u->stack->tcpConnect(proxy_ep, [&, next](transport::TcpSocket::Ptr sock) {
-      if (sock == nullptr) {
-        next(false);
-        return;
-      }
-      http::Request req;
-      req.target = std::string("http://") + kHost + "/";
-      req.headers.set("host", kHost);
-      http::HttpClient::fetchOn(
-          sock, sim, std::move(req), kFetchTimeout,
-          [sock, next](std::optional<http::Response> resp) {
-            sock->close();
-            next(resp.has_value() && resp->status == 200);
-          });
-    });
-  };
+  std::vector<sim::Rng> rngs;
+  FetchLoop cohort(
+      cw, deployed.proxy.proxyEndpoint(), kFetchTimeout,
+      [&] { ++out.cohort_attempts; },
+      [&](std::size_t i, bool ok, sim::Time started) {
+        if (ok) {
+          ++out.cohort_successes;
+          const double plt =
+              static_cast<double>(sim.now() - started) / sim::kSecond;
+          plt_sum += plt;
+          out.cohort_plt_max_s = std::max(out.cohort_plt_max_s, plt);
+        }
+        return static_cast<sim::Time>(rngs[i].exponential(
+                   static_cast<double>(opt.cohort_think_mean))) +
+               sim::kMillisecond;
+      });
   for (int i = 0; i < opt.cohort_users; ++i) {
-    auto& node = world.addCampusHost("cohort-user-" + std::to_string(i));
-    users.push_back(std::make_unique<CohortUser>(
-        node, sim.rng().fork(2000 + static_cast<std::uint64_t>(i))));
-    CohortUser* u = users.back().get();
-    const auto start = static_cast<sim::Time>(
-        u->rng.exponential(static_cast<double>(sim::kSecond)));
-    sim.schedule(start, [&fetch, u] { fetch(*u); });
+    rngs.push_back(sim.rng().fork(2000 + static_cast<std::uint64_t>(i)));
+    cohort.addUser("cohort-user-" + std::to_string(i),
+                   static_cast<sim::Time>(rngs.back().exponential(
+                       static_cast<double>(sim::kSecond))));
   }
 
   // Load sampler: tracks the peak concurrent stream count the shared pool
@@ -203,24 +94,9 @@ PopulationCellResult runPopulationCell(const PopulationCellOptions& opt) {
     out.cache_misses = fl.cache()->misses();
   }
   out.final_fleet_size = fl.size();
-  std::ostringstream metrics;
-  obs::writeMetricsJsonl(hub.registry(), metrics);
-  out.metrics_jsonl = std::move(metrics).str();
-  if (opt.tracing) {
-    std::ostringstream trace;
-    obs::writeTraceJsonl(hub.tracer(), trace);
-    out.trace_jsonl = std::move(trace).str();
-  }
+  captureJsonl(cw.hub, out.metrics_jsonl,
+               opt.tracing ? &out.trace_jsonl : nullptr);
   return out;
-}
-
-std::vector<PopulationCellResult> runPopulationCells(
-    const std::vector<PopulationCellOptions>& cells, unsigned threads) {
-  std::vector<PopulationCellResult> results(cells.size());
-  ParallelRunner(threads).forEachIndex(cells.size(), [&](std::size_t i) {
-    results[i] = runPopulationCell(cells[i]);
-  });
-  return results;
 }
 
 namespace {
@@ -281,15 +157,6 @@ ValidationCellResult runValidationCell(const ValidationCellOptions& opt) {
              out.plt_sub_rel_err <= opt.plt_rel_tol &&
              out.rtt_rel_err <= opt.rtt_rel_tol && plr_ok;
   return out;
-}
-
-std::vector<ValidationCellResult> runValidationCells(
-    const std::vector<ValidationCellOptions>& cells, unsigned threads) {
-  std::vector<ValidationCellResult> results(cells.size());
-  ParallelRunner(threads).forEachIndex(cells.size(), [&](std::size_t i) {
-    results[i] = runValidationCell(cells[i]);
-  });
-  return results;
 }
 
 }  // namespace sc::measure

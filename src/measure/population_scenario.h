@@ -1,15 +1,16 @@
 // Hybrid-fidelity population worlds (ROADMAP item 1).
 //
 // Two cell shapes, both self-contained (own Simulator/Hub/World, byte-
-// identical under ParallelRunner for any thread count):
+// identical under runCells for any thread count):
 //
-//   runPopulationCell — the hybrid world: a fleet-backed ScholarCloud
-//   deployment carrying (a) a packet-level cohort of real browsers-over-
-//   TCP users and (b) a flow-level background population (HybridScheduler)
-//   of up to millions of scholars. The background drives real load into
-//   the fleet's balancer slots, shared cache, and autoscaler counters, so
-//   the cohort's measured latencies respond to population-scale demand the
-//   packet path could never simulate directly.
+//   runPopulationCell — the hybrid world: a CellWorld with a fleet-backed
+//   ScholarCloud deployment (cell_world.h) carrying (a) a packet-level
+//   cohort of raw-GET users over TCP and (b) a flow-level background
+//   population (HybridScheduler) of up to millions of scholars. The
+//   background drives real load into the fleet's balancer slots, shared
+//   cache, and autoscaler counters, so the cohort's measured latencies
+//   respond to population-scale demand the packet path could never simulate
+//   directly.
 //
 //   runValidationCell — the fidelity contract: one packet-level Testbed
 //   campaign (measure::runAccessCampaign) vs the FlowModel's closed-form
@@ -20,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "population/scheduler.h"
 #include "sim/simulator.h"
@@ -65,10 +65,6 @@ struct PopulationCellResult {
 
 PopulationCellResult runPopulationCell(const PopulationCellOptions& options);
 
-// Results in cell order, byte-identical to a sequential run.
-std::vector<PopulationCellResult> runPopulationCells(
-    const std::vector<PopulationCellOptions>& cells, unsigned threads = 0);
-
 // ---- flow-vs-packet validation -----------------------------------------
 
 struct ValidationCellOptions {
@@ -110,8 +106,5 @@ struct ValidationCellResult {
 };
 
 ValidationCellResult runValidationCell(const ValidationCellOptions& options);
-
-std::vector<ValidationCellResult> runValidationCells(
-    const std::vector<ValidationCellOptions>& cells, unsigned threads = 0);
 
 }  // namespace sc::measure

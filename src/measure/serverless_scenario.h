@@ -1,12 +1,12 @@
 // Serverless chaos/cost world: the ephemeral-endpoint method living through
 // a scripted fault timeline, with the cost meter running.
 //
-// One world shape (mirroring the fleet chaos world): a domestic dispatcher
-// gateway in provider-only mode, FunctionRuntime endpoints spawned on fresh
-// US IPs behind the fronted SNI, Link + GFW injectors armed so "egress" IP
-// bans land on live endpoint IPs, and raw absolute-form GET users hammering
-// the gateway. Two configurations of the same world make the headline
-// comparison:
+// One world shape, built from the shared parts in cell_world.h: a CellWorld
+// with a ServerlessDeployment (the dispatcher gateway in provider-only mode,
+// FunctionRuntime endpoints spawned on fresh US IPs behind the fronted SNI),
+// Link + DNS + GFW injectors armed so "egress" IP bans land on live endpoint
+// IPs, and FetchLoop users hammering the gateway. Two configurations of the
+// same world make the headline comparison:
 //   - respawn on (the method): banned endpoints are retired and replaced on
 //     fresh IPs — success rate recovers after every ban in the wave;
 //   - respawn off (the static baseline): the same ban wave permanently
@@ -19,10 +19,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "chaos/fault.h"
-#include "chaos/recovery.h"
+#include "measure/cell_world.h"
 #include "measure/testbed.h"
 #include "sim/simulator.h"
 
@@ -42,7 +41,7 @@ struct ServerlessCellOptions {
   std::size_t trace_capacity = obs::Tracer::kDefaultCap;
 };
 
-struct ServerlessCellResult {
+struct ServerlessCellResult : RecoveryReadout {
   int attempts = 0;
   int successes = 0;
   double success_ratio = 0.0;
@@ -50,15 +49,6 @@ struct ServerlessCellResult {
   // window. A surviving method keeps succeeding here; a dead one does not.
   int attempts_after_last_fault = 0;
   int successes_after_last_fault = 0;
-  // RecoveryTracker aggregates (same grammar as ChaosCellResult).
-  int faults = 0;
-  int impacted = 0;
-  int recovered = 0;
-  int unrecovered = 0;
-  double mean_detect_s = 0.0;
-  double mean_recover_s = 0.0;
-  double max_recover_s = 0.0;
-  std::uint64_t requests_lost = 0;
   // Cost-model readouts at cell end.
   double endpoint_seconds = 0.0;
   double cost_units = 0.0;
@@ -72,17 +62,11 @@ struct ServerlessCellResult {
   int final_live = 0;       // endpoints alive when the cell ended
   int final_connected = 0;  // of those, with a connected fronted tunnel
   std::uint64_t border_bytes = 0;  // fronted-dial bytes across the GFW
-  std::vector<chaos::FaultRecord> records;
   // JSONL exports of the cell's own Hub, captured before the world dies.
   std::string metrics_jsonl;
   std::string trace_jsonl;
 };
 
 ServerlessCellResult runServerlessCell(const ServerlessCellOptions& options);
-
-// Runs each cell across `threads` workers; results in cell order,
-// byte-identical to a sequential run (each cell owns its Simulator + Hub).
-std::vector<ServerlessCellResult> runServerlessCells(
-    const std::vector<ServerlessCellOptions>& cells, unsigned threads = 0);
 
 }  // namespace sc::measure

@@ -1,5 +1,7 @@
 #include "measure/testbed.h"
 
+#include "measure/cell_world.h"
+
 namespace sc::measure {
 
 const char* methodName(Method m) {
@@ -220,66 +222,26 @@ void Testbed::buildScholarCloud() {
 }
 
 void Testbed::ensureServerless() {
-  if (sl_gateway_ != nullptr) return;
-
-  // Domestic gateway: same campus placement as the ScholarCloud proxy but
-  // deliberately NOT ICP-registered — this is the gray-market contrast.
-  // The method's protection is per-endpoint churn, not leniency.
-  auto& gateway_node = world_->addCampusServer("fn-gateway");
-  sl_gateway_stack_ =
-      std::make_unique<transport::HostStack>(gateway_node, 2.3e9);
-
-  const Bytes tunnel_secret = toBytes("serverless-dispatch-secret");
-
-  core::DomesticProxyOptions gw_opts;
-  gw_opts.remote = net::Endpoint{};  // provider-only: no built-in pool
-  gw_opts.tunnel_secret = tunnel_secret;
-  gw_opts.blinding_mode = options_.blinding_mode;
-  gw_opts.whitelist = {kScholarHost};
-  sl_gateway_ = std::make_unique<core::DomesticProxy>(
-      *sl_gateway_stack_, gw_opts, kServerlessTunnelTag);
-
-  sl_cost_ = std::make_unique<serverless::CostModel>(sim_);
-
+  if (serverless_ != nullptr) return;
   serverless::ProviderOptions popts;
   popts.prewarm = options_.serverless_prewarm;
   popts.max_live = options_.serverless_max_live;
   popts.ttl = options_.serverless_ttl;
-  sl_provider_ = std::make_unique<serverless::FunctionProvider>(
-      sim_, popts,
-      [this, tunnel_secret](int seq)
-          -> std::optional<serverless::FunctionSpawn> {
-        auto host = std::make_unique<FnHost>();
-        const std::string name = "fn-" + std::to_string(seq);
-        auto& node = world_->addUsServer(name);
-        host->stack = std::make_unique<transport::HostStack>(node, 2.3e9);
-        serverless::RuntimeOptions ropts;
-        ropts.cert_name = kFrontDomain;
-        ropts.tunnel_secret = tunnel_secret;
-        ropts.blinding_mode = options_.blinding_mode;
-        ropts.dns_server = us_dns_ip_;
-        host->runtime =
-            std::make_unique<serverless::FunctionRuntime>(*host->stack, ropts);
-        const net::Endpoint endpoint{node.primaryIp(), ropts.port};
-        fn_hosts_.push_back(std::move(host));
-        return serverless::FunctionSpawn{endpoint, name};
-      },
-      sl_cost_.get(), kServerlessTunnelTag);
+  serverless_ = std::make_unique<ServerlessDeployment>(
+      *world_, *gfw_, us_dns_ip_, popts, options_.blinding_mode);
+}
 
-  serverless::DispatcherOptions dopts;
-  dopts.front_domain = kFrontDomain;
-  dopts.tunnel_secret = tunnel_secret;
-  dopts.blinding_mode = options_.blinding_mode;
-  sl_dispatcher_ = std::make_unique<serverless::FrontedDispatcher>(
-      *sl_gateway_stack_, dopts, *sl_provider_, sl_cost_.get(),
-      kServerlessTunnelTag);
-  sl_gateway_->setTunnelProvider(sl_dispatcher_.get());
-
-  // Blocklist churn collapses ban-detection latency to one probe RTT.
-  // Single-observer slot (the Testbed installs nothing else on it).
-  gfw_->ips().setOnChange([this] {
-    if (sl_dispatcher_ != nullptr) sl_dispatcher_->onBlocklistChurn();
-  });
+core::DomesticProxy* Testbed::serverlessGateway() noexcept {
+  return serverless_ != nullptr ? &serverless_->gateway : nullptr;
+}
+serverless::FunctionProvider* Testbed::serverlessProvider() noexcept {
+  return serverless_ != nullptr ? &serverless_->provider : nullptr;
+}
+serverless::FrontedDispatcher* Testbed::serverlessDispatcher() noexcept {
+  return serverless_ != nullptr ? &serverless_->dispatcher : nullptr;
+}
+serverless::CostModel* Testbed::serverlessCost() noexcept {
+  return serverless_ != nullptr ? &serverless_->cost : nullptr;
 }
 
 Testbed::Client& Testbed::addClient(Method method, std::uint32_t tag,
@@ -381,7 +343,7 @@ Testbed::Client& Testbed::addClient(Method method, std::uint32_t tag,
     case Method::kServerless: {
       ensureServerless();
       auto* browser = c.browser.get();
-      const http::Url pac_url = sl_gateway_->pacUrl();
+      const http::Url pac_url = serverless_->gateway.pacUrl();
       sim_.schedule(0, [browser, pac_url, ready] {
         browser->loadPacFrom(pac_url, [ready](bool ok) { ready(ok); });
       });

@@ -30,13 +30,14 @@
 #include "serverless/cost.h"
 #include "serverless/dispatcher.h"
 #include "serverless/provider.h"
-#include "serverless/runtime.h"
 #include "shadowsocks/shadowsocks.h"
 #include "tor/client.h"
 #include "vpn/l2tp.h"
 #include "vpn/pptp.h"
 
 namespace sc::measure {
+
+class ServerlessDeployment;
 
 enum class Method {
   kNativeVpn = 0,
@@ -165,16 +166,10 @@ class Testbed {
   // Serverless handles (valid once a kServerless client exists; null
   // before — the subsystem is built lazily to keep other methods' worlds,
   // and therefore their rng draws, byte-identical to the seed).
-  core::DomesticProxy* serverlessGateway() noexcept {
-    return sl_gateway_.get();
-  }
-  serverless::FunctionProvider* serverlessProvider() noexcept {
-    return sl_provider_.get();
-  }
-  serverless::FrontedDispatcher* serverlessDispatcher() noexcept {
-    return sl_dispatcher_.get();
-  }
-  serverless::CostModel* serverlessCost() noexcept { return sl_cost_.get(); }
+  core::DomesticProxy* serverlessGateway() noexcept;
+  serverless::FunctionProvider* serverlessProvider() noexcept;
+  serverless::FrontedDispatcher* serverlessDispatcher() noexcept;
+  serverless::CostModel* serverlessCost() noexcept;
 
  private:
   void buildOrigins();
@@ -251,20 +246,9 @@ class Testbed {
   std::unique_ptr<core::RemoteProxy> remote_proxy_;
   std::unique_ptr<core::Deployment> deployment_;
 
-  // Serverless (lazy: built by the first kServerless client). Declaration
-  // order matters for teardown: the dispatcher is declared last so it is
-  // destroyed first and severs its tunnels while the function hosts and
-  // gateway stack are still alive.
-  struct FnHost {
-    std::unique_ptr<transport::HostStack> stack;
-    std::unique_ptr<serverless::FunctionRuntime> runtime;
-  };
-  std::vector<std::unique_ptr<FnHost>> fn_hosts_;
-  std::unique_ptr<transport::HostStack> sl_gateway_stack_;
-  std::unique_ptr<core::DomesticProxy> sl_gateway_;
-  std::unique_ptr<serverless::CostModel> sl_cost_;
-  std::unique_ptr<serverless::FunctionProvider> sl_provider_;
-  std::unique_ptr<serverless::FrontedDispatcher> sl_dispatcher_;
+  // Serverless (lazy: built by the first kServerless client; the same
+  // ServerlessDeployment the serverless cells build, cell_world.h).
+  std::unique_ptr<ServerlessDeployment> serverless_;
 
   std::vector<std::unique_ptr<Client>> clients_;
   int client_counter_ = 0;

@@ -1,6 +1,7 @@
 // Shared fixtures: a minimal two-host world (client in China, server in the
 // US, GFW-capable border) used by transport/http/method unit tests that
-// don't need the full measurement Testbed.
+// don't need the full measurement Testbed, and the digest behind the
+// measurement cells' same-seed goldens.
 #pragma once
 
 #include <gtest/gtest.h>

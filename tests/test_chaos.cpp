@@ -14,6 +14,7 @@
 #include "gfw/gfw.h"
 #include "helpers.h"
 #include "measure/chaos_scenario.h"
+#include "measure/parallel.h"
 #include "obs/hub.h"
 
 namespace sc::chaos {
@@ -490,8 +491,8 @@ TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
     cells.push_back(c);
   }
 
-  const auto serial = measure::runChaosCells(cells, 1);
-  const auto parallel = measure::runChaosCells(cells, 3);
+  const auto serial = measure::runCells(cells, 1, measure::runChaosCell);
+  const auto parallel = measure::runCells(cells, 3, measure::runChaosCell);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].attempts, parallel[i].attempts) << i;
@@ -505,8 +506,10 @@ TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
   EXPECT_GT(serial[0].impacted, 0);
   EXPECT_EQ(serial[0].unrecovered, 0);
   // Goldens: both world shapes keep their traffic across commits.
-  EXPECT_EQ(digestOf(serial[0]), 0x9c42beff61e961c4ULL) << std::hex << digestOf(serial[0]);
-  EXPECT_EQ(digestOf(serial[1]), 0x291212f16e09340bULL) << std::hex << digestOf(serial[1]);
+  EXPECT_EQ(digestOf(serial[0]), 0x9c42beff61e961c4ULL)
+      << std::hex << digestOf(serial[0]);
+  EXPECT_EQ(digestOf(serial[1]), 0x291212f16e09340bULL)
+      << std::hex << digestOf(serial[1]);
 }
 
 TEST(ChaosScenario, FleetWorldSurvivesEgressBanAndCrash) {

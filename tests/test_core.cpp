@@ -29,13 +29,12 @@ struct PipeWorld : MiniWorld {
     });
     transport::Stream::Ptr client_raw;
     bool done = false;
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-    *holder = client.tcpConnect(net::Endpoint{server_node.primaryIp(), 443},
-                                [&, holder](const auto& conn) {
-                                  const bool ok = conn != nullptr;
-                                  done = true;
-                                  if (ok) client_raw = *holder;
-                                });
+    client.tcpConnect(net::Endpoint{server_node.primaryIp(), 443},
+                      [&](const auto& conn) {
+                        const bool ok = conn != nullptr;
+                        done = true;
+                        if (ok) client_raw = conn;
+                      });
     runUntilDone([&] { return done && server_raw != nullptr; });
     return client_raw;
   }
@@ -595,14 +594,13 @@ TEST(ScholarCloud, PoolSaturationIsCountedAndTraced) {
   auto& client_node = world.addCampusHost("client");
   transport::HostStack client(client_node);
   bool done = false;
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = client.tcpConnect(proxy.proxyEndpoint(), [&](const auto& conn) {
+  client.tcpConnect(proxy.proxyEndpoint(), [&](const auto& conn) {
     const bool ok = conn != nullptr;
     ASSERT_TRUE(ok);
     http::Request req;
     req.target = "http://scholar.google.com/";
     req.headers.set("host", "scholar.google.com");
-    http::HttpClient::fetchOn(*holder, sim, std::move(req), 60 * sim::kSecond,
+    http::HttpClient::fetchOn(conn, sim, std::move(req), 60 * sim::kSecond,
                               [&](std::optional<http::Response>) {
                                 done = true;
                               });

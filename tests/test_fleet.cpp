@@ -13,6 +13,7 @@
 #include "http/client.h"
 #include "http/server.h"
 #include "measure/fleet_scenario.h"
+#include "measure/parallel.h"
 #include "net/topology.h"
 #include "obs/hub.h"
 #include "regulation/icp_registry.h"
@@ -317,8 +318,9 @@ constexpr const char* kHost = "scholar.google.com";
 
 // Minimal fleet deployment: domestic proxy in fleet-only mode, endpoints
 // spawned onto fresh US IPs, GFW on the border with ICP leniency for the
-// domestic VM. Mirrors measure::runFleetCell but keeps every object visible
-// to the test.
+// domestic VM. The shape of measure::FleetDeployment on a CellWorld
+// (cell_world.h), but with its own node names and the default GFW config,
+// and every object visible to the test.
 struct FleetWorld {
   sim::Simulator sim;
   obs::Hub hub{sim};
@@ -397,10 +399,9 @@ struct FleetWorld {
       bool done = false;
     };
     auto st = std::make_shared<State>();
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
     sim::Simulator& s = sim;
-    *holder = client.tcpConnect(
-        proxy->proxyEndpoint(), [&s, st, holder](const auto& conn) {
+    client.tcpConnect(
+        proxy->proxyEndpoint(), [&s, st](const auto& conn) {
           const bool ok = conn != nullptr;
           if (!ok) {
             st->done = true;
@@ -410,9 +411,9 @@ struct FleetWorld {
           req.target = std::string("http://") + kHost + "/";
           req.headers.set("host", kHost);
           http::HttpClient::fetchOn(
-              *holder, s, std::move(req), 15 * sim::kSecond,
-              [st, holder](std::optional<http::Response> resp) {
-                (*holder)->close();
+              conn, s, std::move(req), 15 * sim::kSecond,
+              [st, sock = conn](std::optional<http::Response> resp) {
+                sock->close();
                 st->result = std::move(resp);
                 st->done = true;
               });
@@ -560,8 +561,8 @@ TEST(FleetScenario, ResultsAreByteIdenticalAcrossThreadCounts) {
     c.tracing = true;
     cells.push_back(c);
   }
-  const auto serial = measure::runFleetCells(cells, 1);
-  const auto parallel = measure::runFleetCells(cells, 4);
+  const auto serial = measure::runCells(cells, 1, measure::runFleetCell);
+  const auto parallel = measure::runCells(cells, 4, measure::runFleetCell);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].attempts, parallel[i].attempts) << i;

@@ -165,15 +165,14 @@ TEST(Classifier, ParsesClientHelloSniAndFingerprint) {
     accepted.push_back(sock);
     sock->setOnData([&](ByteView data) { appendBytes(captured, data); });
   });
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 443}, [&, holder](const auto& conn) {
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 443}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         http::TlsClientOptions opts;
         opts.sni = "scholar.google.com";
         opts.fingerprint = "tor-browser-6.5";
-        http::TlsStream::clientHandshake(*holder, w.sim, opts, nullptr,
+        http::TlsStream::clientHandshake(conn, w.sim, opts, nullptr,
                                          [](http::TlsStream::Ptr) {});
       });
   w.runUntilDone([&] { return !captured.empty(); });
@@ -302,14 +301,13 @@ TEST(Gfw, InjectsRstOnBlockedSni) {
   });
   bool done = false;
   http::TlsStream::Ptr result;
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 443}, [&, holder](const auto& conn) {
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 443}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         http::TlsClientOptions opts;
         opts.sni = "scholar.google.com";
-        http::TlsStream::clientHandshake(*holder, w.sim, opts, nullptr,
+        http::TlsStream::clientHandshake(conn, w.sim, opts, nullptr,
                                          [&](http::TlsStream::Ptr tls) {
                                            done = true;
                                            result = tls;

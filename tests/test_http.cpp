@@ -471,10 +471,9 @@ struct TlsWorld : MiniWorld {
                             const std::string& fingerprint = "chrome-56") {
     TlsStream::Ptr result;
     bool done = false;
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-    *holder = client.tcpConnect(
+    client.tcpConnect(
         net::Endpoint{server_node.primaryIp(), 443},
-        [&, holder](const auto& conn) {
+        [&](const auto& conn) {
           const bool ok = conn != nullptr;
           if (!ok) {
             done = true;
@@ -483,7 +482,7 @@ struct TlsWorld : MiniWorld {
           TlsClientOptions opts;
           opts.sni = "site.test";
           opts.fingerprint = fingerprint;
-          TlsStream::clientHandshake(*holder, sim, opts, cache,
+          TlsStream::clientHandshake(conn, sim, opts, cache,
                                      [&](TlsStream::Ptr tls) {
                                        result = tls;
                                        done = true;
@@ -673,15 +672,14 @@ TEST(HttpServer, ServesRoutedRequests) {
   });
 
   std::optional<Response> got;
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](const auto& conn) {
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;
         req.target = "/hello";
         req.headers.set("host", "site.test");
-        HttpClient::fetchOn(*holder, w.sim, req, sim::kMinute,
+        HttpClient::fetchOn(conn, w.sim, req, sim::kMinute,
                             [&](std::optional<Response> r) { got = r; });
       });
   w.runUntilDone([&] { return got.has_value(); });
@@ -701,21 +699,20 @@ TEST(HttpServer, KeepAliveServesSequentialRequests) {
   });
 
   std::vector<std::string> bodies;
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](const auto& conn) {
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;
         req.target = "/a";
-        HttpClient::fetchOn(*holder, w.sim, req, sim::kMinute,
-                            [&, holder](std::optional<Response> r) {
+        HttpClient::fetchOn(conn, w.sim, req, sim::kMinute,
+                            [&, sock = conn](std::optional<Response> r) {
                               ASSERT_TRUE(r.has_value());
                               bodies.push_back(toString(r->body));
                               Request second;
                               second.target = "/b";
                               HttpClient::fetchOn(
-                                  *holder, w.sim, second, sim::kMinute,
+                                  sock, w.sim, second, sim::kMinute,
                                   [&](std::optional<Response> r2) {
                                     ASSERT_TRUE(r2.has_value());
                                     bodies.push_back(toString(r2->body));
@@ -734,14 +731,13 @@ TEST(HttpServer, UnroutedPathReturns404) {
   opts.port = 80;
   HttpServer server(w.server, opts);
   std::optional<Response> got;
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](const auto& conn) {
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;
         req.target = "/nowhere";
-        HttpClient::fetchOn(*holder, w.sim, req, sim::kMinute,
+        HttpClient::fetchOn(conn, w.sim, req, sim::kMinute,
                             [&](std::optional<Response> r) { got = r; });
       });
   w.runUntilDone([&] { return got.has_value(); });
@@ -834,14 +830,13 @@ TEST(Origin, HttpPortRedirectsToHttps) {
   MiniWorld w;
   WebOrigin origin(w.server, PageSpec::scholarDefault());
   std::optional<Response> got;
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 80}, [&, holder](const auto& conn) {
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 80}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;  // GET / (the defaults)
         req.headers.set("host", "scholar.google.com");
-        HttpClient::fetchOn(*holder, w.sim, req, sim::kMinute,
+        HttpClient::fetchOn(conn, w.sim, req, sim::kMinute,
                             [&](std::optional<Response> r) { got = r; });
       });
   w.runUntilDone([&] { return got.has_value(); });
@@ -876,24 +871,27 @@ TEST(HttpServer, ConnectHandlerTakesOverTheStream) {
   });
 
   Bytes received;
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8080}, [&, holder](const auto& conn) {
+  // The test owns the tunnel's socket once the CONNECT is answered: the
+  // HTTP client lets go of it then.
+  transport::TcpSocket::Ptr sock;
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 8080}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
+        sock = conn;
         Request connect_req;
         connect_req.method = "CONNECT";
         connect_req.target = "example.com:443";
         connect_req.headers.set("host", connect_req.target);
-        HttpClient::fetchOn(*holder, w.sim, connect_req, sim::kMinute,
-                            [&, holder](std::optional<Response> resp) {
+        HttpClient::fetchOn(conn, w.sim, connect_req, sim::kMinute,
+                            [&](std::optional<Response> resp) {
                               ASSERT_TRUE(resp.has_value());
                               ASSERT_EQ(resp->status, 200);
-                              (*holder)->setOnData([&](ByteView d) {
+                              sock->setOnData([&](ByteView d) {
                                 appendBytes(received, d);
                               });
                               // Post-CONNECT bytes are NOT HTTP.
-                              (*holder)->send(Bytes{0x16, 0x03, 0x03, 0x00});
+                              sock->send(Bytes{0x16, 0x03, 0x03, 0x00});
                             });
       });
   w.runUntilDone([&] { return received.size() >= 14; });
@@ -926,13 +924,12 @@ TEST(HttpServer, PeerAddressIsStampedOntoRequests) {
     respond(Response{});
   });
   std::optional<Response> got;
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 8080}, [&, holder](const auto& conn) {
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 8080}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;  // GET / (the defaults)
-        HttpClient::fetchOn(*holder, w.sim, req, sim::kMinute,
+        HttpClient::fetchOn(conn, w.sim, req, sim::kMinute,
                             [&](std::optional<Response> r) { got = r; });
       });
   w.runUntilDone([&] { return got.has_value(); });
@@ -948,13 +945,12 @@ TEST(HttpClient, TimesOutOnSilentServer) {
   });
   bool done = false;
   std::optional<Response> got = Response{};
-  auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(
-      net::Endpoint{w.server_node.primaryIp(), 9000}, [&, holder](const auto& conn) {
+  w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 9000}, [&](const auto& conn) {
         const bool ok = conn != nullptr;
         ASSERT_TRUE(ok);
         Request req;  // GET / (the defaults)
-        HttpClient::fetchOn(*holder, w.sim, req, 2 * sim::kSecond,
+        HttpClient::fetchOn(conn, w.sim, req, 2 * sim::kSecond,
                             [&](std::optional<Response> r) {
                               done = true;
                               got = r;

@@ -10,6 +10,7 @@
 #include "helpers.h"
 #include "measure/campaign.h"
 #include "measure/chaos_scenario.h"
+#include "measure/parallel.h"
 #include "measure/resource_model.h"
 #include "measure/serverless_scenario.h"
 #include "measure/testbed.h"
@@ -288,8 +289,9 @@ TEST(ServerlessChaos, ParallelCellsMatchSerialByteForByte) {
   cells[1] = cells[0];
   cells[1].seed = 43;
 
-  const auto parallel = measure::runServerlessCells(cells, 2);
-  const auto serial = measure::runServerlessCells(cells, 1);
+  const auto parallel =
+      measure::runCells(cells, 2, measure::runServerlessCell);
+  const auto serial = measure::runCells(cells, 1, measure::runServerlessCell);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     EXPECT_EQ(parallel[i].attempts, serial[i].attempts);
@@ -299,8 +301,10 @@ TEST(ServerlessChaos, ParallelCellsMatchSerialByteForByte) {
     EXPECT_EQ(parallel[i].metrics_jsonl, serial[i].metrics_jsonl);
     EXPECT_EQ(parallel[i].trace_jsonl, serial[i].trace_jsonl);
   }
-  EXPECT_EQ(digestOf(serial[0]), 0xb0d69e91817305e2ULL) << std::hex << digestOf(serial[0]);
-  EXPECT_EQ(digestOf(serial[1]), 0x7aee345b487f5009ULL) << std::hex << digestOf(serial[1]);
+  EXPECT_EQ(digestOf(serial[0]), 0xb0d69e91817305e2ULL)
+      << std::hex << digestOf(serial[0]);
+  EXPECT_EQ(digestOf(serial[1]), 0x7aee345b487f5009ULL)
+      << std::hex << digestOf(serial[1]);
 }
 
 // ---- every per-method table covers every method --------------------------

@@ -257,17 +257,16 @@ TEST(CipherStream, EncryptsInTransitAndDecryptsAtPeer) {
         [&](ByteView data) { appendBytes(server_plain, data); });
   });
 
-  auto holder = std::make_shared<TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(net::Endpoint{w.server_node.primaryIp(), 7000},
-                                [&, holder](const auto& conn) {
-                                  const bool ok = conn != nullptr;
-                                  ASSERT_TRUE(ok);
-                                  auto cipher = CipherStream::wrap(
-                                      *holder, key, Bytes(16, 0x33));
-                                  cipher->send(toBytes("secret message"));
-                                  // keep alive via capture
-                                  (*holder)->setOnClose([cipher] {});
-                                });
+  w.client.tcpConnect(net::Endpoint{w.server_node.primaryIp(), 7000},
+                      [&](const auto& conn) {
+                        const bool ok = conn != nullptr;
+                        ASSERT_TRUE(ok);
+                        auto cipher = CipherStream::wrap(
+                            conn, key, Bytes(16, 0x33));
+                        cipher->send(toBytes("secret message"));
+                        // keep alive via capture
+                        conn->setOnClose([cipher] {});
+                      });
   w.runUntilDone([&] { return server_plain.size() >= 14; });
   EXPECT_EQ(toString(server_plain), "secret message");
 }
@@ -284,18 +283,17 @@ TEST(CipherStream, RoundTripsBothDirections) {
   });
   Bytes echoed;
   transport::Stream::Ptr client_cipher;
-  auto holder = std::make_shared<TcpSocket::Ptr>();
-  *holder = w.client.tcpConnect(net::Endpoint{w.server_node.primaryIp(), 7000},
-                                [&, holder](const auto& conn) {
-                                  const bool ok = conn != nullptr;
-                                  ASSERT_TRUE(ok);
-                                  client_cipher = CipherStream::wrap(
-                                      *holder, key, Bytes(16, 2));
-                                  client_cipher->setOnData([&](ByteView d) {
-                                    appendBytes(echoed, d);
-                                  });
-                                  client_cipher->send(Bytes(5000, 0x5A));
-                                });
+  w.client.tcpConnect(net::Endpoint{w.server_node.primaryIp(), 7000},
+                      [&](const auto& conn) {
+                        const bool ok = conn != nullptr;
+                        ASSERT_TRUE(ok);
+                        client_cipher = CipherStream::wrap(
+                            conn, key, Bytes(16, 2));
+                        client_cipher->setOnData([&](ByteView d) {
+                          appendBytes(echoed, d);
+                        });
+                        client_cipher->send(Bytes(5000, 0x5A));
+                      });
   w.runUntilDone([&] { return echoed.size() >= 5000; });
   EXPECT_EQ(echoed, Bytes(5000, 0x5A));
 }
