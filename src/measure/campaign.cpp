@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "measure/cell_world.h"
 #include "measure/parallel.h"
 #include "obs/hub.h"
 
@@ -135,9 +136,11 @@ CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
 }
 
 ScalabilityPoint runScalabilityPoint(Method method, int n_clients,
-                                     const ScalabilityOptions& options) {
+                                     const ScalabilityOptions& options,
+                                     ScalabilityExports* exports) {
   TestbedOptions topts;
   topts.seed = options.seed + static_cast<std::uint64_t>(n_clients);
+  topts.tracing = exports != nullptr;
   Testbed tb(topts);
   auto& sim = tb.sim();
 
@@ -206,6 +209,8 @@ ScalabilityPoint runScalabilityPoint(Method method, int n_clients,
       3 * sim::kMinute;
   sim.runWhile([&] { return completed >= total_expected; }, deadline);
 
+  if (exports != nullptr)
+    captureJsonl(tb.hub(), exports->metrics_jsonl, &exports->trace_jsonl);
   const Summary s = plt.summarize();
   return ScalabilityPoint{n_clients, s.mean, s.p95, failures};
 }

@@ -7,6 +7,9 @@
 // concurrent-client sweep against fresh testbeds.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "measure/stats.h"
 #include "measure/testbed.h"
 
@@ -58,11 +61,20 @@ struct ScalabilityOptions {
   std::uint64_t seed = 42;
 };
 
+// JSONL exports of one Fig. 7 cell's hub, captured before its testbed dies.
+struct ScalabilityExports {
+  std::string metrics_jsonl;
+  std::string trace_jsonl;
+};
+
 // One cell of the Fig. 7 sweep: a fresh testbed running `n_clients`
 // concurrent clients. Fully determined by (method, n_clients, options.seed)
-// — the independent unit that ParallelRunner fans across workers.
+// — the independent unit that ParallelRunner fans across workers. With
+// `exports`, the cell also traces (observation never perturbs it) and hands
+// back its metrics and trace.
 ScalabilityPoint runScalabilityPoint(Method method, int n_clients,
-                                     const ScalabilityOptions& options);
+                                     const ScalabilityOptions& options,
+                                     ScalabilityExports* exports = nullptr);
 
 // The Fig. 7 sweep: one fresh testbed per point (cold caches except each
 // client's own), fanned across `threads` workers (0 = one per hardware

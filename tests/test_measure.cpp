@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "helpers.h"
 #include "measure/campaign.h"
 #include "measure/report.h"
 #include "measure/resource_model.h"
@@ -242,6 +243,43 @@ TEST(Scalability, MorePointsMoreLoad) {
   EXPECT_EQ(points[1].clients, 12);
   EXPECT_GT(points[0].plt_mean_s, 0.0);
   EXPECT_EQ(points[0].failures, 0);
+}
+
+// Same-seed goldens for Fig. 7's two cells: a few fresh-session clients,
+// one access each, hashed over the point and the cell's metrics and trace.
+// They pin every TCP segment the cells put on the wire.
+std::uint64_t scalabilityCellDigest(Method method) {
+  ScalabilityOptions opts;
+  opts.accesses_per_client = 1;
+  opts.seed = 17;
+  ScalabilityExports exports;
+  const auto p = runScalabilityPoint(method, 4, opts, &exports);
+  EXPECT_EQ(p.clients, 4);
+  EXPECT_EQ(p.failures, 0);
+  EXPECT_FALSE(exports.trace_jsonl.empty());
+  return test::cellDigest(exports.metrics_jsonl, exports.trace_jsonl,
+                          p.clients, p.plt_mean_s, p.plt_p95_s, p.failures);
+}
+
+TEST(Scalability, ShadowsocksCellGolden) {
+  EXPECT_EQ(scalabilityCellDigest(Method::kShadowsocks), 0xfb8a0fb42c6e06abULL);
+}
+
+TEST(Scalability, ScholarCloudCellGolden) {
+  EXPECT_EQ(scalabilityCellDigest(Method::kScholarCloud), 0x42acae383e740376ULL);
+}
+
+// Tracing the cell observes it without changing what it measures.
+TEST(Scalability, ExportsLeaveThePointUnchanged) {
+  ScalabilityOptions opts;
+  opts.accesses_per_client = 1;
+  opts.seed = 17;
+  ScalabilityExports exports;
+  const auto traced = runScalabilityPoint(Method::kShadowsocks, 4, opts, &exports);
+  const auto plain = runScalabilityPoint(Method::kShadowsocks, 4, opts);
+  EXPECT_EQ(traced.plt_mean_s, plain.plt_mean_s);
+  EXPECT_EQ(traced.plt_p95_s, plain.plt_p95_s);
+  EXPECT_EQ(traced.failures, plain.failures);
 }
 
 }  // namespace

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "helpers.h"
 #include "transport/cipher_stream.h"
+#include "util/hash.h"
 
 namespace sc::transport {
 namespace {
@@ -186,6 +193,197 @@ TEST(Tcp, ManyConcurrentConnectionsStayIsolated) {
   for (int i = 0; i < kConns; ++i)
     EXPECT_EQ(received[static_cast<std::size_t>(i)],
               Bytes(100, static_cast<std::uint8_t>(i)));
+}
+
+// ---- wire golden and send queue ----
+
+// Hashes every TCP segment crossing the border (direction, seq, ack, flags,
+// payload) and keeps the client's data segments for inspection.
+struct WireTap final : net::PacketFilter {
+  Fnv1a wire;
+  std::size_t segments = 0;
+  std::size_t drop_client_data = 0;  // client data segments still to drop
+  std::vector<std::pair<std::uint32_t, Bytes>> client_data;
+  net::Ipv4 client_ip;
+
+  Verdict onPacket(net::Packet& pkt, net::Direction dir, net::Link&) override {
+    if (!pkt.isTcp()) return Verdict::kPass;
+    const auto& t = pkt.tcp();
+    wire.add(static_cast<std::uint64_t>(dir));
+    wire.add(t.seq);
+    wire.add(t.ack);
+    wire.addByte(static_cast<std::uint8_t>(t.flags.syn | t.flags.ack << 1 |
+                                           t.flags.fin << 2 | t.flags.rst << 3 |
+                                           t.flags.psh << 4));
+    wire.add(static_cast<std::uint64_t>(pkt.payload.size()));
+    wire.add(std::string_view(reinterpret_cast<const char*>(pkt.payload.data()),
+                              pkt.payload.size()));
+    ++segments;
+    if (pkt.src == client_ip && !pkt.payload.empty()) {
+      client_data.emplace_back(t.seq, pkt.payload);
+      if (drop_client_data > 0) {
+        --drop_client_data;
+        return Verdict::kDrop;
+      }
+    }
+    return Verdict::kPass;
+  }
+};
+
+Bytes pattern(std::size_t n, std::uint8_t salt) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    b[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8) * 7 + salt);
+  return b;
+}
+
+// A bulk transfer each way over the lossy, jittered border, in uneven
+// sends (one before the handshake completes), then FIN from both ends:
+// MSS segmentation, PSH, RTO, fast retransmit and teardown all put their
+// segments on the wire, and the wire hash pins every one of them.
+TEST(Tcp, BulkTransferBothWaysWireGolden) {
+  MiniWorld w(11);
+  w.world.borderLink().params().loss_rate = 0.03;
+  WireTap tap;
+  tap.client_ip = w.client_node.primaryIp();
+  w.world.borderLink().addFilter(&tap);
+
+  const Bytes up = pattern(150 * 1000, 1);
+  const Bytes down = pattern(120 * 1000 + 77, 2);
+  Bytes got_up, got_down;
+  TcpSocket::Ptr server_side;
+  auto listener = w.server.tcpListen(7777, [&](TcpSocket::Ptr sock) {
+    server_side = sock;
+    sock->setOnData([&](ByteView d) {
+      appendBytes(got_up, d);
+      if (got_up.size() == up.size()) server_side->close();
+    });
+    for (std::size_t off = 0; off < down.size(); off += 30 * 1000)
+      sock->send(Bytes(down.begin() + static_cast<std::ptrdiff_t>(off),
+                       down.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                          down.size(), off + 30 * 1000))));
+  });
+  auto sock = w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [](const auto&) {});
+  sock->setOnData([&](ByteView d) {
+    appendBytes(got_down, d);
+    if (got_down.size() == down.size()) sock->close();
+  });
+  const auto third = static_cast<std::ptrdiff_t>(up.size() / 3);
+  sock->send(Bytes(up.begin(), up.begin() + third));  // still dialling
+  w.sim.schedule(400 * sim::kMillisecond, [&] {
+    sock->send(Bytes(up.begin() + third, up.begin() + 2 * third + 5));
+    sock->send(Bytes(up.begin() + 2 * third + 5, up.end()));
+  });
+  w.runUntilDone(
+      [&] {
+        return sock->state() == TcpSocket::State::kClosed &&
+               server_side != nullptr &&
+               server_side->state() == TcpSocket::State::kClosed;
+      },
+      10 * sim::kMinute);
+
+  EXPECT_EQ(got_up, up);
+  EXPECT_EQ(got_down, down);
+  const auto& cs = sock->stats();
+  const auto& ss = server_side->stats();
+  EXPECT_GT(cs.fast_retransmits + ss.fast_retransmits, 0u);
+  EXPECT_GT(cs.rtos + ss.rtos, 0u);
+  EXPECT_EQ(tap.wire.value(), 0xa82dfa3cd1a19ed4ULL) << tap.segments << " segments";
+}
+
+// Many small sends while earlier segments are still in flight: every byte
+// arrives once, in order, and the sender never puts more than an MSS in a
+// segment or resends what the receiver already has.
+TEST(Tcp, RepeatedSendsWhileSegmentsInFlight) {
+  MiniWorld w;
+  w.world.borderLink().params().loss_rate = 0;
+  WireTap tap;
+  tap.client_ip = w.client_node.primaryIp();
+  w.world.borderLink().addFilter(&tap);
+  Bytes received;
+  auto listener = w.server.tcpListen(7777, [&](TcpSocket::Ptr sock) {
+    sock->setOnData([&received, sock](ByteView d) { appendBytes(received, d); });
+  });
+  auto sock = w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [](const auto&) {});
+  w.runUntilDone([&] { return sock->connected(); });
+
+  Bytes sent;
+  std::uint8_t salt = 0;
+  for (int i = 0; i < 200; ++i) {
+    // Every 2 ms, chunks of 1..2000 bytes: some fit the window, some queue
+    // behind a full one.
+    w.sim.schedule(2 * i * sim::kMillisecond, [&, i] {
+      const Bytes chunk = pattern(1 + static_cast<std::size_t>(i * 37 % 2000),
+                                  salt++);
+      appendBytes(sent, chunk);
+      sock->send(chunk);
+    });
+  }
+  w.runUntilDone([&] { return !sent.empty() && received.size() >= sent.size(); },
+                 5 * sim::kMinute);
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(sock->stats().bytes_sent, sent.size());
+  // Jitter reorders segments, so some are resent; every copy of a segment
+  // carries the same bytes, and the distinct segments tile the stream.
+  std::map<std::uint32_t, Bytes> by_seq;
+  for (const auto& [seq, data] : tap.client_data) {
+    EXPECT_LE(data.size(), 1400u);
+    const auto [it, fresh] = by_seq.emplace(seq - tap.client_data[0].first, data);
+    if (!fresh) {
+      EXPECT_EQ(it->second, data) << "seq " << seq;
+    }
+  }
+  Bytes tiled;
+  for (const auto& [offset, data] : by_seq) {
+    EXPECT_EQ(offset, tiled.size());
+    appendBytes(tiled, data);
+  }
+  EXPECT_EQ(tiled, sent);
+}
+
+// The first data segment is lost, and later sends reuse the send buffer
+// before it is retransmitted: the retransmission still carries exactly the
+// original bytes.
+TEST(Tcp, RetransmissionResendsOriginalBytesAfterBufferReuse) {
+  MiniWorld w;
+  w.world.borderLink().params().loss_rate = 0;
+  WireTap tap;
+  tap.client_ip = w.client_node.primaryIp();
+  w.world.borderLink().addFilter(&tap);
+  Bytes received;
+  auto listener = w.server.tcpListen(7777, [&](TcpSocket::Ptr sock) {
+    sock->setOnData([&received, sock](ByteView d) { appendBytes(received, d); });
+  });
+  auto sock = w.client.tcpConnect(
+      net::Endpoint{w.server_node.primaryIp(), 7777}, [](const auto&) {});
+  w.runUntilDone([&] { return sock->connected(); });
+
+  tap.drop_client_data = 1;
+  const Bytes first = pattern(1000, 0x11);
+  sock->send(first);  // lost
+  Bytes sent = first;
+  for (int i = 1; i <= 5; ++i) {
+    w.sim.schedule(i * sim::kMillisecond, [&, i] {
+      const Bytes chunk = pattern(1000, static_cast<std::uint8_t>(0x20 + i));
+      appendBytes(sent, chunk);
+      sock->send(chunk);
+    });
+  }
+  w.runUntilDone([&] { return received.size() >= 6000; }, 5 * sim::kMinute);
+  EXPECT_EQ(received, sent);
+  EXPECT_GE(sock->stats().retransmissions, 1u);
+
+  ASSERT_FALSE(tap.client_data.empty());
+  const std::uint32_t lost_seq = tap.client_data.front().first;
+  int copies = 0;
+  for (const auto& [seq, data] : tap.client_data) {
+    if (seq != lost_seq) continue;
+    ++copies;
+    EXPECT_EQ(data, first);
+  }
+  EXPECT_GE(copies, 2);  // the dropped original and its retransmission
 }
 
 // ---- UDP ----
