@@ -1,8 +1,8 @@
 // Core hot-path throughput, the numbers behind the event-loop rework:
 //
 //   1. events/sec through sim::Simulator (inline callbacks in a body slab,
-//      generation cancellation, flat 4-ary heap of 24-byte keys) on a
-//      schedule/cancel/re-arm workload;
+//      parity-generation cancellation, flat 4-ary heap of 16-byte
+//      {at, seq << 24 | slot} keys) on a schedule/cancel/re-arm workload;
 //   2. packets/sec across a two-node link (the stash-based delivery path);
 //   3. serial vs parallel campaign wall clock over identical cells, plus a
 //      check that both produce identical results.

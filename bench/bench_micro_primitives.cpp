@@ -1,9 +1,11 @@
 // Microbenchmarks (google-benchmark) of the hot primitives: the crypto the
 // tunnels run on, the blinding codec, Tor cell handling, the HTTP message
-// codec, a router's next-hop lookup and the simulator's event loop. Useful for spotting regressions that
+// codec, a router's next-hop lookup, the simulator's event loop, a host's
+// socket demux and a TCP bulk send. Useful for spotting regressions that
 // would silently stretch the figure benches' wall time.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "tor/cell.h"
+#include "transport/conn_table.h"
+#include "transport/host_stack.h"
 
 namespace {
 
@@ -198,5 +202,66 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
 BENCHMARK(BM_SimulatorEventChurn)->Arg(1)->Arg(128);
+
+// The demux lookup every received TCP segment makes, on a proxy server's
+// index: range(0) open sockets, one local endpoint, each remote a campus
+// client's ephemeral port. Lookups cycle through the open sockets.
+void BM_HostStackDemux(benchmark::State& state) {
+  using Table = sc::transport::ConnTable<sc::transport::TcpSocket>;
+  const sc::net::Endpoint server{sc::net::Ipv4(203, 0, 1, 1), 8388};
+  std::vector<Table::Key> keys;
+  Table table;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    const sc::net::Endpoint client{
+        sc::net::Ipv4(10, 3, 1, static_cast<std::uint8_t>(2 + i % 200)),
+        static_cast<sc::net::Port>(49152 + i)};
+    keys.push_back(Table::keyOf(server, client));
+    // The table only stores the pointer; any distinct non-null one will do.
+    table.assign(keys.back(),
+                 reinterpret_cast<sc::transport::TcpSocket*>(
+                     static_cast<std::uintptr_t>(64 * (i + 1))));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(keys[i]));
+    i = i + 1 == keys.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HostStackDemux)->Arg(8)->Arg(128)->Arg(1024);
+
+// One connection's bulk send, campus client to US server, lossless border:
+// handshake, range(0) bytes in MSS segments under slow start, FIN. Counts
+// payload bytes; the simulated links and the receiver's ACKs are included.
+void BM_TcpBulkSend(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const sc::Bytes payload = makeData(n);
+  sc::sim::Simulator sim(1);
+  sc::net::Network network(sim);
+  sc::net::World world(network);
+  sc::net::Node& client_node = world.addCampusHost("client");
+  sc::net::Node& server_node = world.addUsServer("server");
+  world.borderLink().params().loss_rate = 0;
+  sc::transport::HostStack client(client_node);
+  sc::transport::HostStack server(server_node);
+  std::size_t received = 0;
+  std::vector<sc::transport::TcpSocket::Ptr> accepted;
+  auto listener = server.tcpListen(9000, [&](sc::transport::TcpSocket::Ptr s) {
+    s->setOnData([&received](sc::ByteView d) { received += d.size(); });
+    accepted.push_back(std::move(s));
+  });
+  for (auto _ : state) {
+    received = 0;
+    auto sock = client.tcpConnect(
+        sc::net::Endpoint{server_node.primaryIp(), 9000}, [](const auto&) {});
+    sock->send(payload);
+    sim.runWhile([&] { return received >= n; }, sim.now() + sc::sim::kHour);
+    sock->close();
+    accepted.clear();
+    sim.run();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_TcpBulkSend)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
 namespace sc::sim {
@@ -59,20 +60,29 @@ EventHandle Simulator::schedule(Time delay, EventFn fn) {
   return scheduleAt(now_ + delay, std::move(fn));
 }
 
+std::uint64_t Simulator::packOrder(std::uint64_t seq, std::uint32_t slot) {
+  if (seq >= kMaxSeq || slot >= kMaxSlots) [[unlikely]]
+    throw std::length_error(
+        "sim::Simulator: past 2^40 schedules or 2^24 queued events");
+  return seq << kSlotBits | slot;
+}
+
 EventHandle Simulator::scheduleAt(Time at, EventFn fn) {
   assert(at >= now_);
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+  const bool reuse = !free_slots_.empty();
+  const auto slot = static_cast<std::uint32_t>(
+      reuse ? free_slots_.back() : slot_gen_.size());
+  const std::uint64_t order = packOrder(next_seq_, slot);  // may throw
+  if (reuse) {
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slot_gen_.size());
     slot_gen_.push_back(0);
     bodies_.emplace_back();
   }
-  const std::uint32_t gen = slot_gen_[slot];
+  ++next_seq_;
+  const std::uint32_t gen = ++slot_gen_[slot];  // odd: pending
   bodies_[slot] = std::move(fn);
-  heap_.push_back(Event{at, next_seq_++, slot, gen});
+  heap_.push_back(Event{at, order});
   siftUp(heap_.size() - 1);
   ++live_events_;
   if (live_events_ > max_queue_depth_) max_queue_depth_ = live_events_;
@@ -82,32 +92,39 @@ EventHandle Simulator::scheduleAt(Time at, EventFn fn) {
 // ---- 4-ary heap primitives -------------------------------------------------
 
 void Simulator::siftUp(std::size_t i) {
-  const Event ev = heap_[i];
+  Event* const h = heap_.data();
+  const Event ev = h[i];
+  const auto ev_key = key(ev);
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!earlier(ev, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!(ev_key < key(h[parent]))) break;
+    h[i] = h[parent];
     i = parent;
   }
-  heap_[i] = ev;
+  h[i] = ev;
 }
 
 void Simulator::siftDown(std::size_t i) {
   const std::size_t n = heap_.size();
-  const Event ev = heap_[i];
+  Event* const h = heap_.data();
+  const Event ev = h[i];
+  const auto ev_key = key(ev);
   while (true) {
     const std::size_t first_child = 4 * i + 1;
     if (first_child >= n) break;
     const std::size_t last_child = std::min(first_child + 4, n);
     std::size_t best = first_child;
+    auto best_key = key(h[first_child]);
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
+      const auto k = key(h[c]);
+      best = k < best_key ? c : best;
+      best_key = k < best_key ? k : best_key;
     }
-    if (!earlier(heap_[best], ev)) break;
-    heap_[i] = heap_[best];
+    if (!(best_key < ev_key)) break;
+    h[i] = h[best];
     i = best;
   }
-  heap_[i] = ev;
+  h[i] = ev;
 }
 
 void Simulator::rebuildHeap() {
@@ -125,7 +142,7 @@ void Simulator::discardTop() {
 
 void Simulator::cancelEvent(std::uint32_t slot, std::uint32_t gen) {
   if (!isLive(slot, gen)) return;  // fired, already cancelled, or bogus
-  ++slot_gen_[slot];               // every outstanding handle goes stale
+  ++slot_gen_[slot];               // even: every outstanding handle goes stale
   --live_events_;
   ++cancelled_in_heap_;
   // The dead entry stays in the heap and is skipped when it surfaces —
@@ -148,10 +165,10 @@ void Simulator::compact() {
   swept.reserve(cancelled_in_heap_);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (isLive(heap_[i].slot, heap_[i].gen)) {
+    if (isPending(heap_[i])) {
       heap_[kept++] = heap_[i];
     } else {
-      swept.push_back(heap_[i].slot);
+      swept.push_back(heap_[i].slot());
     }
   }
   heap_.resize(kept);
@@ -167,10 +184,10 @@ void Simulator::compact() {
 bool Simulator::settleTop() {
   while (!heap_.empty()) {
     const Event top = heap_.front();
-    if (isLive(top.slot, top.gen)) return true;
+    if (isPending(top)) return true;
     --cancelled_in_heap_;
     discardTop();
-    releaseSlot(top.slot);
+    releaseSlot(top.slot());
   }
   return false;
 }
@@ -179,11 +196,12 @@ void Simulator::fireTop() {
   // Move the body out before invoking: it may schedule (grow the heap and
   // bodies_) or cancel (compact them), so no reference into either survives.
   const Event top = heap_.front();
+  const std::uint32_t slot = top.slot();
   discardTop();
   now_ = top.at;
-  ++slot_gen_[top.slot];  // fired: handles to this event go inactive NOW
-  EventFn fn = std::move(bodies_[top.slot]);
-  free_slots_.push_back(top.slot);
+  ++slot_gen_[slot];  // even: handles to this event go inactive NOW
+  EventFn fn = std::move(bodies_[slot]);
+  free_slots_.push_back(slot);
   --live_events_;
   ++events_executed_;
   fn();

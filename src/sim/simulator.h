@@ -9,13 +9,18 @@
 //   - event bodies are InplaceFunction<void()> — 64 bytes of inline capture,
 //     move-only, no heap for every timer/delivery closure in the tree;
 //   - bodies stay put in a slab indexed by the event's slot; the queue holds
-//     only 24-byte (time, seq, slot, gen) keys, so reordering it never moves
-//     a closure;
+//     only 16-byte {at, seq << 24 | slot} keys, so reordering it never moves
+//     a closure, and a sift compares one (at, order) pair per entry;
 //   - cancellation is a (slot, generation) pair checked against a flat
-//     per-slot generation table — no shared_ptr control block per event;
-//   - the queue is a flat 4-ary min-heap on (time, seq) in one contiguous
-//     vector: shallower than a binary heap and the four children share a
-//     cache line's worth of adjacent slots.
+//     per-slot generation table — no shared_ptr control block per event.
+//     A slot's generation is odd while its event is pending, so the heap
+//     entry needs no generation of its own: a slot is reused only after its
+//     entry has left the heap;
+//   - the queue is a flat 4-ary min-heap in one contiguous vector: shallower
+//     than a binary heap, and a node's four 16-byte children are 64 bytes;
+//   - limits: at most 2^24 slots (pending plus lazily cancelled events) and
+//     2^40 schedules per simulator; past either, scheduling throws rather
+//     than misorder.
 #pragma once
 
 #include <cstdint>
@@ -119,21 +124,35 @@ class Simulator {
   double wallSeconds() const noexcept { return wall_seconds_; }
   std::uint64_t compactions() const noexcept { return compactions_; }
 
+  // Packs an event's schedule order and slot into one heap key word:
+  // seq << 24 | slot. seq is unique per event, so (at, order) sorts exactly
+  // as (at, seq). Throws std::length_error when either field overflows.
+  static std::uint64_t packOrder(std::uint64_t seq, std::uint32_t slot);
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << 40;
+
  private:
   friend class EventHandle;
 
-  // A heap entry is only the ordering key plus the slot of its body in
-  // bodies_; sifts copy these 24 bytes and never touch a closure.
+  // A heap entry is only the ordering key; its low 24 bits name the slot of
+  // its body in bodies_. Sifts copy these 16 bytes and never touch a
+  // closure.
   struct Event {
     Time at = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
+    std::uint64_t order = 0;
+    std::uint32_t slot() const noexcept {
+      return static_cast<std::uint32_t>(order & (kMaxSlots - 1));
+    }
   };
-  static_assert(sizeof(Event) == 24 && std::is_trivially_copyable_v<Event>);
+  static_assert(sizeof(Event) == 16 && std::is_trivially_copyable_v<Event>);
 
-  static bool earlier(const Event& a, const Event& b) noexcept {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  // (at, order) as one unsigned 128-bit key (at is never negative): the
+  // compare is a borrow chain with no data-dependent branch.
+  static unsigned __int128 key(const Event& e) noexcept {
+    return static_cast<unsigned __int128>(static_cast<std::uint64_t>(e.at))
+               << 64 |
+           e.order;
   }
 
   // ---- flat 4-ary min-heap over heap_ ----
@@ -148,8 +167,13 @@ class Simulator {
   // Fires the (live) top event. Caller must have called settleTop().
   void fireTop();
 
+  // Handles carry the odd generation their event was scheduled under.
   bool isLive(std::uint32_t slot, std::uint32_t gen) const noexcept {
     return slot < slot_gen_.size() && slot_gen_[slot] == gen;
+  }
+  // A heap entry is live iff its slot's generation is odd (pending).
+  bool isPending(const Event& ev) const noexcept {
+    return (slot_gen_[ev.slot()] & 1U) != 0;
   }
   void cancelEvent(std::uint32_t slot, std::uint32_t gen);
   // Destroys a cancelled event's body and returns its slot to the free list.
@@ -161,7 +185,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::vector<Event> heap_;
   // Per slot: the body of the event holding it (empty once fired or
-  // released) and its generation.
+  // released) and its generation, odd while that event is pending.
   std::vector<EventFn> bodies_;
   std::vector<std::uint32_t> slot_gen_;
   std::vector<std::uint32_t> free_slots_;

@@ -28,10 +28,9 @@ HostStack::~HostStack() {
   // with the layers above them; detaching breaks those so the world frees.
   std::vector<TcpSocket::Ptr> open;
   open.reserve(conns_.size());
-  // sclint:allow(det-unordered-iter) detaching sends, schedules and draws nothing, so order is unobservable
-  for (const auto& [key, sock] : conns_) {
+  conns_.forEach([&open](TcpSocket* sock) {
     if (auto p = sock->weak_from_this().lock()) open.push_back(std::move(p));
-  }
+  });
   conns_.clear();
   for (const auto& sock : open) sock->detach();
 }
@@ -94,18 +93,19 @@ void HostStack::sendPacket(net::Packet pkt) {
 }
 
 void HostStack::registerSocket(TcpSocket& sock) {
-  conns_[ConnKey{sock.local(), sock.remote()}] = &sock;
+  conns_.assign(ConnTable<TcpSocket>::keyOf(sock.local(), sock.remote()),
+                &sock);
   sock.registered_ = true;
 }
 
 void HostStack::unregisterSocket(const TcpSocket& sock) {
-  conns_.erase(ConnKey{sock.local(), sock.remote()});
+  conns_.erase(ConnTable<TcpSocket>::keyOf(sock.local(), sock.remote()));
 }
 
 void HostStack::forgetSocket(const TcpSocket& sock) {
   // A newer socket may have taken the key over; its entry stays.
-  const auto it = conns_.find(ConnKey{sock.local(), sock.remote()});
-  if (it != conns_.end() && it->second == &sock) conns_.erase(it);
+  conns_.erase(ConnTable<TcpSocket>::keyOf(sock.local(), sock.remote()),
+               &sock);
 }
 
 void HostStack::onPacket(net::Packet&& pkt) {
@@ -140,11 +140,10 @@ void HostStack::onPacket(net::Packet&& pkt) {
 
 void HostStack::onTcpPacket(net::Packet&& pkt) {
   const auto& t = pkt.tcp();
-  const ConnKey key{net::Endpoint{pkt.dst, t.dst_port},
-                    net::Endpoint{pkt.src, t.src_port}};
-  const auto conn_it = conns_.find(key);
-  if (conn_it != conns_.end()) {
-    conn_it->second->onPacket(pkt);
+  if (TcpSocket* sock = conns_.find(ConnTable<TcpSocket>::keyOf(
+          net::Endpoint{pkt.dst, t.dst_port},
+          net::Endpoint{pkt.src, t.src_port}))) {
+    sock->onPacket(pkt);
     return;
   }
 

@@ -3,7 +3,8 @@
 // host CPU service queue used to model single-core servers (Fig. 7).
 //
 // Sockets belong to the streams and applications above them; the stack only
-// indexes them (DESIGN §6, "Ownership"). A released socket leaves the index
+// indexes them (DESIGN §6, "Ownership"), in a ConnTable: one multiply-mixed
+// open-addressing probe per received segment (conn_table.h). A released socket leaves the index
 // in its destructor, so late segments for it draw a RST, as for any closed
 // port. The destructor detaches the handlers of sockets still open, which
 // frees whatever they capture with the world.
@@ -15,6 +16,7 @@
 
 #include "net/network.h"
 #include "net/node.h"
+#include "transport/conn_table.h"
 #include "transport/tcp_socket.h"
 
 namespace sc::transport {
@@ -95,24 +97,11 @@ class HostStack {
   void onPacket(net::Packet&& pkt);
   void onTcpPacket(net::Packet&& pkt);
 
-  struct ConnKey {
-    net::Endpoint local;
-    net::Endpoint remote;
-    bool operator==(const ConnKey&) const = default;
-  };
-  struct ConnKeyHash {
-    std::size_t operator()(const ConnKey& k) const noexcept {
-      const std::size_t a = std::hash<net::Endpoint>{}(k.local);
-      const std::size_t b = std::hash<net::Endpoint>{}(k.remote);
-      return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
-    }
-  };
-
   net::Node& node_;
   CpuQueue cpu_;
   // Not owning: each socket's owner is the stream or application above it,
   // and ~TcpSocket removes its entry.
-  std::unordered_map<ConnKey, TcpSocket*, ConnKeyHash> conns_;
+  ConnTable<TcpSocket> conns_;
   std::unordered_map<net::Port, TcpListener::Ptr> listeners_;
   std::unordered_map<net::Port, UdpHandler> udp_handlers_;
   std::unordered_map<net::IpProto, RawHandler> raw_handlers_;

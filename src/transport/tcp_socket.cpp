@@ -9,7 +9,21 @@ namespace sc::transport {
 
 namespace {
 constexpr int kMaxSynRetries = 6;
+
+// Drops a flat queue's consumed prefix [0, head) once the queue is empty or
+// the prefix is its larger part, so each element moves at most once per
+// halving.
+template <typename V>
+void trimConsumed(V& queue, std::size_t& head) {
+  if (head == queue.size()) {
+    queue.clear();
+    head = 0;
+  } else if (2 * head >= queue.size()) {
+    queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
 }
+}  // namespace
 
 void TcpSocket::noteRetransmit(const char* kind, std::uint32_t seq) {
   auto& sim = stack_.sim();
@@ -78,7 +92,12 @@ void TcpSocket::send(Bytes data) {
   if (state_ != State::kEstablished && state_ != State::kCloseWait &&
       state_ != State::kSynSent && state_ != State::kSynReceived)
     return;
-  send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  if (unsent() == 0) {
+    send_buffer_ = std::move(data);  // nothing queued: take the caller's bytes
+    send_head_ = 0;
+  } else {
+    send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  }
   trySendData();
 }
 
@@ -118,42 +137,36 @@ void TcpSocket::trySendData() {
 
   const auto window =
       static_cast<std::size_t>(std::min<double>(cwnd_, peer_window_));
-  std::size_t inflight_bytes = 0;
-  for (const auto& seg : inflight_) inflight_bytes += std::max<std::size_t>(seg.data.size(), seg.fin ? 1 : 0);
 
   bool sent_any = false;
-  while (!send_buffer_.empty() &&
-         (inflight_bytes == 0 || inflight_bytes + kMss <= window)) {
-    const std::size_t n = std::min(send_buffer_.size(), kMss);
-    Bytes chunk(send_buffer_.begin(),
-                send_buffer_.begin() + static_cast<std::ptrdiff_t>(n));
-    send_buffer_.erase(send_buffer_.begin(),
-                       send_buffer_.begin() + static_cast<std::ptrdiff_t>(n));
-    InFlight seg;
+  while (unsent() > 0 &&
+         (inflight_bytes_ == 0 || inflight_bytes_ + kMss <= window)) {
+    const std::size_t n = std::min(unsent(), kMss);
+    const auto first =
+        send_buffer_.begin() + static_cast<std::ptrdiff_t>(send_head_);
+    send_head_ += n;
+    InFlight& seg = inflight_.emplace_back();
     seg.seq = snd_nxt_;
-    seg.data = chunk;
+    seg.data.assign(first, first + static_cast<std::ptrdiff_t>(n));
     seg.sent_at = stack_.sim().now();
-    seg.retransmitted = false;
-    seg.fin = false;
-    inflight_.push_back(seg);
-    inflight_bytes += n;
+    inflight_bytes_ += n;
 
     net::TcpFlags flags;
     flags.ack = true;
-    flags.psh = send_buffer_.empty();
-    sendSegment(flags, snd_nxt_, std::move(chunk));
+    flags.psh = unsent() == 0;
+    sendSegment(flags, snd_nxt_, seg.data);
     snd_nxt_ += static_cast<std::uint32_t>(n);
     stats_.bytes_sent += n;
     sent_any = true;
   }
+  trimConsumed(send_buffer_, send_head_);
 
-  if (send_buffer_.empty() && fin_queued_ && !fin_sent_) {
-    InFlight seg;
+  if (unsent() == 0 && fin_queued_ && !fin_sent_) {
+    InFlight& seg = inflight_.emplace_back();
     seg.seq = snd_nxt_;
     seg.sent_at = stack_.sim().now();
-    seg.retransmitted = false;
     seg.fin = true;
-    inflight_.push_back(seg);
+    inflight_bytes_ += seg.span();
     net::TcpFlags flags;
     flags.fin = true;
     flags.ack = true;
@@ -203,24 +216,35 @@ void TcpSocket::onRetransmitTimeout() {
     return;
   }
 
-  if (inflight_.empty()) return;
+  if (inflightEmpty()) return;
 
   // Classic Tahoe-style response: shrink to one segment, retransmit head.
   ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * kMss);
   cwnd_ = kMss;
   dup_acks_ = 0;
+  retransmitHead("rto");
+}
 
-  InFlight& head = inflight_.front();
+void TcpSocket::retransmitHead(const char* kind) {
+  InFlight& head = inflightHead();
   head.retransmitted = true;
   head.sent_at = stack_.sim().now();
   ++stats_.retransmissions;
-  noteRetransmit("rto", head.seq);
+  noteRetransmit(kind, head.seq);
   net::TcpFlags flags;
   flags.ack = true;
   flags.fin = head.fin;
   flags.psh = !head.fin;
   sendSegment(flags, head.seq, head.data);
   armRetransmitTimer();
+}
+
+void TcpSocket::popInflight() {
+  InFlight& head = inflightHead();
+  inflight_bytes_ -= head.span();
+  head.data = Bytes();  // acked: free its bytes now
+  ++inflight_head_;
+  trimConsumed(inflight_, inflight_head_);
 }
 
 void TcpSocket::updateRttEstimate(sim::Time sample) {
@@ -259,8 +283,8 @@ void TcpSocket::handleAck(const net::Packet& pkt) {
     snd_una_ = ack;
     backoff_ = 0;
     dup_acks_ = 0;
-    while (!inflight_.empty()) {
-      const InFlight& head = inflight_.front();
+    while (!inflightEmpty()) {
+      const InFlight& head = inflightHead();
       const std::uint32_t seg_end =
           head.seq + static_cast<std::uint32_t>(head.data.size()) +
           (head.fin ? 1 : 0);
@@ -272,9 +296,9 @@ void TcpSocket::handleAck(const net::Packet& pkt) {
         cwnd_ += kMss;  // slow start
       else
         cwnd_ += static_cast<double>(kMss) * kMss / cwnd_;  // AIMD
-      inflight_.pop_front();
+      popInflight();
     }
-    if (inflight_.empty()) {
+    if (inflightEmpty()) {
       rto_timer_.cancel();
     } else {
       armRetransmitTimer();
@@ -291,24 +315,14 @@ void TcpSocket::handleAck(const net::Packet& pkt) {
         return;
       }
     }
-  } else if (ack == snd_una_ && !inflight_.empty() &&
+  } else if (ack == snd_una_ && !inflightEmpty() &&
              pkt.payload.empty() && !pkt.tcp().flags.fin) {
     if (++dup_acks_ == 3) {
       // Fast retransmit.
       ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * kMss);
       cwnd_ = ssthresh_;
-      InFlight& head = inflight_.front();
-      head.retransmitted = true;
-      head.sent_at = stack_.sim().now();
-      ++stats_.retransmissions;
       ++stats_.fast_retransmits;
-      noteRetransmit("fast", head.seq);
-      net::TcpFlags flags;
-      flags.ack = true;
-      flags.fin = head.fin;
-      flags.psh = !head.fin;
-      sendSegment(flags, head.seq, head.data);
-      armRetransmitTimer();
+      retransmitHead("fast");
     }
   }
 }
@@ -414,7 +428,10 @@ void TcpSocket::teardown(bool reset) {
   state_ = State::kClosed;
   rto_timer_.cancel();
   inflight_.clear();
+  inflight_head_ = 0;
+  inflight_bytes_ = 0;
   send_buffer_.clear();
+  send_head_ = 0;
   if (registered_) stack_.unregisterSocket(*this);
   registered_ = false;
   if (reset) emitClose();

@@ -8,12 +8,17 @@
 // AIMD congestion window, FIN teardown, and RST handling (the GFW's
 // connection-reset weapon; also what servers send to probes hitting closed
 // ports — the signal active probing exploits).
+//
+// The send side is two flat queues, each a vector with a head offset:
+// unsent application bytes, and the in-flight segments awaiting their ACK.
+// A segment's bytes are copied once into its in-flight record and once into
+// its packet; the in-flight byte count is kept as segments come and go.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -102,6 +107,8 @@ class TcpSocket final : public Stream,
   void sendSegment(net::TcpFlags flags, std::uint32_t seq, Bytes payload);
   void sendAck();
   void trySendData();
+  // Resends the oldest unacked segment (RTO or fast retransmit).
+  void retransmitHead(const char* kind);
   void armRetransmitTimer();
   void onRetransmitTimeout();
   void updateRttEstimate(sim::Time sample);
@@ -121,16 +128,28 @@ class TcpSocket final : public Stream,
   // own a socket that is still dialling.
   Ptr connect_hold_;
 
-  // Send side.
-  std::deque<std::uint8_t> send_buffer_;  // unsent application bytes
+  // Send side. Unsent bytes are send_buffer_[send_head_, end); in-flight
+  // segments are inflight_[inflight_head_, end), oldest first. Each queue
+  // drops its consumed prefix when it empties or once the prefix is the
+  // larger part.
+  Bytes send_buffer_;
+  std::size_t send_head_ = 0;
   struct InFlight {
     std::uint32_t seq = 0;
     Bytes data;
     sim::Time sent_at = 0;
     bool retransmitted = false;
     bool fin = false;
+    // Window space the segment holds: its bytes, or one for a bare FIN.
+    std::size_t span() const noexcept { return fin && data.empty() ? 1 : data.size(); }
   };
-  std::deque<InFlight> inflight_;
+  std::vector<InFlight> inflight_;
+  std::size_t inflight_head_ = 0;
+  std::size_t inflight_bytes_ = 0;  // sum of span() over in-flight segments
+  std::size_t unsent() const noexcept { return send_buffer_.size() - send_head_; }
+  bool inflightEmpty() const noexcept { return inflight_head_ == inflight_.size(); }
+  InFlight& inflightHead() noexcept { return inflight_[inflight_head_]; }
+  void popInflight();
   std::uint32_t snd_una_ = 0;
   std::uint32_t snd_nxt_ = 0;
   std::uint32_t iss_ = 0;

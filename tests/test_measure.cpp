@@ -247,7 +247,9 @@ TEST(Scalability, MorePointsMoreLoad) {
 
 // Same-seed goldens for Fig. 7's two cells: a few fresh-session clients,
 // one access each, hashed over the point and the cell's metrics and trace.
-// They pin every TCP segment the cells put on the wire.
+// They pin the cells' packet and byte counts, drops, retransmissions and
+// timing; TCP flags are not in either export (Tcp.BulkTransferBothWaysWire-
+// Golden pins those).
 std::uint64_t scalabilityCellDigest(Method method) {
   ScalabilityOptions opts;
   opts.accesses_per_client = 1;

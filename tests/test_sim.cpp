@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -327,10 +328,71 @@ TEST(Simulator, DestroyingWithPendingBodiesThatCancelIsSafe) {
   EXPECT_FALSE(saw_active);
 }
 
-// Seeded mix of schedules (ties, nested), cancels (from outside and inside
-// bodies, enough to compact) and partial runs. Every event that was not
-// cancelled must fire, in exactly (at, seq) order; every cancelled body must
-// release its captures by the time its entry surfaces or is compacted away.
+// The heap key packs seq << 24 | slot: order by seq first whatever the
+// slots, with both fields usable up to their last value.
+TEST(Simulator, OrderKeyPacksSeqAboveSlot) {
+  constexpr std::uint64_t kLastSeq = Simulator::kMaxSeq - 1;
+  constexpr auto kLastSlot =
+      static_cast<std::uint32_t>(Simulator::kMaxSlots - 1);
+  EXPECT_EQ(Simulator::packOrder(0, 0), 0u);
+  EXPECT_EQ(Simulator::packOrder(1, 0), std::uint64_t{1} << 24);
+  EXPECT_EQ(Simulator::packOrder(0, kLastSlot), 0xFFFFFFu);
+  EXPECT_EQ(Simulator::packOrder(kLastSeq, kLastSlot),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_LT(Simulator::packOrder(5, kLastSlot), Simulator::packOrder(6, 0));
+  EXPECT_LT(Simulator::packOrder(kLastSeq - 1, kLastSlot),
+            Simulator::packOrder(kLastSeq, 0));
+}
+
+// Past either field's range, packing throws instead of wrapping into a
+// misordered key; the boundary values themselves are accepted.
+TEST(Simulator, OrderKeyLimitsThrow) {
+  EXPECT_NO_THROW(Simulator::packOrder(Simulator::kMaxSeq - 1, 0));
+  EXPECT_THROW(Simulator::packOrder(Simulator::kMaxSeq, 0), std::length_error);
+  EXPECT_THROW(Simulator::packOrder(std::numeric_limits<std::uint64_t>::max(), 0),
+               std::length_error);
+  EXPECT_NO_THROW(Simulator::packOrder(
+      0, static_cast<std::uint32_t>(Simulator::kMaxSlots - 1)));
+  EXPECT_THROW(Simulator::packOrder(
+                   0, static_cast<std::uint32_t>(Simulator::kMaxSlots)),
+               std::length_error);
+  EXPECT_THROW(Simulator::packOrder(0, std::numeric_limits<std::uint32_t>::max()),
+               std::length_error);
+}
+
+// A slot is reused for a new event only after its old entry left the heap,
+// and a stale handle to the old event never reaches the new one: fired and
+// cancelled alike, across many generations of one slot.
+TEST(Simulator, ParityGenerationsKeepStaleHandlesInactive) {
+  Simulator sim;
+  std::vector<EventHandle> stale;
+  int fired = 0;
+  for (int round = 0; round < 50; ++round) {
+    auto h = sim.schedule(1, [&] { ++fired; });
+    for (const auto& old : stale) EXPECT_FALSE(old.active());
+    for (auto old : stale) old.cancel();
+    EXPECT_TRUE(h.active());
+    if (round % 2 == 0) {
+      sim.run();
+    } else {
+      h.cancel();
+      sim.run();  // the dead entry surfaces and frees the slot
+    }
+    EXPECT_FALSE(h.active());
+    stale.push_back(h);
+    EXPECT_EQ(sim.queuedEntries(), 0u);
+  }
+  EXPECT_EQ(fired, 25);
+  EXPECT_EQ(sim.maxQueueDepth(), 1u);  // one slot, recycled every round
+}
+
+// Seeded mix of schedules (ties, whole batches at one instant, nested),
+// cancels (from outside and inside bodies, enough to force compactions) and
+// partial runs. Every event that was not cancelled must fire, in exactly
+// (at, seq) order; every cancelled body must release its captures by the
+// time its entry surfaces or is compacted away; and a fired or cancelled
+// event's handle stays inactive, and its cancel() a no-op, however often its
+// slot has been recycled since.
 TEST(Simulator, PropertyFiringOrderAndCancelledCaptureRelease) {
   struct Record {
     Time at = 0;
@@ -407,18 +469,36 @@ TEST(Simulator, PropertyFiringOrderAndCancelledCaptureRelease) {
     if (rng.chance(0.3)) cancelOne(randomId());
   };
 
+  // Stale handles: cancel() must not reach the slot's current occupant, so
+  // every pending event still fires (checked against the reference order
+  // below) and the live count does not move.
+  const auto pokeStaleHandles = [&] {
+    for (int k = 0; k < 8; ++k) {
+      const Record& rec = events[randomId()];
+      if (!rec.fired && !rec.cancelled) continue;
+      const std::size_t pending = sim.pendingEvents();
+      EventHandle stale = rec.handle;
+      EXPECT_FALSE(stale.active());
+      stale.cancel();
+      EXPECT_EQ(sim.pendingEvents(), pending);
+    }
+  };
+
   while (events.size() < 11000) {
-    // A batch of coarse times (many exact ties), then a cancel storm over
-    // most of it so the dead majority triggers compaction.
+    // A batch of coarse times (many exact ties), sometimes all at one
+    // instant, then a cancel storm over most of it so the dead majority
+    // forces a compaction.
     const std::size_t first = events.size();
     const auto batch = rng.uniformInt(80, 200);
+    const bool one_instant = rng.chance(0.25);
     for (std::int64_t i = 0; i < batch; ++i)
-      scheduleOne(rng.uniformInt(0, 40) * 5);
+      scheduleOne(one_instant ? 100 : rng.uniformInt(0, 40) * 5);
     const auto cancels = rng.uniformInt(0, 2 * batch);
     for (std::int64_t i = 0; i < cancels; ++i)
       cancelOne(first + static_cast<std::size_t>(rng.uniformU64(
                             static_cast<std::uint64_t>(batch))));
     sim.run(sim.now() + rng.uniformInt(0, 240));
+    pokeStaleHandles();
   }
   sim.run();
   expectReleasedBefore(kAfterAll);
@@ -436,6 +516,8 @@ TEST(Simulator, PropertyFiringOrderAndCancelledCaptureRelease) {
     ASSERT_EQ(fired_order[i], std::get<2>(expected[i])) << "position " << i;
   EXPECT_GE(ops, 10000u);
   EXPECT_GE(sim.compactions(), 5u);
+  // Slots were recycled many times over: far fewer slots than events.
+  EXPECT_LT(sim.maxQueueDepth(), events.size() / 10);
   EXPECT_EQ(sim.pendingEvents(), 0u);
   EXPECT_EQ(sim.queuedEntries(), 0u);
 }

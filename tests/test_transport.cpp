@@ -8,6 +8,7 @@
 
 #include "helpers.h"
 #include "transport/cipher_stream.h"
+#include "transport/conn_table.h"
 #include "util/hash.h"
 
 namespace sc::transport {
@@ -384,6 +385,112 @@ TEST(Tcp, RetransmissionResendsOriginalBytesAfterBufferReuse) {
     EXPECT_EQ(data, first);
   }
   EXPECT_GE(copies, 2);  // the dropped original and its retransmission
+}
+
+// ---- ConnTable ----
+
+using Table = ConnTable<int>;
+
+// Endpoint pairs whose mixes share their top 8 bits: all of them start
+// their probe in one bucket at every capacity up to 256.
+std::vector<Table::Key> collidingKeys(sim::Rng& rng, std::size_t n) {
+  std::vector<Table::Key> keys;
+  std::uint64_t top = 0;
+  bool have_top = false;
+  while (keys.size() < n) {
+    const net::Endpoint local{net::Ipv4(static_cast<std::uint32_t>(0x0A030100u + rng.uniformU64(4))),
+                              static_cast<net::Port>(rng.uniformU64(65536))};
+    const net::Endpoint remote{net::Ipv4(static_cast<std::uint32_t>(0xCB000100u + rng.uniformU64(64))),
+                               static_cast<net::Port>(rng.uniformU64(65536))};
+    const Table::Key key = Table::keyOf(local, remote);
+    const std::uint64_t t = Table::mix(key) >> 56;
+    if (!have_top) {
+      top = t;
+      have_top = true;
+    }
+    if (t == top &&
+        std::find(keys.begin(), keys.end(), key) == keys.end())
+      keys.push_back(key);
+  }
+  return keys;
+}
+
+// Seeded model check against std::map: assign (fresh and overwrite),
+// erase (present, absent, and "only if it still maps to this value"),
+// growth, and every key looked up after every step. Half the keys share
+// one home bucket, so probe runs are long and backward-shift erase moves
+// entries across them.
+TEST(ConnTable, MatchesMapModelWithCollidingKeys) {
+  sim::Rng rng(20240521);
+  std::vector<Table::Key> keys = collidingKeys(rng, 40);
+  while (keys.size() < 80) {
+    const net::Endpoint local{net::Ipv4(static_cast<std::uint32_t>(rng.nextU64())),
+                              static_cast<net::Port>(rng.uniformU64(65536))};
+    const net::Endpoint remote{net::Ipv4(static_cast<std::uint32_t>(rng.nextU64())),
+                               static_cast<net::Port>(rng.uniformU64(65536))};
+    keys.push_back(Table::keyOf(local, remote));
+  }
+  std::vector<int> values(16);
+  const auto key_less = [](const Table::Key& a, const Table::Key& b) {
+    return std::pair(a.local, a.remote) < std::pair(b.local, b.remote);
+  };
+  std::map<Table::Key, int*, decltype(key_less)> model(key_less);
+  Table table;
+  std::size_t max_capacity = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const Table::Key& key = keys[rng.uniformU64(keys.size())];
+    int* value = &values[rng.uniformU64(values.size())];
+    switch (rng.uniformU64(4)) {
+      case 0:
+      case 1:
+        table.assign(key, value);
+        model[key] = value;
+        break;
+      case 2:
+        EXPECT_EQ(table.erase(key), model.erase(key) == 1);
+        break;
+      default: {
+        const auto it = model.find(key);
+        const bool match = it != model.end() && it->second == value;
+        EXPECT_EQ(table.erase(key, value), match);
+        if (match) model.erase(it);
+        break;
+      }
+    }
+    ASSERT_EQ(table.size(), model.size()) << "step " << step;
+    max_capacity = std::max(max_capacity, table.capacity());
+    for (const auto& k : keys) {
+      const auto it = model.find(k);
+      ASSERT_EQ(table.find(k), it == model.end() ? nullptr : it->second)
+          << "step " << step;
+    }
+    if (step % 997 == 0) {  // drain now and then so growth restarts
+      std::size_t seen = 0;
+      table.forEach([&](int*) { ++seen; });
+      EXPECT_EQ(seen, model.size());
+      table.clear();
+      model.clear();
+    }
+  }
+  EXPECT_GE(max_capacity, 128u);
+}
+
+// The rule HostStack::forgetSocket relies on: a socket that took over a key
+// keeps it when the socket it replaced goes away.
+TEST(ConnTable, NewerSocketKeepsTheKey) {
+  const Table::Key key =
+      Table::keyOf(net::Endpoint{net::Ipv4(10, 3, 1, 2), 49152},
+                   net::Endpoint{net::Ipv4(203, 0, 1, 1), 443});
+  int older = 1, newer = 2;
+  Table table;
+  table.assign(key, &older);
+  table.assign(key, &newer);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_FALSE(table.erase(key, &older));
+  EXPECT_EQ(table.find(key), &newer);
+  EXPECT_TRUE(table.erase(key, &newer));
+  EXPECT_EQ(table.find(key), nullptr);
+  EXPECT_EQ(table.size(), 0u);
 }
 
 // ---- UDP ----
