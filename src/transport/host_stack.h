@@ -4,10 +4,10 @@
 //
 // Sockets belong to the streams and applications above them; the stack only
 // indexes them (DESIGN §6, "Ownership"), in a ConnTable: one multiply-mixed
-// open-addressing probe per received segment (conn_table.h). A released socket leaves the index
-// in its destructor, so late segments for it draw a RST, as for any closed
-// port. The destructor detaches the handlers of sockets still open, which
-// frees whatever they capture with the world.
+// open-addressing probe per received segment (conn_table.h). A released
+// socket leaves the index in its destructor, so late segments for it draw a
+// RST, as for any closed port. The destructor detaches the handlers of
+// sockets still open, which frees whatever they capture with the world.
 #pragma once
 
 #include <functional>

@@ -19,7 +19,8 @@ void trimConsumed(V& queue, std::size_t& head) {
     queue.clear();
     head = 0;
   } else if (2 * head >= queue.size()) {
-    queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(head));
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(head));
     head = 0;
   }
 }

@@ -141,13 +141,19 @@ class TcpSocket final : public Stream,
     bool retransmitted = false;
     bool fin = false;
     // Window space the segment holds: its bytes, or one for a bare FIN.
-    std::size_t span() const noexcept { return fin && data.empty() ? 1 : data.size(); }
+    std::size_t span() const noexcept {
+      return fin && data.empty() ? 1 : data.size();
+    }
   };
   std::vector<InFlight> inflight_;
   std::size_t inflight_head_ = 0;
   std::size_t inflight_bytes_ = 0;  // sum of span() over in-flight segments
-  std::size_t unsent() const noexcept { return send_buffer_.size() - send_head_; }
-  bool inflightEmpty() const noexcept { return inflight_head_ == inflight_.size(); }
+  std::size_t unsent() const noexcept {
+    return send_buffer_.size() - send_head_;
+  }
+  bool inflightEmpty() const noexcept {
+    return inflight_head_ == inflight_.size();
+  }
   InFlight& inflightHead() noexcept { return inflight_[inflight_head_]; }
   void popInflight();
   std::uint32_t snd_una_ = 0;

@@ -268,7 +268,8 @@ TEST(Scalability, ShadowsocksCellGolden) {
 }
 
 TEST(Scalability, ScholarCloudCellGolden) {
-  EXPECT_EQ(scalabilityCellDigest(Method::kScholarCloud), 0x42acae383e740376ULL);
+  EXPECT_EQ(scalabilityCellDigest(Method::kScholarCloud),
+            0x42acae383e740376ULL);
 }
 
 // Tracing the cell observes it without changing what it measures.
@@ -277,7 +278,8 @@ TEST(Scalability, ExportsLeaveThePointUnchanged) {
   opts.accesses_per_client = 1;
   opts.seed = 17;
   ScalabilityExports exports;
-  const auto traced = runScalabilityPoint(Method::kShadowsocks, 4, opts, &exports);
+  const auto traced =
+      runScalabilityPoint(Method::kShadowsocks, 4, opts, &exports);
   const auto plain = runScalabilityPoint(Method::kShadowsocks, 4, opts);
   EXPECT_EQ(traced.plt_mean_s, plain.plt_mean_s);
   EXPECT_EQ(traced.plt_p95_s, plain.plt_p95_s);

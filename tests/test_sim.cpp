@@ -349,15 +349,17 @@ TEST(Simulator, OrderKeyPacksSeqAboveSlot) {
 TEST(Simulator, OrderKeyLimitsThrow) {
   EXPECT_NO_THROW(Simulator::packOrder(Simulator::kMaxSeq - 1, 0));
   EXPECT_THROW(Simulator::packOrder(Simulator::kMaxSeq, 0), std::length_error);
-  EXPECT_THROW(Simulator::packOrder(std::numeric_limits<std::uint64_t>::max(), 0),
-               std::length_error);
+  EXPECT_THROW(
+      Simulator::packOrder(std::numeric_limits<std::uint64_t>::max(), 0),
+      std::length_error);
   EXPECT_NO_THROW(Simulator::packOrder(
       0, static_cast<std::uint32_t>(Simulator::kMaxSlots - 1)));
   EXPECT_THROW(Simulator::packOrder(
                    0, static_cast<std::uint32_t>(Simulator::kMaxSlots)),
                std::length_error);
-  EXPECT_THROW(Simulator::packOrder(0, std::numeric_limits<std::uint32_t>::max()),
-               std::length_error);
+  EXPECT_THROW(
+      Simulator::packOrder(0, std::numeric_limits<std::uint32_t>::max()),
+      std::length_error);
 }
 
 // A slot is reused for a new event only after its old entry left the heap,

@@ -290,7 +290,8 @@ TEST(Tcp, BulkTransferBothWaysWireGolden) {
   const auto& ss = server_side->stats();
   EXPECT_GT(cs.fast_retransmits + ss.fast_retransmits, 0u);
   EXPECT_GT(cs.rtos + ss.rtos, 0u);
-  EXPECT_EQ(tap.wire.value(), 0xa82dfa3cd1a19ed4ULL) << tap.segments << " segments";
+  EXPECT_EQ(tap.wire.value(), 0xa82dfa3cd1a19ed4ULL)
+      << tap.segments << " segments";
 }
 
 // Many small sends while earlier segments are still in flight: every byte
@@ -304,7 +305,8 @@ TEST(Tcp, RepeatedSendsWhileSegmentsInFlight) {
   w.world.borderLink().addFilter(&tap);
   Bytes received;
   auto listener = w.server.tcpListen(7777, [&](TcpSocket::Ptr sock) {
-    sock->setOnData([&received, sock](ByteView d) { appendBytes(received, d); });
+    sock->setOnData(
+        [&received, sock](ByteView d) { appendBytes(received, d); });
   });
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), 7777}, [](const auto&) {});
@@ -322,8 +324,9 @@ TEST(Tcp, RepeatedSendsWhileSegmentsInFlight) {
       sock->send(chunk);
     });
   }
-  w.runUntilDone([&] { return !sent.empty() && received.size() >= sent.size(); },
-                 5 * sim::kMinute);
+  w.runUntilDone(
+      [&] { return !sent.empty() && received.size() >= sent.size(); },
+      5 * sim::kMinute);
   EXPECT_EQ(received, sent);
   EXPECT_EQ(sock->stats().bytes_sent, sent.size());
   // Jitter reorders segments, so some are resent; every copy of a segment
@@ -331,7 +334,8 @@ TEST(Tcp, RepeatedSendsWhileSegmentsInFlight) {
   std::map<std::uint32_t, Bytes> by_seq;
   for (const auto& [seq, data] : tap.client_data) {
     EXPECT_LE(data.size(), 1400u);
-    const auto [it, fresh] = by_seq.emplace(seq - tap.client_data[0].first, data);
+    const std::uint32_t offset = seq - tap.client_data[0].first;
+    const auto [it, fresh] = by_seq.emplace(offset, data);
     if (!fresh) {
       EXPECT_EQ(it->second, data) << "seq " << seq;
     }
@@ -355,7 +359,8 @@ TEST(Tcp, RetransmissionResendsOriginalBytesAfterBufferReuse) {
   w.world.borderLink().addFilter(&tap);
   Bytes received;
   auto listener = w.server.tcpListen(7777, [&](TcpSocket::Ptr sock) {
-    sock->setOnData([&received, sock](ByteView d) { appendBytes(received, d); });
+    sock->setOnData(
+        [&received, sock](ByteView d) { appendBytes(received, d); });
   });
   auto sock = w.client.tcpConnect(
       net::Endpoint{w.server_node.primaryIp(), 7777}, [](const auto&) {});
@@ -391,6 +396,12 @@ TEST(Tcp, RetransmissionResendsOriginalBytesAfterBufferReuse) {
 
 using Table = ConnTable<int>;
 
+// `ip` (low 32 bits) with a random port.
+net::Endpoint endpoint(std::uint64_t ip, sim::Rng& rng) {
+  return net::Endpoint{net::Ipv4(static_cast<std::uint32_t>(ip)),
+                       static_cast<net::Port>(rng.uniformU64(65536))};
+}
+
 // Endpoint pairs whose mixes share their top 8 bits: all of them start
 // their probe in one bucket at every capacity up to 256.
 std::vector<Table::Key> collidingKeys(sim::Rng& rng, std::size_t n) {
@@ -398,11 +409,9 @@ std::vector<Table::Key> collidingKeys(sim::Rng& rng, std::size_t n) {
   std::uint64_t top = 0;
   bool have_top = false;
   while (keys.size() < n) {
-    const net::Endpoint local{net::Ipv4(static_cast<std::uint32_t>(0x0A030100u + rng.uniformU64(4))),
-                              static_cast<net::Port>(rng.uniformU64(65536))};
-    const net::Endpoint remote{net::Ipv4(static_cast<std::uint32_t>(0xCB000100u + rng.uniformU64(64))),
-                               static_cast<net::Port>(rng.uniformU64(65536))};
-    const Table::Key key = Table::keyOf(local, remote);
+    const Table::Key key =
+        Table::keyOf(endpoint(0x0A030100u + rng.uniformU64(4), rng),
+                     endpoint(0xCB000100u + rng.uniformU64(64), rng));
     const std::uint64_t t = Table::mix(key) >> 56;
     if (!have_top) {
       top = t;
@@ -424,11 +433,8 @@ TEST(ConnTable, MatchesMapModelWithCollidingKeys) {
   sim::Rng rng(20240521);
   std::vector<Table::Key> keys = collidingKeys(rng, 40);
   while (keys.size() < 80) {
-    const net::Endpoint local{net::Ipv4(static_cast<std::uint32_t>(rng.nextU64())),
-                              static_cast<net::Port>(rng.uniformU64(65536))};
-    const net::Endpoint remote{net::Ipv4(static_cast<std::uint32_t>(rng.nextU64())),
-                               static_cast<net::Port>(rng.uniformU64(65536))};
-    keys.push_back(Table::keyOf(local, remote));
+    keys.push_back(Table::keyOf(endpoint(rng.nextU64(), rng),
+                                endpoint(rng.nextU64(), rng)));
   }
   std::vector<int> values(16);
   const auto key_less = [](const Table::Key& a, const Table::Key& b) {
