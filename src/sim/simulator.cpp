@@ -72,7 +72,8 @@ EventHandle Simulator::scheduleAt(Time at, EventFn fn) {
   const bool reuse = !free_slots_.empty();
   const auto slot = static_cast<std::uint32_t>(
       reuse ? free_slots_.back() : slot_gen_.size());
-  const std::uint64_t order = packOrder(next_seq_, slot);  // may throw
+  // Packed before anything changes: a limit error leaves the queue intact.
+  const std::uint64_t order = packOrder(next_seq_, slot);
   if (reuse) {
     free_slots_.pop_back();
   } else {

@@ -295,8 +295,8 @@ TEST(Tcp, BulkTransferBothWaysWireGolden) {
 }
 
 // Many small sends while earlier segments are still in flight: every byte
-// arrives once, in order, and the sender never puts more than an MSS in a
-// segment or resends what the receiver already has.
+// arrives once and in order, no segment carries more than an MSS, and a
+// segment sent twice carries the same bytes both times.
 TEST(Tcp, RepeatedSendsWhileSegmentsInFlight) {
   MiniWorld w;
   w.world.borderLink().params().loss_rate = 0;
