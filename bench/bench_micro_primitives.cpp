@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) of the hot primitives: the crypto the
 // tunnels run on, the blinding codec, Tor cell handling, the HTTP message
 // codec, a router's next-hop lookup, the simulator's event loop, a host's
-// socket demux and a TCP bulk send. Useful for spotting regressions that
-// would silently stretch the figure benches' wall time.
+// socket demux, a TCP bulk send, and the population day's per-arrival query
+// rank and cache hit. Useful for spotting regressions that would silently
+// stretch the figure benches' wall time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -14,9 +15,12 @@
 #include "crypto/entropy.h"
 #include "crypto/sha256.h"
 #include "core/blinded_stream.h"
+#include "fleet/cache.h"
 #include "http/message.h"
 #include "http/origin.h"
 #include "net/topology.h"
+#include "population/population.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "tor/cell.h"
 #include "transport/conn_table.h"
@@ -263,5 +267,41 @@ void BM_TcpBulkSend(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_TcpBulkSend)->Arg(64 * 1024)->Arg(1024 * 1024);
+
+// One arrival's Zipf query rank over the default 512-query catalog: a
+// uniform draw, the guide-table entry and the short forward scan.
+void BM_ZipfQueryRank(benchmark::State& state) {
+  sc::population::PopulationOptions opts;
+  opts.scholars = 1000;
+  const sc::population::PopulationModel model(opts);
+  sc::sim::Rng rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(model.sampleQueryRank(rng));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfQueryRank);
+
+// A hit in the domestic response cache on a 2 KB Scholar page, the lookup
+// every ScholarCloud arrival of the population day makes. Keys cycle
+// through the default catalog's 64 hottest queries, all resident.
+void BM_CacheLookupHit(benchmark::State& state) {
+  sc::sim::Simulator sim(1);
+  sc::fleet::ShardedLruCache cache(sim, sc::fleet::CacheOptions{});
+  sc::http::Response page;
+  page.status = 200;
+  page.headers.set("content-type", "text/html");
+  page.body = makeData(2048);
+  std::vector<std::string> keys;
+  for (int rank = 0; rank < 64; ++rank) {
+    keys.push_back(sc::population::PopulationModel::queryCacheKey(rank));
+    cache.insert(keys.back(), page);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.lookup(keys[i]).has_value());
+    i = i + 1 == keys.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheLookupHit);
 
 }  // namespace

@@ -274,7 +274,7 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
   const bool cacheable = cache != nullptr && req.method == "GET";
   const std::string cache_key = host + url->path;
   if (cacheable) {
-    auto hit = cache->lookup(cache_key);
+    const ResponseCache::Hit hit = cache->lookup(cache_key);
     // Zero-duration span: the consult is synchronous, but hit/miss counts
     // per access feed the phase breakdown.
     if (auto* sp = obs::spansOf(stack_.sim()))
@@ -285,8 +285,9 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
       ++cache_hits_;
       if (c_cache_hits_ != nullptr) c_cache_hits_->inc();
       noteProxied();
-      hit->headers.set("x-cache", "hit");
-      respond(std::move(*hit));
+      http::Response resp = hit->get();
+      resp.headers.set("x-cache", "hit");
+      respond(std::move(resp));
       return;
     }
   }

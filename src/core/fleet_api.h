@@ -26,8 +26,13 @@ class ResponseCache {
  public:
   virtual ~ResponseCache() = default;
 
-  // nullopt on miss or expiry; a hit returns a copy the caller may mutate.
-  virtual std::optional<http::Response> lookup(const std::string& key) = 0;
+  // A hit: the stored response itself, not a copy. The reference stays
+  // valid until the next lookup() or insert() on this cache (either may
+  // overwrite, evict or expire the entry); copy it to keep or mutate it.
+  using Hit = std::optional<std::reference_wrapper<const http::Response>>;
+
+  // nullopt on miss or expiry.
+  virtual Hit lookup(const std::string& key) = 0;
   virtual void insert(const std::string& key, const http::Response& resp) = 0;
 };
 

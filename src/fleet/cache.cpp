@@ -20,22 +20,21 @@ std::size_t ShardedLruCache::shardOf(const std::string& key) const {
   return static_cast<std::size_t>(fnv1a(key) % shards_.size());
 }
 
-std::optional<http::Response> ShardedLruCache::lookup(const std::string& key) {
+ShardedLruCache::Hit ShardedLruCache::lookup(const std::string& key) {
   const std::size_t si = shardOf(key);
   Shard& shard = shards_[si];
   const auto it = shard.index.find(key);
-  bool hit = false;
-  std::optional<http::Response> out;
+  Hit out;
   if (it != shard.index.end()) {
     if (it->second->expires > sim_.now()) {
-      hit = true;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      out = it->second->response;
+      out = std::cref(it->second->response);
     } else {
       shard.lru.erase(it->second);
       shard.index.erase(it);
     }
   }
+  const bool hit = out.has_value();
   if (hit) {
     ++hits_;
     if (c_hits_ != nullptr) c_hits_->inc();

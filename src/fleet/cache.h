@@ -38,7 +38,9 @@ class ShardedLruCache final : public core::ResponseCache {
  public:
   ShardedLruCache(sim::Simulator& sim, CacheOptions options);
 
-  std::optional<http::Response> lookup(const std::string& key) override;
+  // Splices a hit to the front of its shard's LRU and returns the stored
+  // response; see core::ResponseCache for how long the reference lives.
+  Hit lookup(const std::string& key) override;
   void insert(const std::string& key, const http::Response& resp) override;
 
   std::uint64_t hits() const noexcept { return hits_; }

@@ -203,11 +203,16 @@ FlowAccess FlowModel::expected(Method m, bool first_visit,
 FlowAccess FlowModel::sample(Method m, bool first_visit, LoadState load,
                              sim::Rng& rng) const {
   FlowAccess out = expected(m, first_visit, load);
-  // Exactly two draws per call (rng-stream discipline: call sites consume a
-  // fixed number of values so adding one never perturbs another).
+  // Two normals per call, ok or not (rng-stream discipline: call sites
+  // consume a fixed number of values so adding one never perturbs another).
+  // A failed access uses neither, so it skips their math and only advances
+  // the stream past the draws they would have taken.
+  if (!out.ok) {
+    rng.discard(2 * sim::Rng::kNormalDraws);
+    return out;
+  }
   const double plt_noise = rng.normal(1.0, 0.08);
   const double rtt_noise = rng.normal(0.0, 1.0);
-  if (!out.ok) return out;
   out.plt_s *= std::max(0.2, plt_noise);
   const double jitter_ms =
       static_cast<double>(world_.jitter_transpacific) * kMsPerUs * 0.5;

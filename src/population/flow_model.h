@@ -101,7 +101,8 @@ class FlowModel {
   FlowAccess expected(Method m, bool first_visit, LoadState load = {}) const;
 
   // Population path: expectation plus per-access jitter so aggregate
-  // distributions have spread. Draws exactly two rng values per call.
+  // distributions have spread. Takes two normals' worth of rng draws per
+  // call (2 * Rng::kNormalDraws), discarded unused when the access fails.
   FlowAccess sample(Method m, bool first_visit, LoadState load,
                     sim::Rng& rng) const;
 

@@ -16,9 +16,9 @@ std::uint64_t mixU64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-double hashUnit(std::uint64_t seed, std::uint64_t user_id,
-                std::uint64_t label) noexcept {
-  const std::uint64_t h = mixU64(mixU64(seed ^ label) ^ mixU64(user_id));
+// `seed_mix` is mixU64(seed ^ label), computed once per model.
+double hashUnit(std::uint64_t seed_mix, std::uint64_t user_id) noexcept {
+  const std::uint64_t h = mixU64(seed_mix ^ mixU64(user_id));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
@@ -60,7 +60,8 @@ PopulationModel::PopulationModel(PopulationOptions options,
                                  std::vector<UserClassSpec> classes)
     : options_(options),
       classes_(std::move(classes)),
-      sampler_(options.seed, options.serverless_share) {
+      sampler_(options.seed, options.serverless_share),
+      adoption_mix_(mixU64(options.seed ^ kAdoptionLabel)) {
   // Normalize each diurnal curve to mean 1.0 so accesses_per_day is the
   // daily budget no matter how the curve was sketched.
   for (auto& c : classes_) {
@@ -98,6 +99,17 @@ PopulationModel::PopulationModel(PopulationOptions options,
   }
   for (auto& edge : zipf_cdf_) edge /= total;
   zipf_cdf_.back() = 1.0;
+
+  // Guide table: zipf_guide_[k] is the first rank whose edge exceeds k/K
+  // (upper_bound at u = k/K), found in one merged pass over both sequences.
+  // K is a power of two, so k/K and floor(u*K) are exact.
+  std::size_t idx = 0;
+  for (std::size_t k = 0; k < kZipfGuide; ++k) {
+    const double edge =
+        static_cast<double>(k) / static_cast<double>(kZipfGuide);
+    while (!(edge < zipf_cdf_[idx])) ++idx;
+    zipf_guide_[k] = static_cast<std::uint32_t>(idx);
+  }
 }
 
 std::size_t PopulationModel::classOf(std::uint64_t user_id) const {
@@ -137,7 +149,7 @@ Method PopulationModel::methodOf(std::uint64_t user_id) const noexcept {
   // Non-bypassing scholars: adopted ScholarCloud, or still hitting the
   // blocked direct path.
   if (options_.sc_adoption > 0.0 &&
-      hashUnit(options_.seed, user_id, kAdoptionLabel) < options_.sc_adoption)
+      hashUnit(adoption_mix_, user_id) < options_.sc_adoption)
     return Method::kScholarCloud;
   return Method::kDirect;
 }
@@ -148,11 +160,16 @@ std::uint64_t PopulationModel::sampleUser(std::size_t i, sim::Rng& rng) const {
 }
 
 int PopulationModel::sampleQueryRank(sim::Rng& rng) const {
-  const double u = rng.uniformDouble();
-  const auto it = std::upper_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  const auto idx = it == zipf_cdf_.end() ? zipf_cdf_.size() - 1
-                                         : static_cast<std::size_t>(
-                                               it - zipf_cdf_.begin());
+  return queryRankOf(rng.uniformDouble());
+}
+
+int PopulationModel::queryRankOf(double u) const {
+  // upper_bound(cdf, u) is monotone in u, so the answer for u lies at or
+  // after the guide entry of u's 1/K bucket; the forward scan finishes it.
+  // The last edge is 1.0 > u, so the scan stops inside the catalog.
+  std::size_t idx = zipf_guide_[static_cast<std::size_t>(
+      u * static_cast<double>(kZipfGuide))];
+  while (!(u < zipf_cdf_[idx])) ++idx;
   return static_cast<int>(idx);
 }
 

@@ -96,11 +96,20 @@ class PopulationModel {
   // order).
   Method methodOf(std::uint64_t user_id) const noexcept;
 
-  // One uniform draw: a member of class `i`.
+  // A member of class `i`: one uniformU64 (rejection sampling may repeat
+  // its draw).
   std::uint64_t sampleUser(std::size_t i, sim::Rng& rng) const;
 
-  // One uniform draw: a Zipf-distributed query rank in [0, query_catalog).
+  // One uniform draw: a Zipf-distributed query rank in [0, query_catalog),
+  // queryRankOf(rng.uniformDouble()).
   int sampleQueryRank(sim::Rng& rng) const;
+
+  // The rank of uniform `u` in [0, 1): the first rank whose Zipf CDF edge
+  // exceeds u (std::upper_bound over the edges). A guide table of
+  // kZipfGuide entries, built once, starts the search at or just before
+  // the answer.
+  int queryRankOf(double u) const;
+  static constexpr std::size_t kZipfGuide = 1024;  // a power of two
 
   // The cache key the domestic proxy would use for query `rank` (host +
   // path; rank 0 is the Scholar home page — the hottest key, and the same
@@ -112,7 +121,10 @@ class PopulationModel {
   std::vector<UserClassSpec> classes_;
   std::vector<std::uint64_t> class_begin_;  // size classes_.size() + 1
   survey::MethodSampler sampler_;
+  std::uint64_t adoption_mix_;    // the seed's adoption hash, mixed once
   std::vector<double> zipf_cdf_;  // upper edges, ascending
+  // zipf_guide_[k] = upper_bound(zipf_cdf_, k / kZipfGuide) as an index.
+  std::array<std::uint32_t, kZipfGuide> zipf_guide_{};
 };
 
 }  // namespace sc::population

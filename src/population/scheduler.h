@@ -16,8 +16,9 @@
 //     autoscaler watches — carries the background load and the packet
 //     cohort contends for the same pool.
 //
-// Determinism: exactly four rng draws per arrival (user, query, and the
-// flow sample's two), a forked sub-stream per scheduler, visited state in a
+// Determinism: a fixed rng draw schedule per arrival (the user, one draw
+// that rejection sampling may repeat; the query, one; the flow sample's two
+// normals, four), a forked sub-stream per scheduler, visited state in a
 // flat bitset. Same seed => byte-identical metrics and traces on any
 // machine and (cell-per-thread) any thread count.
 #pragma once

@@ -75,6 +75,10 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
+void Rng::discard(int n) noexcept {
+  for (int i = 0; i < n; ++i) nextU64();
+}
+
 Bytes Rng::randomBytes(std::size_t n) {
   Bytes out(n);
   std::size_t i = 0;

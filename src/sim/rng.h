@@ -33,7 +33,14 @@ class Rng {
 
   // Normal via Box-Muller (one value per call; the pair's twin is discarded
   // to keep the stream consumption rate deterministic per call site).
+  // Consumes exactly kNormalDraws nextU64() values.
   double normal(double mean, double stddev) noexcept;
+  static constexpr int kNormalDraws = 2;
+
+  // Advances the stream by `n` nextU64() draws without using them: a call
+  // site that skips a value it would have drawn (say, a normal() whose
+  // result goes unused) keeps every later draw where it was.
+  void discard(int n) noexcept;
 
   // Random byte buffer (for keys, nonces, cover traffic).
   Bytes randomBytes(std::size_t n);

@@ -98,7 +98,7 @@ std::uint64_t mixU64(std::uint64_t x) noexcept {
 }  // namespace
 
 MethodSampler::MethodSampler(std::uint64_t seed, double serverless_share)
-    : seed_(seed), shares_(populationShares()) {
+    : seed_mix_(mixU64(seed)), shares_(populationShares()) {
   const double sv = std::clamp(serverless_share, 0.0, 1.0);
   double acc = 0;
   for (auto& s : shares_) {
@@ -113,7 +113,7 @@ MethodSampler::MethodSampler(std::uint64_t seed, double serverless_share)
 }
 
 AccessMethod MethodSampler::methodOf(std::uint64_t user_id) const noexcept {
-  const std::uint64_t h = mixU64(mixU64(seed_) ^ mixU64(user_id));
+  const std::uint64_t h = mixU64(seed_mix_ ^ mixU64(user_id));
   // 53-bit mantissa -> uniform double in [0, 1).
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   for (const auto& s : shares_) {

@@ -97,7 +97,7 @@ class MethodSampler {
   const std::vector<MethodShare>& shares() const noexcept { return shares_; }
 
  private:
-  std::uint64_t seed_;
+  std::uint64_t seed_mix_;  // mixU64(seed), hashed once
   std::vector<MethodShare> shares_;  // share holds the CDF upper edge
 };
 

@@ -106,7 +106,7 @@ TEST(Cache, MissThenHitThenLruEviction) {
   cache.insert("b", okResponse("body-b"));
   const auto hit = cache.lookup("a");  // touches a: b becomes the LRU entry
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->body, toBytes("body-a"));
+  EXPECT_EQ(hit->get().body, toBytes("body-a"));
   cache.insert("c", okResponse("body-c"));  // capacity 2: evicts b
   EXPECT_FALSE(cache.lookup("b").has_value());
   EXPECT_TRUE(cache.lookup("a").has_value());
@@ -126,6 +126,52 @@ TEST(Cache, EntriesExpireAfterTtl) {
   sim.runUntil(11 * sim::kSecond);
   EXPECT_FALSE(cache.lookup("k").has_value());  // stale: erased on touch
   EXPECT_EQ(cache.entries(), 0u);
+}
+
+TEST(Cache, LookupReturnsTheStoredEntryNotACopy) {
+  sim::Simulator sim(1);
+  obs::Hub hub(sim);
+  hub.tracer().enable();
+  CacheOptions opts;
+  opts.ttl = 10 * sim::kSecond;
+  ShardedLruCache cache(sim, opts);
+  cache.insert("k", okResponse(std::string(2048, 'a')));
+
+  const auto first = cache.lookup("k");
+  const auto second = cache.lookup("k");
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(&first->get(), &second->get());  // both name the stored entry
+  EXPECT_EQ(first->get().body, toBytes(std::string(2048, 'a')));
+
+  // A same-key insert overwrites the entry in place: the next hit carries
+  // the new body from the same storage.
+  cache.insert("k", okResponse("fresh"));
+  const auto third = cache.lookup("k");
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(&third->get(), &first->get());
+  EXPECT_EQ(third->get().body, toBytes("fresh"));
+
+  EXPECT_FALSE(cache.lookup("absent").has_value());
+  sim.schedule(11 * sim::kSecond, [] {});
+  sim.runUntil(11 * sim::kSecond);
+  EXPECT_FALSE(cache.lookup("k").has_value());  // expired: a miss, erased
+
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.entries(), 0u);
+  obs::Registry& reg = hub.registry();
+  EXPECT_EQ(reg.counter("sc.fleet.cache_hits")->value(), 3u);
+  EXPECT_EQ(reg.counter("sc.fleet.cache_misses")->value(), 2u);
+
+  std::vector<std::string> seen;
+  for (const obs::Event& ev : hub.tracer().events()) {
+    ASSERT_EQ(ev.type, obs::EventType::kCacheLookup);
+    EXPECT_EQ(ev.a, static_cast<std::int64_t>(cache.shardOf(ev.detail)));
+    seen.push_back(std::string(ev.what) + " " + ev.detail);
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"hit k", "hit k", "hit k",
+                                            "miss absent", "miss k"}));
 }
 
 TEST(Cache, ShardAssignmentIsStableAndBounded) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "gfw/gfw.h"
 #include "helpers.h"
 #include "measure/calibration.h"
@@ -70,6 +76,20 @@ TEST(Population, FlowModelBlocksDirectUnderCalibratedGfw) {
   FlowModel open(measure::calibratedWorld(), nullptr, off);
   EXPECT_FALSE(open.directBlocked());
   EXPECT_TRUE(open.expected(Method::kDirect, false).ok);
+}
+
+TEST(Population, BlockedSampleAdvancesTheRngLikeAnOkSample) {
+  FlowModel flow(measure::calibratedWorld(), nullptr,
+                 measure::calibratedGfw());
+  ASSERT_FALSE(flow.expected(Method::kDirect, false).ok);
+  ASSERT_TRUE(flow.expected(Method::kScholarCloud, false).ok);
+  for (const std::uint64_t seed : {1ULL, 77ULL, 0xdeadbeefULL}) {
+    sim::Rng blocked(seed), ok(seed);
+    flow.sample(Method::kDirect, false, {}, blocked);
+    flow.sample(Method::kScholarCloud, false, {}, ok);
+    // Both streams continue in step.
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(blocked.nextU64(), ok.nextU64());
+  }
 }
 
 TEST(Population, FlowModelCacheHitStaysDomestic) {
@@ -208,6 +228,64 @@ TEST(Population, ZipfQueryCatalogIsHeadHeavy) {
   // Top 8 of 512 ranks carry ~48% of the mass at s=1.1.
   EXPECT_GT(total, 8000);
   EXPECT_EQ(PopulationModel::queryCacheKey(0), "scholar.google.com/");
+}
+
+// The rank std::upper_bound gives over a Zipf CDF built the way the model
+// builds it; the guide-table sampler must agree with it for every u.
+struct ZipfReference {
+  std::vector<double> cdf;
+
+  ZipfReference(int catalog, double s) {
+    double total = 0;
+    for (int r = 0; r < catalog; ++r) {
+      total += 1.0 / std::pow(static_cast<double>(r + 1), s);
+      cdf.push_back(total);
+    }
+    for (auto& edge : cdf) edge /= total;
+    cdf.back() = 1.0;
+  }
+  int rankOf(double u) const {
+    const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+    return static_cast<int>(it == cdf.end() ? cdf.size() - 1
+                                            : it - cdf.begin());
+  }
+};
+
+TEST(Population, ZipfGuideTableMatchesUpperBound) {
+  for (const auto& [catalog, s] :
+       std::vector<std::pair<int, double>>{{512, 1.1}, {1, 1.1}, {2, 1.1},
+                                           {513, 1.1}, {512, 0.7},
+                                           {2000, 1.6}}) {
+    SCOPED_TRACE(std::to_string(catalog) + " ranks, s=" + std::to_string(s));
+    PopulationOptions opts;
+    opts.scholars = 100;
+    opts.query_catalog = catalog;
+    opts.zipf_s = s;
+    const PopulationModel model(opts);
+    const ZipfReference ref(catalog, s);
+
+    // Probe every guide edge k/K and every CDF edge, with one ulp either
+    // side: the points where a bucket start or a rank boundary could be off.
+    std::vector<double> probes;
+    const auto k_max = PopulationModel::kZipfGuide;
+    for (std::size_t k = 0; k < k_max; ++k)
+      probes.push_back(static_cast<double>(k) / static_cast<double>(k_max));
+    probes.insert(probes.end(), ref.cdf.begin(), ref.cdf.end());
+    for (const double p : std::vector<double>(probes)) {
+      probes.push_back(std::nextafter(p, 0.0));
+      probes.push_back(std::nextafter(p, 1.0));
+    }
+    for (const double u : probes) {
+      if (!(u >= 0.0 && u < 1.0)) continue;
+      ASSERT_EQ(model.queryRankOf(u), ref.rankOf(u)) << "u=" << u;
+    }
+
+    // Seeded draws: sampleQueryRank consumes one uniform draw per call.
+    sim::Rng rng(0x21bf), twin(0x21bf);
+    for (int i = 0; i < 200000; ++i)
+      ASSERT_EQ(model.sampleQueryRank(rng), ref.rankOf(twin.uniformDouble()))
+          << "draw " << i;
+  }
 }
 
 // ---- hybrid scheduler / cells ------------------------------------------
