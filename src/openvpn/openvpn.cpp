@@ -1,5 +1,7 @@
 #include "openvpn/openvpn.h"
 
+#include <algorithm>
+
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "obs/hub.h"
@@ -23,6 +25,11 @@ Bytes sessionKeyFrom(ByteView ta_key, ByteView nonce_c, ByteView nonce_s) {
   appendBytes(salt, nonce_s);
   return crypto::deriveKey(ta_key, toString(salt), 32);
 }
+
+// The client's handshake window and its first resend interval (OpenVPN's
+// --tls-timeout default); each resend doubles the interval.
+constexpr sim::Time kHandshakeWindow = 15 * sim::kSecond;
+constexpr sim::Time kFirstResend = 2 * sim::kSecond;
 }  // namespace
 
 // -------------------------------------------------------------------- server
@@ -64,10 +71,11 @@ void OpenVpnServer::onDatagram(net::Endpoint from, ByteView data,
 
   switch (op) {
     case kOpHardResetClient: {
-      const std::uint32_t session = next_session_++;
+      const auto [it, fresh] = pending_.try_emplace(from, next_session_);
+      if (fresh) ++next_session_;
       Bytes reply;
       appendU8(reply, kOpHardResetServer);
-      appendU32(reply, session);
+      appendU32(reply, it->second);
       stack_.udpSend(kOpenVpnPort, from, std::move(reply), tag);
       break;
     }
@@ -84,21 +92,23 @@ void OpenVpnServer::onDatagram(net::Endpoint from, ByteView data,
         ++auth_failures_;
         return;  // silently ignore, like tls-auth drops unauthenticated pkts
       }
-      const Bytes nonce_s = stack_.sim().rng().randomBytes(16);
+      // A resent Control (our reply was lost): the same answer again, with
+      // no fresh nonce draw and no new inner address.
+      if (const auto it = sessions_.find(session);
+          it != sessions_.end() && it->second.client == from &&
+          it->second.client_nonce == nonce) {
+        sendControlReply(it->second, tag);
+        return;
+      }
+      Bytes nonce_s = stack_.sim().rng().randomBytes(16);
       const net::Ipv4 inner{options_.inner_base.v + next_inner_++};
-      sessions_.insert_or_assign(
-          session,
-          Session{session, from, inner,
-                  crypto::Aes256(
-                      sessionKeyFrom(options_.tls_auth_key, nonce, nonce_s))});
-
-      Bytes reply;
-      appendU8(reply, kOpControl);
-      appendU32(reply, session);
-      appendBytes(reply, nonce_s);
-      appendU32(reply, inner.v);
-      appendU32(reply, options_.advertised_dns.v);
-      stack_.udpSend(kOpenVpnPort, from, std::move(reply), tag);
+      crypto::Aes256 cipher(
+          sessionKeyFrom(options_.tls_auth_key, nonce, nonce_s));
+      pending_.erase(from);
+      const auto placed = sessions_.insert_or_assign(
+          session, Session{session, from, inner, std::move(cipher),
+                           std::move(nonce), std::move(nonce_s)});
+      sendControlReply(placed.first->second, tag);
       break;
     }
     case kOpData: {
@@ -119,6 +129,16 @@ void OpenVpnServer::onDatagram(net::Endpoint from, ByteView data,
     default:
       break;
   }
+}
+
+void OpenVpnServer::sendControlReply(const Session& s, std::uint32_t tag) {
+  Bytes reply;
+  appendU8(reply, kOpControl);
+  appendU32(reply, s.id);
+  appendBytes(reply, s.server_nonce);
+  appendU32(reply, s.inner_ip.v);
+  appendU32(reply, options_.advertised_dns.v);
+  stack_.udpSend(kOpenVpnPort, s.client, std::move(reply), tag);
 }
 
 // -------------------------------------------------------------------- client
@@ -144,7 +164,8 @@ net::Ipv4 OpenVpnClient::innerIp() const {
 }
 
 void OpenVpnClient::finish(bool ok, const std::string& error) {
-  timeout_.cancel();
+  handshake_timer_.cancel();
+  handshake_message_.clear();
   if (auto cb = std::move(connect_cb_)) cb(ok, error);
 }
 
@@ -170,10 +191,32 @@ void OpenVpnClient::connect(ConnectCb cb) {
 
   Bytes reset;
   appendU8(reset, kOpHardResetClient);
-  stack_.udpSend(local_port_, config_.remote, std::move(reset), tag_);
-  timeout_ = stack_.sim().schedule(15 * sim::kSecond, [this] {
+  handshake_deadline_ = stack_.sim().now() + kHandshakeWindow;
+  resend_after_ = kFirstResend;
+  sendHandshake(std::move(reset));
+  armHandshakeTimer();
+}
+
+void OpenVpnClient::sendHandshake(Bytes message) {
+  handshake_message_ = std::move(message);
+  stack_.udpSend(local_port_, config_.remote, handshake_message_, tag_);
+}
+
+void OpenVpnClient::armHandshakeTimer() {
+  const sim::Time at =
+      std::min(stack_.sim().now() + resend_after_, handshake_deadline_);
+  handshake_timer_ =
+      stack_.sim().scheduleAt(at, [this] { onHandshakeTimer(); });
+}
+
+void OpenVpnClient::onHandshakeTimer() {
+  if (stack_.sim().now() >= handshake_deadline_) {
     finish(false, "handshake timeout");
-  });
+    return;
+  }
+  stack_.udpSend(local_port_, config_.remote, handshake_message_, tag_);
+  resend_after_ *= 2;
+  armHandshakeTimer();
 }
 
 void OpenVpnClient::onDatagram(ByteView data) {
@@ -193,10 +236,11 @@ void OpenVpnClient::onDatagram(ByteView data) {
       appendU16(control, static_cast<std::uint16_t>(pem.size()));
       appendBytes(control, toBytes(pem));
       appendBytes(control, nonce_);
-      stack_.udpSend(local_port_, config_.remote, std::move(control), tag_);
+      sendHandshake(std::move(control));
       break;
     }
     case kOpControl: {
+      if (tun_ != nullptr) return;  // a resent reply to a resent Control
       std::uint32_t session = 0, inner = 0, dns = 0;
       Bytes nonce_s;
       if (!readU32(data, off, session) || session != session_ ||
@@ -266,7 +310,7 @@ void OpenVpnClient::sendKeepalive() {
 
 void OpenVpnClient::disconnect() {
   keepalive_timer_.cancel();
-  timeout_.cancel();
+  handshake_timer_.cancel();
   tun_.reset();
   if (local_port_ != 0) {
     stack_.udpUnbind(local_port_);

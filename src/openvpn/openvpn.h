@@ -8,6 +8,11 @@
 // the pre-shared tls-auth key. Data packets (0x30) carry the AES-256-CFB
 // encrypted serialized inner packet under a per-packet IV.
 //
+// Handshake datagrams ride lossy UDP, so, like OpenVPN's reliability layer,
+// the client resends its current handshake message on a doubling backoff
+// (2 s, 4 s, 8 s) until the 15 s handshake window closes, and the server
+// answers a duplicate with exactly the reply it gave the original.
+//
 // The client will not even attempt to connect without a complete config
 // (remote, CA cert, client cert+key, tls-auth key) — reproducing the
 // paper's "extra client software and complicated configurations" finding.
@@ -55,17 +60,22 @@ class OpenVpnServer {
     net::Endpoint client;
     net::Ipv4 inner_ip;
     crypto::Aes256 cipher;  // session key, expanded once
+    Bytes client_nonce;     // identifies a resent Control
+    Bytes server_nonce;
     std::uint32_t tx_seq = 0;
   };
 
   void onDatagram(net::Endpoint from, ByteView data, std::uint32_t tag);
+  void sendControlReply(const Session& s, std::uint32_t tag);
 
   transport::HostStack& stack_;
   CertificateAuthority& ca_;
   OpenVpnServerOptions options_;
   vpn::VpnNat nat_;
   std::unordered_map<std::uint32_t, Session> sessions_;
-  std::unordered_map<std::uint32_t, Bytes> pending_nonces_;  // session -> nonce
+  // Clients whose hard reset was answered but whose Control has not arrived
+  // yet: a resent reset gets the same session id back.
+  std::unordered_map<net::Endpoint, std::uint32_t> pending_;
   std::uint32_t next_session_ = 0x10;
   std::uint32_t next_inner_ = 2;
   std::uint64_t forwarded_ = 0;
@@ -101,6 +111,9 @@ class OpenVpnClient {
 
  private:
   void onDatagram(ByteView data);
+  void sendHandshake(Bytes message);  // sends it and keeps it for resends
+  void armHandshakeTimer();
+  void onHandshakeTimer();
   void encapsulate(net::Packet&& inner);
   void sendKeepalive();
   void finish(bool ok, const std::string& error);
@@ -116,7 +129,10 @@ class OpenVpnClient {
   net::Ipv4 advertised_dns_;
   std::unique_ptr<vpn::TunDevice> tun_;
   ConnectCb connect_cb_;
-  sim::EventHandle timeout_;
+  Bytes handshake_message_;       // the reset, then the Control
+  sim::Time handshake_deadline_ = 0;
+  sim::Time resend_after_ = 0;    // doubles after every resend
+  sim::EventHandle handshake_timer_;
   sim::EventHandle keepalive_timer_;
 };
 

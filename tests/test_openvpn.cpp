@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dns/server.h"
 #include "helpers.h"
 #include "http/browser.h"
@@ -210,6 +213,85 @@ TEST(OpenVpn, DataPlaneIsEncryptedOnTheWire) {
   EXPECT_EQ(wire.find("site.test"), std::string::npos);
   // ...but the OpenVPN opcode fingerprint does (how the GFW recognizes it).
   EXPECT_EQ(tap.payloads[0], kOpHardResetClient);
+}
+
+// Drops the first border datagram toward the server whose opcode is
+// `to_server_op`, and the first toward the client whose opcode is
+// `to_client_op`: one lost handshake message in each direction.
+struct HandshakeLoss final : net::PacketFilter {
+  std::uint8_t to_server_op;
+  std::uint8_t to_client_op;
+  int dropped = 0;
+  bool dropped_to_server = false;
+  bool dropped_to_client = false;
+  std::vector<Bytes> server_resets;  // every hard-reset reply seen
+
+  HandshakeLoss(std::uint8_t up, std::uint8_t down)
+      : to_server_op(up), to_client_op(down) {}
+
+  Verdict onPacket(net::Packet& pkt, net::Direction, net::Link&) override {
+    if (!pkt.isUdp() || pkt.payload.empty()) return Verdict::kPass;
+    const bool to_server = pkt.udp().dst_port == kOpenVpnPort;
+    if (!to_server && pkt.payload[0] == kOpHardResetServer)
+      server_resets.push_back(pkt.payload);
+    bool& done = to_server ? dropped_to_server : dropped_to_client;
+    if (done || pkt.payload[0] != (to_server ? to_server_op : to_client_op))
+      return Verdict::kPass;
+    done = true;
+    ++dropped;
+    return Verdict::kDrop;
+  }
+};
+
+// The handshake survives the loss by resending, the server answers each
+// resend with the session id and inner address it already assigned, and a
+// page then loads through the tunnel, which needs both ends to hold the
+// same session key.
+void expectHandshakeSurvives(HandshakeLoss loss) {
+  OvpnWorld w;
+  w.world.borderLink().addFilter(&loss);
+  OpenVpnClient client(w.client, w.clientConfig());
+  bool done = false, ok = false;
+  std::string error;
+  sim::Time up_at = 0;
+  client.connect([&](bool r, std::string e) {
+    done = true;
+    ok = r;
+    error = std::move(e);
+    up_at = w.sim.now();
+  });
+  w.runUntilDone([&] { return done; });
+  ASSERT_TRUE(ok) << error;
+  EXPECT_EQ(loss.dropped, 2);
+  EXPECT_GT(up_at, 2 * sim::kSecond);  // took at least one resend
+  EXPECT_LT(up_at, 15 * sim::kSecond);
+  EXPECT_EQ(w.server_vpn->activeSessions(), 1u);
+  ASSERT_FALSE(loss.server_resets.empty());
+  for (const Bytes& reply : loss.server_resets)
+    EXPECT_EQ(reply, loss.server_resets.front());
+  EXPECT_EQ(client.innerIp(), net::Ipv4(192, 168, 79, 2));
+  EXPECT_EQ(client.advertisedDns(), w.dns_node.primaryIp());
+
+  http::BrowserOptions bopts;
+  bopts.dns_server = client.advertisedDns();
+  http::Browser browser(w.client, bopts);
+  bool loaded = false;
+  http::PageLoadResult result;
+  browser.loadPage("site.test", [&](http::PageLoadResult r) {
+    loaded = true;
+    result = r;
+  });
+  w.runUntilDone([&] { return loaded; });
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_GT(w.server_vpn->packetsForwarded(), 10u);
+}
+
+TEST(OpenVpn, HandshakeResendsAfterLostResets) {
+  expectHandshakeSurvives({kOpHardResetClient, kOpHardResetServer});
+}
+
+TEST(OpenVpn, HandshakeResendsAfterLostControls) {
+  expectHandshakeSurvives({kOpControl, kOpControl});
 }
 
 }  // namespace
