@@ -1,10 +1,12 @@
 #include "measure/campaign.h"
 
 #include <string>
+#include <string_view>
 
 #include "measure/cell_world.h"
 #include "measure/parallel.h"
 #include "obs/hub.h"
+#include "util/hash.h"
 
 namespace sc::measure {
 
@@ -20,6 +22,28 @@ int connectionsPerAccess(Method m) {
     default: return 8;  // http redirect + https main + subresources + record
   }
 }
+
+// Hashes the border wire for ScalabilityExports::border_wire_hash. It only
+// reads: every packet passes on unchanged.
+struct BorderWireTap final : net::PacketFilter {
+  Fnv1a wire;
+
+  Verdict onPacket(net::Packet& pkt, net::Direction dir, net::Link&) override {
+    wire.addByte(static_cast<std::uint8_t>(dir));
+    if (pkt.isTcp()) {
+      const net::TcpSeg& t = pkt.tcp();
+      wire.add(t.seq);
+      wire.add(t.ack);
+      wire.addByte(static_cast<std::uint8_t>(
+          t.flags.syn | t.flags.ack << 1 | t.flags.fin << 2 |
+          t.flags.rst << 3 | t.flags.psh << 4));
+    }
+    wire.add(static_cast<std::uint64_t>(pkt.payload.size()));
+    wire.add(std::string_view(reinterpret_cast<const char*>(pkt.payload.data()),
+                              pkt.payload.size()));
+    return Verdict::kPass;
+  }
+};
 }  // namespace
 
 CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
@@ -141,8 +165,10 @@ ScalabilityPoint runScalabilityPoint(Method method, int n_clients,
   TestbedOptions topts;
   topts.seed = options.seed + static_cast<std::uint64_t>(n_clients);
   topts.tracing = exports != nullptr;
+  BorderWireTap tap;  // outlives the testbed whose link points at it
   Testbed tb(topts);
   auto& sim = tb.sim();
+  if (exports != nullptr) tb.world().borderLink().addFilter(&tap);
 
   struct ClientState {
     Testbed::Client* client = nullptr;
@@ -209,8 +235,10 @@ ScalabilityPoint runScalabilityPoint(Method method, int n_clients,
       3 * sim::kMinute;
   sim.runWhile([&] { return completed >= total_expected; }, deadline);
 
-  if (exports != nullptr)
+  if (exports != nullptr) {
     captureJsonl(tb.hub(), exports->metrics_jsonl, &exports->trace_jsonl);
+    exports->border_wire_hash = tap.wire.value();
+  }
   const Summary s = plt.summarize();
   return ScalabilityPoint{n_clients, s.mean, s.p95, failures};
 }

@@ -7,6 +7,7 @@
 // concurrent-client sweep against fresh testbeds.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,10 +62,15 @@ struct ScalabilityOptions {
   std::uint64_t seed = 42;
 };
 
-// JSONL exports of one Fig. 7 cell's hub, captured before its testbed dies.
+// JSONL exports of one Fig. 7 cell's hub, captured before its testbed dies,
+// and a hash of its border wire.
 struct ScalabilityExports {
   std::string metrics_jsonl;
   std::string trace_jsonl;
+  // FNV-1a over every packet the GFW lets onto the border link, in order:
+  // direction, and for TCP seq, ack and flags, then the payload. It pins
+  // what neither JSONL carries (TCP flags, segment boundaries).
+  std::uint64_t border_wire_hash = 0;
 };
 
 // One cell of the Fig. 7 sweep: a fresh testbed running `n_clients`

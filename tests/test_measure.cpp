@@ -246,10 +246,10 @@ TEST(Scalability, MorePointsMoreLoad) {
 }
 
 // Same-seed goldens for Fig. 7's two cells: a few fresh-session clients,
-// one access each, hashed over the point and the cell's metrics and trace.
-// They pin the cells' packet and byte counts, drops, retransmissions and
-// timing; TCP flags are not in either export (Tcp.BulkTransferBothWaysWire-
-// Golden pins those).
+// one access each, hashed over the point, the cell's metrics and trace and
+// its border wire hash. They pin the cells' packet and byte counts, drops,
+// retransmissions and timing, and, through the wire hash, every border
+// segment's seq, ack, flags and payload.
 std::uint64_t scalabilityCellDigest(Method method) {
   ScalabilityOptions opts;
   opts.accesses_per_client = 1;
@@ -260,16 +260,17 @@ std::uint64_t scalabilityCellDigest(Method method) {
   EXPECT_EQ(p.failures, 0);
   EXPECT_FALSE(exports.trace_jsonl.empty());
   return test::cellDigest(exports.metrics_jsonl, exports.trace_jsonl,
-                          p.clients, p.plt_mean_s, p.plt_p95_s, p.failures);
+                          p.clients, p.plt_mean_s, p.plt_p95_s, p.failures,
+                          exports.border_wire_hash);
 }
 
 TEST(Scalability, ShadowsocksCellGolden) {
-  EXPECT_EQ(scalabilityCellDigest(Method::kShadowsocks), 0xfb8a0fb42c6e06abULL);
+  EXPECT_EQ(scalabilityCellDigest(Method::kShadowsocks), 0x378eed382e906dd6ULL);
 }
 
 TEST(Scalability, ScholarCloudCellGolden) {
   EXPECT_EQ(scalabilityCellDigest(Method::kScholarCloud),
-            0x42acae383e740376ULL);
+            0xfa59005ec79b6946ULL);
 }
 
 // Tracing the cell observes it without changing what it measures.
