@@ -17,6 +17,7 @@
 #include "gfw/dpi/engine.h"
 #include "gfw/dpi/scanner.h"
 #include "net/packet.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace sc::gfw {
@@ -217,6 +218,17 @@ net::Packet tcpPacket(Bytes payload, net::Port dst_port = 443) {
                       std::move(payload));
 }
 
+// The scan corpus as first packets to port 443, plus the port-keyed VPN
+// verdicts.
+std::vector<net::Packet> classifierCorpus() {
+  std::vector<net::Packet> packets;
+  for (const Bytes& payload : scanCorpus()) packets.push_back(tcpPacket(payload));
+  packets.push_back(tcpPacket(Bytes{0x01}, 1723));       // PPTP port
+  packets.push_back(tcpPacket(Bytes{0x38}, 1194));       // OpenVPN preamble
+  packets.push_back(tcpPacket(Bytes{0x39}, 1194));       // wrong preamble
+  return packets;
+}
+
 TEST(DpiClassifier, CompiledScanAgreesWithReferenceOverCorpus) {
   DomainBlocklist domains;
   domains.add("google.com");
@@ -226,18 +238,39 @@ TEST(DpiClassifier, CompiledScanAgreesWithReferenceOverCorpus) {
   ScanResult scan;
   ClassifierThresholds thresholds;
 
-  std::vector<net::Packet> packets;
-  for (const Bytes& payload : scanCorpus()) packets.push_back(tcpPacket(payload));
-  packets.push_back(tcpPacket(Bytes{0x01}, 1723));       // PPTP port
-  packets.push_back(tcpPacket(Bytes{0x38}, 1194));       // OpenVPN preamble
-  packets.push_back(tcpPacket(Bytes{0x39}, 1194));       // wrong preamble
-
-  for (const net::Packet& pkt : packets) {
+  for (const net::Packet& pkt : classifierCorpus()) {
     scanner.scan(pkt.payload, &engine.automaton(), scan);
     const Engine::Flags flags = engine.analyze(scan, pkt.payload);
     EXPECT_EQ(classifyScan(scan, flags, pkt, thresholds),
               classifyTcpPayload(pkt, thresholds));
   }
+}
+
+// Pins the verdict path the border runs (scan -> Engine::analyze ->
+// classifyScan) over the corpus: each packet's class plus the scanner's
+// extracted fields, each string length-prefixed so field boundaries count.
+TEST(DpiClassifier, VerdictStreamGolden) {
+  DomainBlocklist domains;
+  domains.add("google.com");
+  Engine engine;
+  engine.compile(domains.patterns());
+  PayloadScanner scanner;
+  ScanResult scan;
+  const ClassifierThresholds thresholds;
+
+  Fnv1a h;
+  for (const net::Packet& pkt : classifierCorpus()) {
+    scanner.scan(pkt.payload, &engine.automaton(), scan);
+    const Engine::Flags flags = engine.analyze(scan, pkt.payload);
+    h.addByte(static_cast<std::uint8_t>(
+        classifyScan(scan, flags, pkt, thresholds)));
+    for (const std::string_view field :
+         {scan.sni, scan.fingerprint, scan.http_host}) {
+      h.add(static_cast<std::uint32_t>(field.size()));
+      h.add(field);
+    }
+  }
+  EXPECT_EQ(h.value(), 0xec60f27088d42850ULL);
 }
 
 TEST(DpiClassifier, PrefilterFlagsAreSound) {
