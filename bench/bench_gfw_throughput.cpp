@@ -1,13 +1,10 @@
-// GFW border hot path, the numbers behind the compiled-DPI rework:
+// GFW border hot path, timed on the verdict path the simulator runs:
 //
-//   1. packets/sec through the inspector pipeline — the compiled path (one
-//      PayloadScanner pass + automaton prefilter + suffix-index confirm) vs
-//      an in-bench replica of the pre-rework inspectors (string-copying
-//      ClientHello parse, splitString Host extraction, separate entropy and
-//      printable walks, vector-scan domain blocklist) over the same traffic
-//      corpus;
-//   2. equivalence: both paths classify every packet and the (class, rst)
-//      verdict sequences are FNV-hashed — the hashes must match;
+//   1. packets/sec through the inspector pipeline — one PayloadScanner
+//      pass, the automaton prefilter, the suffix-index confirm — over a
+//      fixed 16-payload traffic corpus;
+//   2. equivalence: one pass over the corpus is FNV-hashed as a (class,
+//      rst) verdict stream and compared with a golden constant;
 //   3. blocklist churn: mutation waves with the lazy recompile discipline,
 //      reporting per-recompile cost and the throughput retained vs steady
 //      state;
@@ -18,21 +15,17 @@
 // equivalence check fails. Env knobs (CI smoke passes tiny values):
 //   SC_BENCH_GFW_PACKETS   packets per timed inspector run  (default 200000)
 //   SC_BENCH_GFW_DOMAINS   filler domains in the blocklist  (default 512 —
-//                          small next to the real GFW's list, large enough
-//                          that the linear scan's O(domains) cost per web
-//                          packet shows)
+//                          small next to the real GFW's list; the automaton
+//                          and suffix index grow with it)
 //   SC_BENCH_GFW_WAVES     blocklist mutation waves         (default 16)
 //   SC_BENCH_SCALE_CLIENTS campaign cell sizes              (default 4,8,12)
 //   SC_BENCH_THREADS       parallel workers                 (default hardware)
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "crypto/entropy.h"
 #include "gfw/blocklist.h"
 #include "gfw/classifier.h"
 #include "gfw/dpi/engine.h"
@@ -41,12 +34,10 @@
 #include "net/packet.h"
 #include "util/bytes.h"
 #include "util/hash.h"
-#include "util/strings.h"
 
 namespace {
 
 using sc::Bytes;
-using sc::ByteView;
 using sc::gfw::ClassifierThresholds;
 using sc::gfw::FlowClass;
 
@@ -58,146 +49,8 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// ---------------------------------------------------------------------------
-// Replica of the pre-rework inspectors, kept as the fixed baseline the
-// packets/sec ratio is measured against. Every quirk is intentional: the
-// ClientHello parse copies both fields into strings, the Host extraction
-// copies the payload into a std::string and splits it into a line vector,
-// entropy and printable fraction each re-walk the payload, and the domain
-// blocklist is a linear dnsDomainIs scan.
-
-struct LegacyTlsHelloInfo {
-  std::string sni;
-  std::string fingerprint;
-};
-
-std::optional<LegacyTlsHelloInfo> legacyParseClientHello(ByteView payload) {
-  std::size_t off = 0;
-  std::uint8_t rec_type = 0, msg_tag = 0;
-  std::uint16_t version = 0, rec_len = 0;
-  if (!sc::readU8(payload, off, rec_type) || rec_type != 0x16)
-    return std::nullopt;
-  if (!sc::readU16(payload, off, version) || !sc::readU16(payload, off, rec_len))
-    return std::nullopt;
-  if (!sc::readU8(payload, off, msg_tag) || msg_tag != 1) return std::nullopt;
-
-  LegacyTlsHelloInfo info;
-  std::uint16_t len = 0;
-  Bytes raw;
-  if (!sc::readU16(payload, off, len) || !sc::readBytes(payload, off, len, raw))
-    return std::nullopt;
-  info.sni = sc::toString(raw);
-  if (!sc::readU16(payload, off, len) || !sc::readBytes(payload, off, len, raw))
-    return std::nullopt;
-  info.fingerprint = sc::toString(raw);
-  return info;
-}
-
-std::optional<std::string> legacyExtractHttpHost(ByteView payload) {
-  const std::string text = sc::toString(payload);
-  static constexpr const char* kMethods[] = {"GET ",  "POST ",    "HEAD ",
-                                             "PUT ",  "CONNECT ", "DELETE "};
-  bool is_http = false;
-  for (const char* m : kMethods) {
-    if (sc::startsWith(text, m)) {
-      is_http = true;
-      break;
-    }
-  }
-  if (!is_http) return std::nullopt;
-  for (const auto& line : sc::splitString(text, '\n')) {
-    const auto trimmed = sc::trimWhitespace(line);
-    if (sc::iequals(trimmed.substr(0, 5), "host:"))
-      return std::string(sc::trimWhitespace(trimmed.substr(5)));
-  }
-  const auto first_line = sc::splitString(text, '\n').front();
-  const auto parts = sc::splitString(first_line, ' ');
-  if (parts.size() >= 2) {
-    std::string_view target = parts[1];
-    const auto scheme = target.find("://");
-    if (scheme != std::string_view::npos) {
-      target.remove_prefix(scheme + 3);
-      const auto slash = target.find('/');
-      const auto colon = target.find(':');
-      return std::string(target.substr(0, std::min(slash, colon)));
-    }
-  }
-  return std::string{};
-}
-
-bool legacyIsTorLikeFingerprint(const std::string& fingerprint) {
-  const std::string lower = sc::toLower(fingerprint);
-  return lower.find("tor") != std::string::npos ||
-         lower.find("meek") != std::string::npos;
-}
-
-class LegacyDomainBlocklist {
- public:
-  void add(const std::string& suffix) { suffixes_.push_back(sc::toLower(suffix)); }
-  bool isBlocked(const std::string& host) const {
-    for (const auto& suffix : suffixes_) {
-      if (sc::dnsDomainIs(host, suffix)) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::string> suffixes_;
-};
-
-FlowClass legacyClassifyTcpPayload(const sc::net::Packet& pkt,
-                                   const ClassifierThresholds& thresholds) {
-  const auto& payload = pkt.payload;
-  if (payload.empty()) return FlowClass::kUnknown;
-
-  if (const auto hello = legacyParseClientHello(payload)) {
-    return legacyIsTorLikeFingerprint(hello->fingerprint) ? FlowClass::kTorTls
-                                                          : FlowClass::kTls;
-  }
-  if (legacyExtractHttpHost(payload).has_value()) return FlowClass::kPlainHttp;
-  if (pkt.tcp().dst_port == 1723) return FlowClass::kVpnPptp;
-  if (pkt.tcp().dst_port == 1194 && payload[0] == 0x38)
-    return FlowClass::kOpenVpn;
-
-  if (payload.size() < thresholds.min_classify_bytes) return FlowClass::kUnknown;
-
-  const double printable = sc::crypto::printableFraction(payload);
-  if (printable >= thresholds.printable_benign_fraction)
-    return FlowClass::kTextLike;
-
-  const double cap =
-      std::min(8.0, std::log2(static_cast<double>(payload.size())));
-  const double entropy = sc::crypto::shannonEntropy(payload);
-  if (entropy >= thresholds.entropy_threshold_bits * cap / 8.0)
-    return FlowClass::kHighEntropy;
-
-  return FlowClass::kUnknown;
-}
-
-// The pre-rework verdict shape: classify, then re-parse the payload to ask
-// the blocklist (the classify step already parsed it once — that double work
-// is part of what the rework removed and the ratio measures).
-std::uint16_t legacyVerdict(const sc::net::Packet& pkt,
-                            const LegacyDomainBlocklist& domains,
-                            const ClassifierThresholds& thresholds) {
-  const FlowClass cls = legacyClassifyTcpPayload(pkt, thresholds);
-  bool rst = false;
-  if (cls == FlowClass::kPlainHttp) {
-    const auto host = legacyExtractHttpHost(pkt.payload);
-    if (host.has_value() && !host->empty() && domains.isBlocked(*host))
-      rst = true;
-  } else if (cls == FlowClass::kTls || cls == FlowClass::kTorTls) {
-    const auto hello = legacyParseClientHello(pkt.payload);
-    if (hello.has_value() && domains.isBlocked(hello->sni)) rst = true;
-  }
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(cls) << 1 |
-                                    static_cast<std::uint16_t>(rst));
-}
-
-// ---------------------------------------------------------------------------
-// The compiled path, mirroring Gfw::classifyFlow's TCP branch: one scan,
+// The inspector, mirroring Gfw::classifyFlow's TCP branch: one scan,
 // field-scoped prefilter flags, exact-index confirm only on candidates.
-
 struct CompiledInspector {
   sc::gfw::DomainBlocklist domains;
   sc::gfw::dpi::Engine engine;
@@ -234,7 +87,6 @@ struct CompiledInspector {
   }
 };
 
-// ---------------------------------------------------------------------------
 // Deterministic traffic corpus: the border mix the inspectors see — HTTP in
 // the clear (benign, blocked, absolute-URI), TLS ClientHellos (benign SNI,
 // blocked SNI, Tor fingerprint), ciphertext first packets, plain text, VPN
@@ -334,14 +186,18 @@ std::vector<std::string> blocklistDomains(int filler) {
 }
 
 // Verdict streams digest through the shared util FNV-1a (util/hash.h); the
-// uint16 overload mixes both verdict bytes little-endian, matching the
-// digest this bench has always emitted.
+// uint16 overload mixes both verdict bytes little-endian.
 std::uint64_t fnv1a(std::uint64_t h, std::uint16_t v) {
   sc::Fnv1a acc(h);
   acc.add(v);
   return acc.value();
 }
 constexpr std::uint64_t kFnvOffset = sc::kFnv1aOffset;
+
+// One pass of the corpus' verdict stream, recorded while a replica of the
+// pre-compiled inspectors still produced the same stream. The filler
+// domains never appear in the corpus, so SC_BENCH_GFW_DOMAINS cannot move it.
+constexpr std::uint64_t kGoldenVerdictHash = 0x02b4904ed312bd6bULL;
 
 bool samePoints(const std::vector<sc::measure::ScalabilityPoint>& x,
                 const std::vector<sc::measure::ScalabilityPoint>& y) {
@@ -372,56 +228,40 @@ int main() {
   if (cells.empty()) cells = {4, 8, 12};
   const unsigned threads_req = bench::threadsFromEnv();
 
-  std::printf("GFW throughput — compiled DPI vs legacy inspectors\n");
+  std::printf("GFW throughput — compiled DPI inspectors\n");
 
   const auto corpus = buildCorpus();
   const auto domains = blocklistDomains(n_filler);
   const ClassifierThresholds thresholds;
 
-  LegacyDomainBlocklist legacy_domains;
   CompiledInspector compiled;
-  for (const auto& d : domains) {
-    legacy_domains.add(d);
-    compiled.domains.add(d);
-  }
+  for (const auto& d : domains) compiled.domains.add(d);
   compiled.refresh();
   const std::uint64_t compile_warmup = compiled.recompiles;
   const double full_compile_s = compiled.recompile_seconds;
 
-  // --- 1+2: timed inspector runs, verdict hashes accumulated in-loop ------
-  std::uint64_t legacy_hash = kFnvOffset;
-  long long legacy_done = 0;
+  // --- 1: timed inspector run, verdicts hashed in-loop --------------------
+  std::uint64_t stream_hash = kFnvOffset;
+  long long done = 0;
   // sclint:allow(det-wallclock) packets/sec is what this bench reports
-  const auto legacy_start = std::chrono::steady_clock::now();
-  while (legacy_done < n_packets) {
+  const auto start = std::chrono::steady_clock::now();
+  while (done < n_packets) {
     for (const auto& pkt : corpus) {
-      legacy_hash = fnv1a(legacy_hash, legacyVerdict(pkt, legacy_domains, thresholds));
-      ++legacy_done;
+      stream_hash = fnv1a(stream_hash, compiled.verdict(pkt, thresholds));
+      ++done;
     }
   }
-  const double legacy_s = secondsSince(legacy_start);
-  const double legacy_pps = static_cast<double>(legacy_done) / legacy_s;
+  const double pps = static_cast<double>(done) / secondsSince(start);
+  std::printf("  inspect: %.3g pkts/s\n", pps);
 
-  std::uint64_t new_hash = kFnvOffset;
-  long long new_done = 0;
-  // sclint:allow(det-wallclock) packets/sec is what this bench reports
-  const auto new_start = std::chrono::steady_clock::now();
-  while (new_done < n_packets) {
-    for (const auto& pkt : corpus) {
-      new_hash = fnv1a(new_hash, compiled.verdict(pkt, thresholds));
-      ++new_done;
-    }
-  }
-  const double new_s = secondsSince(new_start);
-  const double new_pps = static_cast<double>(new_done) / new_s;
-  const double speedup = legacy_pps > 0 ? new_pps / legacy_pps : 0;
-  const bool verdicts_match = legacy_hash == new_hash;
-  const std::uint64_t steady_hash = new_hash;
-
-  std::printf("  inspect: %.3g pkts/s (legacy %.3g, speedup %.2fx)\n", new_pps,
-              legacy_pps, speedup);
-  std::printf("  verdict hash: %s vs %s — %s\n", hex64(new_hash).c_str(),
-              hex64(legacy_hash).c_str(), verdicts_match ? "match" : "DIFFER");
+  // --- 2: one-pass verdict stream vs the golden ---------------------------
+  std::uint64_t verdict_hash = kFnvOffset;
+  for (const auto& pkt : corpus)
+    verdict_hash = fnv1a(verdict_hash, compiled.verdict(pkt, thresholds));
+  const bool verdicts_match = verdict_hash == kGoldenVerdictHash;
+  std::printf("  verdict hash: %s vs golden %s — %s\n",
+              hex64(verdict_hash).c_str(), hex64(kGoldenVerdictHash).c_str(),
+              verdicts_match ? "match" : "DIFFER");
 
   // --- 3: blocklist churn with lazy recompile -----------------------------
   // Each wave mutates the blocklist (fleet-churn shape: add one, retire an
@@ -458,14 +298,14 @@ int main() {
   const std::uint64_t churn_recompiles = compiled.recompiles - pre_churn_recompiles;
   const double churn_recompile_s =
       compiled.recompile_seconds - pre_churn_recompile_s;
-  const double retained = new_pps > 0 ? churn_pps / new_pps : 0;
+  const double retained = pps > 0 ? churn_pps / pps : 0;
   const double recompile_mean_s =
       churn_recompiles > 0
           ? churn_recompile_s / static_cast<double>(churn_recompiles)
           : 0;
   // One recompile costs the same as scanning this many packets at steady
   // state — the number a deployment compares against its churn cadence.
-  const double amortize_packets = recompile_mean_s * new_pps;
+  const double amortize_packets = recompile_mean_s * pps;
   std::printf(
       "  churn: %d waves, %llu recompiles (%.3f ms each, ~%.0f packets to "
       "amortize), %.3g pkts/s (%.0f%% of steady)\n",
@@ -501,19 +341,18 @@ int main() {
   bench::JsonWriter jw(out);
   jw.beginObject();
   jw.beginObject("inspect")
-      .field("packets", new_done)
+      .field("packets", done)
       .field("corpus_payloads", corpus.size())
       .field("blocklist_domains", domains.size())
       .field("automaton_patterns", compiled.engine.automaton().patternCount())
       .field("automaton_states", compiled.engine.automaton().stateCount())
-      .field("new_packets_per_sec", new_pps)
-      .field("legacy_packets_per_sec", legacy_pps)
-      .field("speedup", speedup)
+      .field("packets_per_sec", pps)
       .endObject();
   jw.beginObject("equivalence")
-      .field("verdict_hash_new", hex64(steady_hash))
-      .field("verdict_hash_legacy", hex64(legacy_hash))
-      .field("verdicts_match_legacy", verdicts_match)
+      .field("verdict_hash_stream", hex64(stream_hash))
+      .field("verdict_hash_one_pass", hex64(verdict_hash))
+      .field("verdict_hash_golden", hex64(kGoldenVerdictHash))
+      .field("verdicts_match_golden", verdicts_match)
       .endObject();
   jw.beginObject("churn")
       .field("waves", n_waves)

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include "crypto/entropy.h"
-#include "util/strings.h"
 
 namespace sc::gfw {
 
@@ -20,55 +18,6 @@ const char* flowClassName(FlowClass cls) {
     case FlowClass::kTextLike: return "text-like";
   }
   return "?";
-}
-
-std::optional<TlsHelloInfo> parseClientHello(ByteView payload) {
-  const auto view = parseClientHelloView(payload);
-  if (!view) return std::nullopt;
-  return TlsHelloInfo{std::string(view->sni), std::string(view->fingerprint)};
-}
-
-std::optional<std::string> extractHttpHost(ByteView payload) {
-  const auto view = extractHttpHostView(asStringView(payload));
-  if (!view) return std::nullopt;
-  return std::string(*view);
-}
-
-bool isTorLikeFingerprint(std::string_view fingerprint) {
-  return icontains(fingerprint, "tor") || icontains(fingerprint, "meek");
-}
-
-FlowClass classifyTcpPayload(const net::Packet& pkt,
-                             const ClassifierThresholds& thresholds) {
-  const auto& payload = pkt.payload;
-  if (payload.empty()) return FlowClass::kUnknown;
-
-  if (const auto hello = parseClientHello(payload)) {
-    return isTorLikeFingerprint(hello->fingerprint) ? FlowClass::kTorTls
-                                                    : FlowClass::kTls;
-  }
-  if (extractHttpHost(payload).has_value()) return FlowClass::kPlainHttp;
-  if (pkt.tcp().dst_port == 1723) return FlowClass::kVpnPptp;
-  if (pkt.tcp().dst_port == 1194 && !payload.empty() && payload[0] == 0x38)
-    return FlowClass::kOpenVpn;
-
-  if (payload.size() < thresholds.min_classify_bytes)
-    return FlowClass::kUnknown;
-
-  const double printable = crypto::printableFraction(payload);
-  if (printable >= thresholds.printable_benign_fraction)
-    return FlowClass::kTextLike;
-
-  // A short buffer cannot reach 8 bits/byte even if perfectly random:
-  // entropy is capped at log2(n). Scale the threshold accordingly so the
-  // classifier catches Shadowsocks' small first packet (IV + target header).
-  const double cap =
-      std::min(8.0, std::log2(static_cast<double>(payload.size())));
-  const double entropy = crypto::shannonEntropy(payload);
-  if (entropy >= thresholds.entropy_threshold_bits * cap / 8.0)
-    return FlowClass::kHighEntropy;
-
-  return FlowClass::kUnknown;
 }
 
 FlowClass classifyScan(const dpi::ScanResult& scan,
@@ -88,8 +37,9 @@ FlowClass classifyScan(const dpi::ScanResult& scan,
   if (scan.printableFraction() >= thresholds.printable_benign_fraction)
     return FlowClass::kTextLike;
 
-  // Same short-buffer entropy cap as classifyTcpPayload, entropy read off
-  // the scan histogram instead of a fresh walk.
+  // A short buffer cannot reach 8 bits/byte even if perfectly random:
+  // entropy is capped at log2(n). Scale the threshold accordingly so the
+  // classifier catches Shadowsocks' small first packet (IV + target header).
   const double cap = std::min(8.0, std::log2(static_cast<double>(scan.size)));
   if (scan.entropy() >= thresholds.entropy_threshold_bits * cap / 8.0)
     return FlowClass::kHighEntropy;

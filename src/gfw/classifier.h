@@ -1,22 +1,15 @@
-// Deep packet inspection: stateless payload classifiers that turn the first
-// data-bearing packets of a flow into a protocol verdict. Everything here
+// Deep packet inspection: the per-flow protocol verdict. Everything here
 // reads only bytes a real wire tap would see.
 //
-// The zero-copy parsers live in gfw/dpi (the compiled scan path); this
-// header re-exports them and keeps the copying conveniences plus the
-// reference classifier `classifyTcpPayload`, which multi-walks the payload
-// the way the pre-compiled pipeline did. `classifyScan` is the hot-path
-// variant fed by one PayloadScanner pass; the two must agree byte-for-byte
-// (tests drive both over the same corpus).
+// The GFW runs one verdict path: dpi::PayloadScanner walks a first payload
+// once, dpi::Engine::analyze folds its automaton hits into flags, and
+// `classifyScan` turns the two into a FlowClass. Tests pin that same path
+// with a golden verdict-stream hash (test_dpi).
 #pragma once
-
-#include <optional>
-#include <string>
 
 #include "gfw/dpi/engine.h"
 #include "gfw/dpi/scanner.h"
 #include "net/packet.h"
-#include "util/bytes.h"
 
 namespace sc::gfw {
 
@@ -34,45 +27,16 @@ enum class FlowClass : std::uint8_t {
 
 const char* flowClassName(FlowClass cls);
 
-// Extracted ClientHello metadata (matches the TLS-sim wire format).
-struct TlsHelloInfo {
-  std::string sni;
-  std::string fingerprint;
-};
-std::optional<TlsHelloInfo> parseClientHello(ByteView payload);
-
-// Zero-copy variants, re-exported from the DPI scanner: the views alias
-// the payload and are valid only while the packet buffer lives.
-using TlsHelloView = dpi::TlsHelloView;
-inline std::optional<TlsHelloView> parseClientHelloView(ByteView payload) {
-  return dpi::parseClientHelloView(payload);
-}
-inline std::optional<std::string_view> extractHttpHostView(
-    std::string_view text) {
-  return dpi::extractHttpHostView(text);
-}
-
-// Extracts the Host header value from a plaintext HTTP request prefix.
-std::optional<std::string> extractHttpHost(ByteView payload);
-
 struct ClassifierThresholds {
   double entropy_threshold_bits = 7.0;
   double printable_benign_fraction = 0.9;
   std::size_t min_classify_bytes = 48;
 };
 
-// TLS fingerprints the GFW recognizes as circumvention stacks. The real GFW
-// learned Tor's cipher-suite list (Winter & Lindskog) and later meek's
-// quirks; we model that knowledge as a substring match.
-bool isTorLikeFingerprint(std::string_view fingerprint);
-
-// Classifies the first client->server payload of a TCP flow by walking the
-// payload once per inspector (the reference implementation).
-FlowClass classifyTcpPayload(const net::Packet& pkt,
-                             const ClassifierThresholds& thresholds);
-
-// Same decision procedure, but every input is read off one completed
-// PayloadScanner pass (`scan`) and its engine flags — no re-walking.
+// Classifies the first client->server payload of a TCP flow. Every input
+// is read off one completed PayloadScanner pass (`scan`) and its engine
+// flags: the ClientHello and HTTP structure, the Tor/meek fingerprint flag,
+// and the printable and entropy statistics.
 FlowClass classifyScan(const dpi::ScanResult& scan,
                        const dpi::Engine::Flags& flags, const net::Packet& pkt,
                        const ClassifierThresholds& thresholds);

@@ -1,7 +1,8 @@
 // Shared fixtures: a minimal two-host world (client in China, server in the
 // US, GFW-capable border) used by transport/http/method unit tests that
-// don't need the full measurement Testbed, and the digest behind the
-// measurement cells' same-seed goldens.
+// don't need the full measurement Testbed, the digest behind the
+// measurement cells' same-seed goldens, and the TLS-sim ClientHello bytes
+// the DPI tests classify.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "net/topology.h"
 #include "transport/host_stack.h"
+#include "util/bytes.h"
 #include "util/hash.h"
 
 namespace sc::test {
@@ -52,6 +54,22 @@ std::uint64_t cellDigest(std::string_view metrics_jsonl,
   };
   (add(scalars), ...);
   return h.value();
+}
+
+// A ClientHello in the TLS-sim wire format: record 0x16, version, length;
+// message tag 1, then the length-prefixed SNI and fingerprint.
+inline Bytes clientHelloBytes(std::string_view sni, std::string_view fp) {
+  Bytes out;
+  appendU8(out, 0x16);
+  appendU16(out, 0x0303);
+  appendU16(out, static_cast<std::uint16_t>(1 + 2 + sni.size() + 2 +
+                                            fp.size()));
+  appendU8(out, 0x01);
+  appendU16(out, static_cast<std::uint16_t>(sni.size()));
+  appendBytes(out, toBytes(sni));
+  appendU16(out, static_cast<std::uint16_t>(fp.size()));
+  appendBytes(out, toBytes(fp));
+  return out;
 }
 
 }  // namespace sc::test

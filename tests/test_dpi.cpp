@@ -1,7 +1,8 @@
-// Tests for the compiled DPI engine (src/gfw/dpi): automaton correctness,
-// single-pass scanner equivalence against the reference multi-walk
-// classifiers, reversed-suffix index vs brute-force dnsDomainIs, and the
-// classifier edge cases both paths must agree on.
+// Tests for the compiled DPI engine (src/gfw/dpi) and the verdict path the
+// GFW runs on it: automaton correctness, the scanner's statistics against
+// the crypto ByteView walks, reversed-suffix index vs brute-force
+// dnsDomainIs, a golden hash over the corpus' verdict stream, and the
+// classifier edge cases with their explicit expectations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "gfw/dpi/domain_index.h"
 #include "gfw/dpi/engine.h"
 #include "gfw/dpi/scanner.h"
+#include "helpers.h"
 #include "net/packet.h"
 #include "util/hash.h"
 #include "util/strings.h"
@@ -127,21 +129,7 @@ TEST(DpiDomainIndex, EmptyIndexBlocksNothing) {
   EXPECT_TRUE(index.empty());
 }
 
-// ---- scanner: one pass must reproduce every reference statistic ----
-
-Bytes makeClientHelloBytes(std::string_view sni, std::string_view fp) {
-  Bytes out;
-  appendU8(out, 0x16);
-  appendU16(out, 0x0303);
-  appendU16(out, static_cast<std::uint16_t>(1 + 2 + sni.size() + 2 +
-                                            fp.size()));
-  appendU8(out, 0x01);
-  appendU16(out, static_cast<std::uint16_t>(sni.size()));
-  appendBytes(out, toBytes(sni));
-  appendU16(out, static_cast<std::uint16_t>(fp.size()));
-  appendBytes(out, toBytes(fp));
-  return out;
-}
+// ---- scanner: one pass must reproduce the ByteView statistics ----
 
 std::vector<Bytes> scanCorpus() {
   std::vector<Bytes> corpus;
@@ -153,10 +141,10 @@ std::vector<Bytes> scanCorpus() {
       toBytes("GET http://scholar.google.com:443/p HTTP/1.1\r\n\r\n"));
   corpus.push_back(toBytes("GET http:/// HTTP/1.1\r\n\r\n"));  // empty host
   corpus.push_back(toBytes("GET /nohost HTTP/1.1\r\n\r\n"));
-  corpus.push_back(makeClientHelloBytes("scholar.google.com", "chrome-56"));
-  corpus.push_back(makeClientHelloBytes("www.benign.org", "tor-browser-6.5"));
-  corpus.push_back(makeClientHelloBytes("", "MEEK/0.25 chrome"));
-  corpus.push_back(makeClientHelloBytes("tor.relays.example", "chrome-56"));
+  corpus.push_back(test::clientHelloBytes("scholar.google.com", "chrome-56"));
+  corpus.push_back(test::clientHelloBytes("www.benign.org", "tor-browser-6.5"));
+  corpus.push_back(test::clientHelloBytes("", "MEEK/0.25 chrome"));
+  corpus.push_back(test::clientHelloBytes("tor.relays.example", "chrome-56"));
   corpus.push_back(toBytes(std::string(400, 'a')));
   corpus.push_back(toBytes("random bytes"));
   corpus.push_back(crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)), Bytes(16, 2),
@@ -168,25 +156,11 @@ std::vector<Bytes> scanCorpus() {
   return corpus;
 }
 
-TEST(DpiScanner, ReproducesReferenceParsersAndStatistics) {
+TEST(DpiScanner, ReproducesReferenceStatistics) {
   PayloadScanner scanner;
   ScanResult scan;
   for (const Bytes& payload : scanCorpus()) {
     scanner.scan(payload, nullptr, scan);
-
-    const auto hello = parseClientHello(payload);
-    EXPECT_EQ(scan.has_client_hello, hello.has_value());
-    if (hello) {
-      EXPECT_EQ(std::string(scan.sni), hello->sni);
-      EXPECT_EQ(std::string(scan.fingerprint), hello->fingerprint);
-    }
-
-    const auto host = extractHttpHost(payload);
-    EXPECT_EQ(scan.has_http_request, host.has_value());
-    if (host) {
-      EXPECT_EQ(std::string(scan.http_host), *host);
-    }
-
     // Bit-identical doubles, not just close: the histogram overloads must
     // accumulate in the same order as the ByteView walks.
     EXPECT_EQ(scan.entropy(), crypto::shannonEntropy(payload));
@@ -196,21 +170,19 @@ TEST(DpiScanner, ReproducesReferenceParsersAndStatistics) {
   }
 }
 
-TEST(DpiScanner, ClientHelloTruncatedAtEveryBoundaryAgreesWithReference) {
-  const Bytes full = makeClientHelloBytes("scholar.google.com", "chrome-56");
+TEST(DpiScanner, ClientHelloTruncatedAtEveryBoundaryIsRejected) {
+  const Bytes full = test::clientHelloBytes("scholar.google.com", "chrome-56");
   for (std::size_t len = 0; len <= full.size(); ++len) {
     const ByteView prefix{full.data(), len};
     const auto view = dpi::parseClientHelloView(prefix);
-    const auto copy = parseClientHello(prefix);
-    ASSERT_EQ(view.has_value(), copy.has_value()) << "len=" << len;
     // Only the complete message parses: every truncation point (record
     // header, message tag, SNI length/body, fingerprint length/body) must
-    // be rejected by both paths.
+    // be rejected.
     EXPECT_EQ(view.has_value(), len == full.size()) << "len=" << len;
   }
 }
 
-// ---- classifier equivalence: compiled path vs reference path ----
+// ---- classifier: the scan -> analyze -> classifyScan path ----
 
 net::Packet tcpPacket(Bytes payload, net::Port dst_port = 443) {
   return net::makeTcp(net::Ipv4(10, 0, 0, 1), net::Ipv4(203, 0, 0, 1), 50000,
@@ -227,23 +199,6 @@ std::vector<net::Packet> classifierCorpus() {
   packets.push_back(tcpPacket(Bytes{0x38}, 1194));       // OpenVPN preamble
   packets.push_back(tcpPacket(Bytes{0x39}, 1194));       // wrong preamble
   return packets;
-}
-
-TEST(DpiClassifier, CompiledScanAgreesWithReferenceOverCorpus) {
-  DomainBlocklist domains;
-  domains.add("google.com");
-  Engine engine;
-  engine.compile(domains.patterns());
-  PayloadScanner scanner;
-  ScanResult scan;
-  ClassifierThresholds thresholds;
-
-  for (const net::Packet& pkt : classifierCorpus()) {
-    scanner.scan(pkt.payload, &engine.automaton(), scan);
-    const Engine::Flags flags = engine.analyze(scan, pkt.payload);
-    EXPECT_EQ(classifyScan(scan, flags, pkt, thresholds),
-              classifyTcpPayload(pkt, thresholds));
-  }
 }
 
 // Pins the verdict path the border runs (scan -> Engine::analyze ->
@@ -273,6 +228,12 @@ TEST(DpiClassifier, VerdictStreamGolden) {
   EXPECT_EQ(h.value(), 0xec60f27088d42850ULL);
 }
 
+// The Tor/meek flag's independent oracle: the substring rule the engine's
+// fingerprint patterns compile.
+bool torLikeFingerprint(std::string_view fingerprint) {
+  return icontains(fingerprint, "tor") || icontains(fingerprint, "meek");
+}
+
 TEST(DpiClassifier, PrefilterFlagsAreSound) {
   // candidate == false must imply the exact check fails; candidate == true
   // must be confirmed or rejected by the exact index, never trusted.
@@ -292,12 +253,12 @@ TEST(DpiClassifier, PrefilterFlagsAreSound) {
       EXPECT_FALSE(domains.isBlocked(scan.http_host));
     }
     if (scan.has_client_hello) {
-      EXPECT_EQ(flags.tor_fingerprint, isTorLikeFingerprint(scan.fingerprint));
+      EXPECT_EQ(flags.tor_fingerprint, torLikeFingerprint(scan.fingerprint));
     }
   }
   // "google.com.cn" hits the automaton (substring) but not the suffix
   // match: the prefilter may fire, the exact check must say no.
-  const Bytes cn = makeClientHelloBytes("google.com.cn", "chrome-56");
+  const Bytes cn = test::clientHelloBytes("google.com.cn", "chrome-56");
   scanner.scan(cn, &engine.automaton(), scan);
   const Engine::Flags flags = engine.analyze(scan, cn);
   EXPECT_TRUE(flags.sni_candidate);
@@ -310,17 +271,17 @@ TEST(DpiClassifier, TorFingerprintFlagIsFieldScoped) {
   PayloadScanner scanner;
   ScanResult scan;
   // "tor" in the SNI must not light the fingerprint flag...
-  const Bytes sni_tor = makeClientHelloBytes("tor.example.com", "chrome-56");
+  const Bytes sni_tor = test::clientHelloBytes("tor.example.com", "chrome-56");
   scanner.scan(sni_tor, &engine.automaton(), scan);
   EXPECT_FALSE(engine.analyze(scan, sni_tor).tor_fingerprint);
   // ...while an embedded "tor" inside the fingerprint does (icontains
   // semantics: "history" contains "tor").
-  const Bytes fp_tor = makeClientHelloBytes("www.benign.org", "history");
+  const Bytes fp_tor = test::clientHelloBytes("www.benign.org", "history");
   scanner.scan(fp_tor, &engine.automaton(), scan);
   EXPECT_TRUE(engine.analyze(scan, fp_tor).tor_fingerprint);
 }
 
-// ---- classifier edge cases both paths must agree on ----
+// ---- classifier edge cases ----
 
 struct EdgeCase {
   const char* payload;
@@ -345,19 +306,16 @@ TEST(DpiClassifierEdge, AbsoluteUriAndHostHeaderVariants) {
   };
   for (const EdgeCase& c : cases) {
     const auto view = dpi::extractHttpHostView(c.payload);
-    const auto copy = extractHttpHost(toBytes(c.payload));
-    ASSERT_EQ(view.has_value(), copy.has_value()) << c.payload;
     EXPECT_EQ(view.has_value(), c.engaged) << c.payload;
     if (view) {
       EXPECT_EQ(std::string(*view), c.host) << c.payload;
-      EXPECT_EQ(*copy, c.host) << c.payload;
     }
   }
 }
 
-TEST(DpiClassifierEdge, ShortPayloadEntropyCapAgreesAcrossPaths) {
+TEST(DpiClassifierEdge, ShortPayloadEntropyCapClassifiesCiphertext) {
   // A short ciphertext burst cannot reach 8 bits/byte; the scaled threshold
-  // must still classify it, identically on both paths.
+  // must still classify it.
   Engine engine;
   engine.compile({});
   PayloadScanner scanner;
@@ -370,8 +328,6 @@ TEST(DpiClassifierEdge, ShortPayloadEntropyCapAgreesAcrossPaths) {
     const Engine::Flags flags = engine.analyze(scan, pkt.payload);
     EXPECT_EQ(classifyScan(scan, flags, pkt, thresholds),
               FlowClass::kHighEntropy)
-        << n;
-    EXPECT_EQ(classifyTcpPayload(pkt, thresholds), FlowClass::kHighEntropy)
         << n;
   }
 }

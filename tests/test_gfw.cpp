@@ -148,12 +148,32 @@ TEST(DomainBlocklist, VersionBumpsOnlyOnEffectiveMutations) {
 
 // ---- classifiers ----
 
+// The verdict path the border runs on a first TCP payload: one scan, the
+// engine's flags, classifyScan.
+FlowClass classify(const net::Packet& pkt) {
+  dpi::Engine engine;
+  engine.compile({});
+  dpi::PayloadScanner scanner;
+  dpi::ScanResult scan;
+  scanner.scan(pkt.payload, &engine.automaton(), scan);
+  return classifyScan(scan, engine.analyze(scan, pkt.payload), pkt,
+                      ClassifierThresholds{});
+}
+
+net::Packet firstPacket(Bytes payload, net::Port dst_port = 443) {
+  return net::makeTcp(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2), 50000,
+                      dst_port, net::TcpFlags{.psh = true}, 0, 0,
+                      std::move(payload));
+}
+
 TEST(Classifier, RecognizesPlainHttpHost) {
-  const auto host = extractHttpHost(
-      toBytes("GET / HTTP/1.1\r\nhost: scholar.google.com\r\n\r\n"));
+  const Bytes get =
+      toBytes("GET / HTTP/1.1\r\nhost: scholar.google.com\r\n\r\n");
+  const auto host = dpi::extractHttpHostView(asStringView(get));
   ASSERT_TRUE(host.has_value());
   EXPECT_EQ(*host, "scholar.google.com");
-  EXPECT_FALSE(extractHttpHost(toBytes("random bytes")).has_value());
+  EXPECT_EQ(classify(firstPacket(get, 80)), FlowClass::kPlainHttp);
+  EXPECT_FALSE(dpi::extractHttpHostView("random bytes").has_value());
 }
 
 TEST(Classifier, ParsesClientHelloSniAndFingerprint) {
@@ -176,44 +196,42 @@ TEST(Classifier, ParsesClientHelloSniAndFingerprint) {
                                          [](http::TlsStream::Ptr) {});
       });
   w.runUntilDone([&] { return !captured.empty(); });
-  const auto hello = parseClientHello(captured);
+  const auto hello = dpi::parseClientHelloView(captured);
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(hello->sni, "scholar.google.com");
   EXPECT_EQ(hello->fingerprint, "tor-browser-6.5");
-  EXPECT_TRUE(isTorLikeFingerprint(hello->fingerprint));
-  EXPECT_FALSE(isTorLikeFingerprint("chrome-56"));
-  EXPECT_TRUE(isTorLikeFingerprint("meek/0.25 chrome"));
+  EXPECT_EQ(classify(firstPacket(captured)), FlowClass::kTorTls);
+
+  // The fingerprint alone decides Tor-like vs ordinary TLS.
+  EXPECT_EQ(classify(firstPacket(test::clientHelloBytes("a.example",
+                                                        "chrome-56"))),
+            FlowClass::kTls);
+  EXPECT_EQ(classify(firstPacket(test::clientHelloBytes("a.example",
+                                                        "meek/0.25 chrome"))),
+            FlowClass::kTorTls);
 }
 
 TEST(Classifier, EntropyClassifierCatchesCiphertextButNotText) {
-  ClassifierThresholds thresholds;
-  net::Packet ct = net::makeTcp(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2),
-                                50000, 8388, net::TcpFlags{.psh = true}, 0, 0,
-                                crypto::aes256CfbEncrypt(
-                                    crypto::Aes256(Bytes(32, 1)), Bytes(16, 2), Bytes(400, 7)));
-  EXPECT_EQ(classifyTcpPayload(ct, thresholds), FlowClass::kHighEntropy);
-
-  net::Packet text = ct;
-  text.payload = toBytes(std::string(400, 'a'));
-  EXPECT_EQ(classifyTcpPayload(text, thresholds), FlowClass::kTextLike);
+  EXPECT_EQ(classify(firstPacket(
+                crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 1)),
+                                         Bytes(16, 2), Bytes(400, 7)),
+                8388)),
+            FlowClass::kHighEntropy);
+  EXPECT_EQ(classify(firstPacket(toBytes(std::string(400, 'a')), 8388)),
+            FlowClass::kTextLike);
 }
 
 TEST(Classifier, CatchesSmallHighEntropyFirstPacket) {
   // Shadowsocks' first packet: 16-byte IV + ~22-byte encrypted header.
-  ClassifierThresholds thresholds;
-  net::Packet small = net::makeTcp(
-      net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2), 50000, 8388,
-      net::TcpFlags{.psh = true}, 0, 0,
-      crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 3)), Bytes(16, 4), Bytes(48, 9)));
-  EXPECT_EQ(classifyTcpPayload(small, thresholds), FlowClass::kHighEntropy);
+  EXPECT_EQ(classify(firstPacket(
+                crypto::aes256CfbEncrypt(crypto::Aes256(Bytes(32, 3)),
+                                         Bytes(16, 4), Bytes(48, 9)),
+                8388)),
+            FlowClass::kHighEntropy);
 }
 
 TEST(Classifier, RecognizesVpnProtocols) {
-  ClassifierThresholds thresholds;
-  net::Packet pptp = net::makeTcp(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2),
-                                  50000, 1723, net::TcpFlags{}, 0, 0,
-                                  Bytes{0x01});
-  EXPECT_EQ(classifyTcpPayload(pptp, thresholds), FlowClass::kVpnPptp);
+  EXPECT_EQ(classify(firstPacket(Bytes{0x01}, 1723)), FlowClass::kVpnPptp);
 
   net::Packet gre = net::makeGre(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2),
                                  1, Bytes(64, 0));
