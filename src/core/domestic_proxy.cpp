@@ -62,13 +62,8 @@ http::Url DomesticProxy::pacUrl() const {
 
 http::PacScript DomesticProxy::buildPac() const {
   http::PacScript pac;
-  http::ProxyDecision via_proxy = http::ProxyDecision::httpProxy(proxyEndpoint());
-  for (const auto& backup : options_.pac_backup_proxies)
-    via_proxy.addFallback(http::ProxyHop{http::ProxyKind::kHttpProxy, backup});
-  // DIRECT last resort is opt-in: for truly blocked hosts it just moves the
-  // failure from "proxy down" to "GFW timeout", but incidentally-blocked
-  // hosts may still answer.
-  if (options_.pac_direct_fallback) via_proxy.addDirectFallback();
+  const http::ProxyDecision via_proxy =
+      http::ProxyDecision::httpProxy(proxyEndpoint());
   for (const auto& domain : options_.whitelist)
     pac.addDomainRule(domain, via_proxy);
   pac.setDefault(http::ProxyDecision::direct());

@@ -38,10 +38,6 @@ struct DomesticProxyOptions {
   // check, user registry, logging, blinding) on its single-core VM. Light
   // enough that the service scales linearly in Fig. 7, as the paper found.
   double cycles_per_request = 6e6;
-  // Extra PAC failover hops after this proxy ("PROXY a; PROXY b; DIRECT"):
-  // standby domestic proxies, then optionally DIRECT as the last resort.
-  std::vector<net::Endpoint> pac_backup_proxies;
-  bool pac_direct_fallback = false;
 };
 
 class DomesticProxy {

@@ -24,7 +24,6 @@ struct RemoteProxyOptions {
   crypto::BlindingMode blinding_mode = crypto::BlindingMode::kByteMap;
   net::Ipv4 dns_server;
   std::vector<net::Ipv4> authorized_peers;  // domestic proxy addresses
-  double cycles_per_byte = 8.0;             // relay CPU cost per payload byte
 };
 
 class RemoteProxy {

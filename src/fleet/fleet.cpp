@@ -202,7 +202,7 @@ void Fleet::onHealthChange(int id, Health from, Health to) {
       balancer_.setAvailable(id, false);
       break;
     case Health::kDown:
-      retireEndpoint(id, options_.respawn_on_down);
+      retireEndpoint(id, /*respawn=*/true);  // CensorLess-style rotation
       break;
     case Health::kUnknown:
       break;

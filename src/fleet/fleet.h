@@ -52,7 +52,6 @@ struct FleetOptions {
   crypto::BlindingMode blinding_mode = crypto::BlindingMode::kByteMap;
   HealthProberOptions health;
   sim::Time probe_timeout = sim::kSecond;  // unanswered ping = failure
-  bool respawn_on_down = true;             // CensorLess-style rotation
   // withStream retry while nothing is available (mirrors the legacy
   // withTunnel cadence: the pool may be mid-dial or mid-respawn).
   int pick_retries = 25;

@@ -354,8 +354,9 @@ class PageLoadOp : public std::enable_shared_from_this<PageLoadOp> {
     result_.first_visit = !browser_.visited_hosts_.contains(host_);
     Url url;
     url.host = host_;
-    if (result_.first_visit && browser_.options_.http_first &&
-        !browser_.hsts_hosts_.contains(host_)) {
+    // A first visit types the bare name, so it starts on port 80 unless
+    // HSTS already pins the host to https.
+    if (result_.first_visit && !browser_.hsts_hosts_.contains(host_)) {
       url.scheme = "http";
       url.port = 80;
     } else {

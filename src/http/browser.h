@@ -43,7 +43,6 @@ struct BrowserOptions {
   sim::Time parse_delay = 60 * sim::kMillisecond;  // layout/JS between phases
   sim::Time request_timeout = 45 * sim::kSecond;
   sim::Time pool_idle_timeout = 25 * sim::kSecond;
-  bool http_first = true;  // scheme-less navigation starts on port 80
 };
 
 struct PageLoadResult {

@@ -89,7 +89,6 @@ struct OpenVpnClientConfig {
   Certificate client_certificate;  // "cert client.crt"
   Bytes client_key;                // "key client.key"
   Bytes tls_auth_key;              // "tls-auth ta.key"
-  bool redirect_gateway = true;    // "redirect-gateway def1"
 
   // Empty string when complete; otherwise the first missing directive.
   std::string validate() const;

@@ -85,32 +85,18 @@ void TorClient::bootstrap(std::function<void(bool)> cb) {
       bootstrapDone(false);
       return;
     }
-    if (options_.try_direct_guard) {
-      tryDirectGuard([this](transport::Stream::Ptr link) {
-        if (link != nullptr) {
-          used_meek_ = false;
-          buildCircuit(std::move(link));
-          return;
-        }
-        openMeekLink([this](transport::Stream::Ptr meek_link) {
-          if (meek_link == nullptr) {
-            bootstrapDone(false);
-            return;
-          }
-          used_meek_ = true;
-          buildCircuit(std::move(meek_link));
-        });
-      });
-    } else {
-      openMeekLink([this](transport::Stream::Ptr meek_link) {
-        if (meek_link == nullptr) {
-          bootstrapDone(false);
-          return;
-        }
-        used_meek_ = true;
-        buildCircuit(std::move(meek_link));
-      });
+    if (!options_.try_direct_guard) {
+      buildMeekCircuit();
+      return;
     }
+    tryDirectGuard([this](transport::Stream::Ptr link) {
+      if (link == nullptr) {
+        buildMeekCircuit();
+        return;
+      }
+      used_meek_ = false;
+      buildCircuit(std::move(link));
+    });
   });
 }
 
@@ -203,13 +189,9 @@ void TorClient::tryDirectGuard(
   });
 }
 
-void TorClient::openMeekLink(
-    std::function<void(transport::Stream::Ptr)> cb) {
-  if (!options_.use_meek_bridge) {
-    cb(nullptr);
-    return;
-  }
-  cb(MeekClient::open(stack_, options_.meek, tag_));
+void TorClient::buildMeekCircuit() {
+  used_meek_ = true;
+  buildCircuit(MeekClient::open(stack_, options_.meek, tag_));
 }
 
 void TorClient::buildCircuit(transport::Stream::Ptr link) {

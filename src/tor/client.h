@@ -35,7 +35,6 @@ struct TorClientOptions {
   sim::Time dir_timeout = 3 * sim::kSecond;
   sim::Time guard_timeout = 4 * sim::kSecond;
   std::string link_fingerprint = "tor-browser-6.5";
-  bool use_meek_bridge = true;
   MeekClientOptions meek;                       // bridge line (out of band)
 };
 
@@ -65,7 +64,7 @@ class TorClient {
   // -- bootstrap chain --
   void fetchConsensus(std::function<void(std::vector<RelayDescriptor>)> cb);
   void tryDirectGuard(std::function<void(transport::Stream::Ptr)> cb);
-  void openMeekLink(std::function<void(transport::Stream::Ptr)> cb);
+  void buildMeekCircuit();  // the bridge fallback: a meek link, then a circuit
   void buildCircuit(transport::Stream::Ptr link);
   void extendNext();
   void bootstrapDone(bool ok);
