@@ -13,6 +13,7 @@
 //   --accesses N     override SC_BENCH_ACCESSES / the default
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,6 +58,27 @@ inline std::vector<int> parseIntList(const char* env_name) {
 inline int intFromEnv(const char* env_name, int fallback) {
   const std::vector<int> v = parseIntList(env_name);
   return v.empty() ? fallback : v.front();
+}
+
+// Host seconds since `start`, the denominator of every rate a bench
+// reports. No simulated result reads it.
+// sclint:allow(det-wallclock) benches report the host's wall-clock rates
+inline double secondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(decltype(start)::clock::now() - start)
+      .count();
+}
+
+// True when two scalability sweeps agree bit for bit (the serial-vs-parallel
+// checks).
+inline bool samePoints(const std::vector<measure::ScalabilityPoint>& x,
+                       const std::vector<measure::ScalabilityPoint>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i].clients != y[i].clients || x[i].plt_mean_s != y[i].plt_mean_s ||
+        x[i].plt_p95_s != y[i].plt_p95_s || x[i].failures != y[i].failures)
+      return false;
+  }
+  return true;
 }
 
 // SC_BENCH_THREADS: worker count for the parallel campaign executor.

@@ -21,14 +21,6 @@
 
 namespace {
 
-// sclint:allow(det-wallclock) events/sec & packets/sec are wall-clock measurements of the host
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) events/sec & packets/sec are wall-clock measurements of the host
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 // The simulator's hot pattern: concurrent chains where each step re-arms a
 // timeout (cancel + schedule, like a TCP RTO) and schedules its successor.
 double eventsPerSec(long long target, std::uint64_t& executed) {
@@ -46,7 +38,7 @@ double eventsPerSec(long long target, std::uint64_t& executed) {
   const auto start = std::chrono::steady_clock::now();
   for (int c = 0; c < kChains; ++c) sim.schedule(1, [&step, c] { step(c); });
   sim.run();
-  const double elapsed = secondsSince(start);
+  const double elapsed = sc::bench::secondsSince(start);
   executed = sim.eventsExecuted();
   return static_cast<double>(executed) / elapsed;
 }
@@ -92,18 +84,7 @@ double packetsPerSec(long long target) {
                             sc::Bytes(256, static_cast<std::uint8_t>(w))));
   }
   sim.run();
-  return static_cast<double>(delivered) / secondsSince(start);
-}
-
-bool samePoints(const std::vector<sc::measure::ScalabilityPoint>& x,
-                const std::vector<sc::measure::ScalabilityPoint>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].clients != y[i].clients || x[i].plt_mean_s != y[i].plt_mean_s ||
-        x[i].plt_p95_s != y[i].plt_p95_s || x[i].failures != y[i].failures)
-      return false;
-  }
-  return true;
+  return static_cast<double>(delivered) / sc::bench::secondsSince(start);
 }
 
 }  // namespace
@@ -132,14 +113,14 @@ int main() {
   const auto serial_start = std::chrono::steady_clock::now();
   const auto serial =
       measure::runScalability(measure::Method::kScholarCloud, sopts);
-  const double serial_s = secondsSince(serial_start);
+  const double serial_s = bench::secondsSince(serial_start);
   const measure::ParallelRunner runner(threads_req);
   // sclint:allow(det-wallclock) wall-clock throughput is what this bench reports
   const auto par_start = std::chrono::steady_clock::now();
   const auto parallel = measure::runScalability(
       measure::Method::kScholarCloud, sopts, runner.threads());
-  const double parallel_s = secondsSince(par_start);
-  const bool match = samePoints(serial, parallel);
+  const double parallel_s = bench::secondsSince(par_start);
+  const bool match = bench::samePoints(serial, parallel);
   std::printf(
       "  campaign: serial %.2fs, parallel %.2fs on %u threads (%.2fx), "
       "results %s\n",

@@ -18,14 +18,6 @@
 
 namespace {
 
-// sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 bool sameResults(const std::vector<sc::measure::FleetCellResult>& x,
                  const std::vector<sc::measure::FleetCellResult>& y) {
   if (x.size() != y.size()) return false;
@@ -83,11 +75,11 @@ int main() {
   const auto par_start = std::chrono::steady_clock::now();
   const auto results =
       measure::runCells(cells, threads, measure::runFleetCell);
-  const double parallel_s = secondsSince(par_start);
+  const double parallel_s = bench::secondsSince(par_start);
   // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
   const auto serial_start = std::chrono::steady_clock::now();
   const auto serial = measure::runCells(cells, 1, measure::runFleetCell);
-  const double serial_s = secondsSince(serial_start);
+  const double serial_s = bench::secondsSince(serial_start);
   const bool match = sameResults(results, serial);
 
   bool monotone = true;

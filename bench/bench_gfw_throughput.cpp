@@ -41,14 +41,6 @@ using sc::Bytes;
 using sc::gfw::ClassifierThresholds;
 using sc::gfw::FlowClass;
 
-// sclint:allow(det-wallclock) packets/sec is a wall-clock measurement of the host
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) packets/sec is a wall-clock measurement of the host
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 // The inspector, mirroring Gfw::classifyFlow's TCP branch: one scan,
 // field-scoped prefilter flags, exact-index confirm only on candidates.
 struct CompiledInspector {
@@ -65,7 +57,7 @@ struct CompiledInspector {
     // sclint:allow(det-wallclock) recompile cost is a wall-clock measurement of the host
     const auto start = std::chrono::steady_clock::now();
     engine.compile(domains.patterns());
-    recompile_seconds += secondsSince(start);
+    recompile_seconds += sc::bench::secondsSince(start);
     ++recompiles;
     dpi_version = domains.version();
   }
@@ -199,17 +191,6 @@ constexpr std::uint64_t kFnvOffset = sc::kFnv1aOffset;
 // domains never appear in the corpus, so SC_BENCH_GFW_DOMAINS cannot move it.
 constexpr std::uint64_t kGoldenVerdictHash = 0x02b4904ed312bd6bULL;
 
-bool samePoints(const std::vector<sc::measure::ScalabilityPoint>& x,
-                const std::vector<sc::measure::ScalabilityPoint>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].clients != y[i].clients || x[i].plt_mean_s != y[i].plt_mean_s ||
-        x[i].plt_p95_s != y[i].plt_p95_s || x[i].failures != y[i].failures)
-      return false;
-  }
-  return true;
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -251,7 +232,7 @@ int main() {
       ++done;
     }
   }
-  const double pps = static_cast<double>(done) / secondsSince(start);
+  const double pps = static_cast<double>(done) / bench::secondsSince(start);
   std::printf("  inspect: %.3g pkts/s\n", pps);
 
   // --- 2: one-pass verdict stream vs the golden ---------------------------
@@ -293,7 +274,7 @@ int main() {
       }
     }
   }
-  const double churn_s = secondsSince(churn_start);
+  const double churn_s = bench::secondsSince(churn_start);
   const double churn_pps = static_cast<double>(churn_done) / churn_s;
   const std::uint64_t churn_recompiles = compiled.recompiles - pre_churn_recompiles;
   const double churn_recompile_s =
@@ -318,14 +299,14 @@ int main() {
   // sclint:allow(det-wallclock) wall-clock speedup is what this bench reports
   const auto serial_start = std::chrono::steady_clock::now();
   const auto serial = measure::runScalability(measure::Method::kShadowsocks, sopts);
-  const double serial_s = secondsSince(serial_start);
+  const double serial_s = bench::secondsSince(serial_start);
   const measure::ParallelRunner runner(threads_req);
   // sclint:allow(det-wallclock) wall-clock speedup is what this bench reports
   const auto par_start = std::chrono::steady_clock::now();
   const auto parallel = measure::runScalability(
       measure::Method::kShadowsocks, sopts, runner.threads());
-  const double parallel_s = secondsSince(par_start);
-  const bool campaign_match = samePoints(serial, parallel);
+  const double parallel_s = bench::secondsSince(par_start);
+  const bool campaign_match = bench::samePoints(serial, parallel);
   std::printf(
       "  campaign: serial %.2fs, parallel %.2fs on %u threads (%.2fx), "
       "results %s\n",

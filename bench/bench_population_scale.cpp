@@ -29,14 +29,6 @@
 
 namespace {
 
-// sclint:allow(det-wallclock) accesses/sec of wall time is the reported figure
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) accesses/sec of wall time is the reported figure
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 bool samePopulationResults(
     const std::vector<sc::measure::PopulationCellResult>& x,
     const std::vector<sc::measure::PopulationCellResult>& y) {
@@ -110,7 +102,7 @@ int main() {
   // sclint:allow(det-wallclock) accesses/sec of wall time is the reported figure
   const auto scale_start = std::chrono::steady_clock::now();
   const auto scale_result = measure::runPopulationCell(scale);
-  const double scale_wall_s = secondsSince(scale_start);
+  const double scale_wall_s = bench::secondsSince(scale_start);
   const auto& bg = scale_result.background_stats;
   const double accesses_per_sec =
       scale_wall_s <= 0 ? 0 : static_cast<double>(bg.arrivals) / scale_wall_s;

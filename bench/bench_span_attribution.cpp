@@ -27,14 +27,6 @@ namespace {
 
 using sc::measure::Method;
 
-// sclint:allow(det-wallclock) overhead is a wall-clock measurement of the host
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) overhead is a wall-clock measurement of the host
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct MethodCell {
   Method method = Method::kDirect;
   std::uint32_t tag = 0;
@@ -112,7 +104,7 @@ OverheadProbe runOverheadProbe(int accesses) {
     // sclint:allow(det-wallclock) wall-clock overhead is what this bench reports
     const auto start = std::chrono::steady_clock::now();
     sc::measure::runAccessCampaign(tb, Method::kScholarCloud, 300, copts);
-    probe.wall_off_s = secondsSince(start);
+    probe.wall_off_s = sc::bench::secondsSince(start);
     probe.events_off = tb.sim().eventsExecuted();
   }
   {
@@ -122,7 +114,7 @@ OverheadProbe runOverheadProbe(int accesses) {
     // sclint:allow(det-wallclock) wall-clock overhead is what this bench reports
     const auto start = std::chrono::steady_clock::now();
     sc::measure::runAccessCampaign(tb, Method::kScholarCloud, 300, copts);
-    probe.wall_on_s = secondsSince(start);
+    probe.wall_on_s = sc::bench::secondsSince(start);
     probe.events_on = tb.sim().eventsExecuted();
     probe.spans_recorded = tb.hub().spans().spans().size();
   }
