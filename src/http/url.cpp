@@ -1,5 +1,6 @@
 #include "http/url.h"
 
+#include <algorithm>
 #include <charconv>
 
 namespace sc::http {
@@ -12,11 +13,15 @@ std::optional<Url> Url::parse(std::string_view text) {
   if (url.scheme != "http" && url.scheme != "https") return std::nullopt;
   text.remove_prefix(scheme_end + 3);
 
-  const auto path_start = text.find('/');
-  std::string_view authority = text.substr(0, path_start);
-  url.path = path_start == std::string_view::npos
-                 ? "/"
-                 : std::string(text.substr(path_start));
+  // The authority ends at the first '/', '?' or '#' (RFC 3986 §3.2). A
+  // query or fragment straight after it hangs off the root path.
+  const auto authority_end = std::min(text.find_first_of("/?#"), text.size());
+  std::string_view authority = text.substr(0, authority_end);
+  const std::string_view rest = text.substr(authority_end);
+  std::string path;
+  if (rest.empty() || rest.front() != '/') path.push_back('/');
+  path.append(rest);
+  url.path = std::move(path);
 
   const auto colon = authority.rfind(':');
   if (colon != std::string_view::npos) {
@@ -32,7 +37,11 @@ std::optional<Url> Url::parse(std::string_view text) {
   } else {
     url.port = url.scheme == "https" ? 443 : 80;
   }
-  if (authority.empty()) return std::nullopt;
+  // Userinfo, a second port and whitespace are not host bytes: a host that
+  // keeps any of them could smuggle a different name past a suffix match.
+  if (authority.empty() ||
+      authority.find_first_of("@: \t\r\n\v\f") != std::string_view::npos)
+    return std::nullopt;
   url.host = std::string(authority);
   return url;
 }

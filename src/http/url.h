@@ -1,4 +1,5 @@
-// URL parsing: scheme://host[:port]/path
+// URL parsing: scheme://host[:port][/path][?query][#fragment]. Userinfo
+// ("user@host") is rejected, not stripped.
 #pragma once
 
 #include <optional>

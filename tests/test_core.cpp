@@ -8,6 +8,7 @@
 #include "http/browser.h"
 #include "http/client.h"
 #include "http/origin.h"
+#include "http/url.h"
 #include "obs/hub.h"
 #include "regulation/tca_agency.h"
 #include "util/hash.h"
@@ -400,6 +401,15 @@ TEST(ScholarCloud, NonWhitelistedHostIsRefusedByProxy) {
   const auto result = w.load("www.amazon.com");
   EXPECT_FALSE(result.ok);
   EXPECT_GE(w.domestic->requestsDenied(), 1u);
+}
+
+TEST(ScholarCloud, FragmentCannotSmuggleAWhitelistedSuffix) {
+  // The proxy whitelists the host Url::parse reads off an absolute-form
+  // target; a fragment holding a whitelisted suffix must not become host.
+  ScWorld w;
+  const auto url = http::Url::parse("http://evil.example#.scholar.google.com/");
+  ASSERT_TRUE(url.has_value());
+  EXPECT_FALSE(w.domestic->isWhitelisted(url->host));
 }
 
 TEST(ScholarCloud, WhitelistIsMutableOnDemand) {

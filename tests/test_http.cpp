@@ -54,6 +54,54 @@ TEST(Url, RoundTripsToString) {
   EXPECT_EQ(Url::parse("https://a.b/x")->str(), "https://a.b/x");
 }
 
+// Edge cases after openappsec's url_parser_ut, plus the authority shapes a
+// client's absolute-form target could use to smuggle bytes into the host.
+TEST(Url, EdgeCases) {
+  EXPECT_FALSE(Url::parse("").has_value());
+  EXPECT_FALSE(Url::parse("scholar.google.com").has_value());  // no scheme
+
+  auto u = Url::parse("http://this_is_not_https_site.com/something");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->host, "this_is_not_https_site.com");
+  EXPECT_EQ(u->port, 80);
+  EXPECT_EQ(u->path, "/something");
+
+  u = Url::parse("https://a58efa94-1878332922.eu-west-1.elb.amazonaws.com");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->host, "a58efa94-1878332922.eu-west-1.elb.amazonaws.com");
+  EXPECT_EQ(u->port, 443);
+  EXPECT_EQ(u->path, "/");
+
+  // The authority ends at '?' and '#', not only at '/'.
+  u = Url::parse("http://a.b?x=1");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->host, "a.b");
+  EXPECT_EQ(u->path, "/?x=1");
+  u = Url::parse("http://evil.example#.scholar.google.com/");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->host, "evil.example");
+  EXPECT_EQ(u->path, "/#.scholar.google.com/");
+
+  // Userinfo, a second port and whitespace never reach the host.
+  EXPECT_FALSE(Url::parse("http://user@a.b/").has_value());
+  EXPECT_FALSE(Url::parse("http://a.b:80:90/").has_value());
+  EXPECT_FALSE(Url::parse("http://a b/").has_value());
+  EXPECT_FALSE(Url::parse("http://a.b\t/").has_value());
+
+  for (const char* text :
+       {"http://a.b?x=1", "https://a.b:8443/p?q#f", "http://10.3.0.1:8080/x",
+        "https://scholar.google.com/citations?user=abc"}) {
+    const auto parsed = Url::parse(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    const auto again = Url::parse(parsed->str());
+    ASSERT_TRUE(again.has_value()) << text;
+    EXPECT_EQ(again->scheme, parsed->scheme) << text;
+    EXPECT_EQ(again->host, parsed->host) << text;
+    EXPECT_EQ(again->port, parsed->port) << text;
+    EXPECT_EQ(again->path, parsed->path) << text;
+  }
+}
+
 // ---- message codec ----
 
 TEST(HttpMessage, RequestSerializeParseRoundTrip) {
