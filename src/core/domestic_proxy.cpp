@@ -307,7 +307,8 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
         upstream_req.target = url->path;  // absolute-form to origin-form
         upstream_req.headers.set("via", "scholarcloud/1.0");
         http::HttpClient::fetchOn(
-            stream, stack_.sim(), std::move(upstream_req), 40 * sim::kSecond,
+            stream, stack_.sim(), std::move(upstream_req),
+            kProxiedRequestTimeout,
             [this, stream, cacheable, cache_key = std::move(cache_key),
              respond = std::move(respond)](std::optional<http::Response> r) {
               stream->close();

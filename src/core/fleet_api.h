@@ -18,9 +18,15 @@
 
 #include "http/message.h"
 #include "net/address.h"
+#include "sim/time.h"
 #include "transport/stream.h"
 
 namespace sc::core {
+
+// How long the domestic proxy waits for the response to one proxied
+// request. A provider that retires an egress on schedule lets the streams
+// already on it run this long before it cuts them.
+inline constexpr sim::Time kProxiedRequestTimeout = 40 * sim::kSecond;
 
 class ResponseCache {
  public:

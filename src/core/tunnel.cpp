@@ -1,5 +1,7 @@
 #include "core/tunnel.h"
 
+#include <utility>
+
 #include "transport/cipher_stream.h"
 
 namespace sc::core {
@@ -211,7 +213,14 @@ void Tunnel::close() {
   streams_.clear();
 }
 
-void Tunnel::closeStream(std::uint32_t id) { streams_.erase(id); }
+void Tunnel::closeStream(std::uint32_t id) {
+  streams_.erase(id);
+  notifyIfIdle();
+}
+
+void Tunnel::notifyIfIdle() {
+  if (streams_.empty() && on_idle_) std::exchange(on_idle_, nullptr)();
+}
 
 void Tunnel::onWireData(ByteView data) {
   appendBytes(rx_buffer_, data);
@@ -260,6 +269,7 @@ void Tunnel::handleFrame(FrameType type, std::uint32_t stream_id,
       } else {
         streams_.erase(it);
         sendFrame(FrameType::kClose, stream_id, {});
+        notifyIfIdle();
       }
       return;
     }
@@ -269,6 +279,7 @@ void Tunnel::handleFrame(FrameType type, std::uint32_t stream_id,
       auto weak = it->second;
       streams_.erase(it);
       if (auto stream = weak.lock()) stream->remoteClosed();
+      notifyIfIdle();
       return;
     }
     case FrameType::kRotate: {

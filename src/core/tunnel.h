@@ -103,8 +103,12 @@ class Tunnel : public std::enable_shared_from_this<Tunnel> {
   void close();
   bool connected() const { return wire_ != nullptr && wire_->connected(); }
   void setOnClose(std::function<void()> cb) { on_close_ = std::move(cb); }
+  // One-shot: fires when the last open stream ends, closed from either
+  // side. Set it only while streams are open.
+  void setOnIdle(std::function<void()> cb) { on_idle_ = std::move(cb); }
 
   std::uint64_t streamsOpened() const noexcept { return streams_opened_; }
+  std::size_t openStreams() const noexcept { return streams_.size(); }
   std::uint32_t blindingEpoch() const {
     return wire_ != nullptr ? wire_->txEpoch() : 0;
   }
@@ -122,6 +126,7 @@ class Tunnel : public std::enable_shared_from_this<Tunnel> {
   transport::Stream::Ptr wrapIfEncrypted(TunnelStream::Ptr stream,
                                          bool passthrough, bool client_side);
   void closeStream(std::uint32_t id);
+  void notifyIfIdle();
 
   friend class TunnelStream;
 
@@ -138,6 +143,7 @@ class Tunnel : public std::enable_shared_from_this<Tunnel> {
   std::uint32_t next_stream_id_ = 1;
   OpenHandler on_open_;
   std::function<void()> on_close_;
+  std::function<void()> on_idle_;
   std::function<void()> on_pong_;
   std::uint64_t streams_opened_ = 0;
 

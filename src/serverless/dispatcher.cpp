@@ -1,5 +1,7 @@
 #include "serverless/dispatcher.h"
 
+#include <string_view>
+
 #include "http/tls.h"
 #include "obs/hub.h"
 #include "obs/span.h"
@@ -18,7 +20,13 @@ FrontedDispatcher::FrontedDispatcher(transport::HostStack& stack,
       tag_(tag),
       alive_(std::make_shared<bool>(true)) {
   provider_.setOnReady([this](int id) { dial(id); });
-  provider_.setOnRetire([this](int id) { drop(id); });
+  provider_.setOnRetire([this](int id, std::string_view cause) {
+    if (cause == "ttl") {
+      drain(id);  // a reap is routine churn: let open streams finish
+    } else {
+      drop(id);  // a ban: the IP is dead
+    }
+  });
   // Endpoints that warmed before we were wired (provider constructed first,
   // cold starts are >= 150 ms, so normally none — but cheap to be exact).
   for (int id : provider_.readyIds()) dial(id);
@@ -118,6 +126,10 @@ void FrontedDispatcher::dial(int id) {
                 if (!*alive) return;
                 const auto live = conns_.find(id);
                 if (live == conns_.end()) return;  // retired: no redial
+                if (live->second.draining) {
+                  conns_.erase(live);  // reaped: nothing to redial
+                  return;
+                }
                 live->second.tunnel = nullptr;
                 noteFailure(id);
                 if (provider_.get(id) != nullptr)
@@ -133,6 +145,25 @@ void FrontedDispatcher::dial(int id) {
       });
 }
 
+void FrontedDispatcher::drain(int id) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;
+  Conn& conn = it->second;
+  if (conn.tunnel == nullptr || !conn.tunnel->connected() ||
+      conn.tunnel->openStreams() == 0) {
+    drop(id);
+    return;
+  }
+  conn.draining = true;
+  conn.tunnel->setOnIdle([this, id, alive = alive_] {
+    if (*alive) drop(id);
+  });
+  stack_.sim().schedule(core::kProxiedRequestTimeout,
+                        [this, id, alive = alive_] {
+                          if (*alive) drop(id);
+                        });
+}
+
 void FrontedDispatcher::drop(int id) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return;
@@ -143,7 +174,7 @@ void FrontedDispatcher::drop(int id) {
 
 void FrontedDispatcher::noteFailure(int id) {
   const auto it = conns_.find(id);
-  if (it == conns_.end()) return;
+  if (it == conns_.end() || it->second.draining) return;
   ++failures_;
   const int count = ++it->second.failures;
   const FunctionProvider::Endpoint* ep = provider_.get(id);
@@ -153,8 +184,7 @@ void FrontedDispatcher::noteFailure(int id) {
 }
 
 void FrontedDispatcher::probeLoop() {
-  for (const auto& [id, conn] : conns_)
-    if (conn.tunnel != nullptr && conn.tunnel->connected()) probeConn(id);
+  onBlocklistChurn();  // the same sweep: ping every live, undrained tunnel
   stack_.sim().schedule(options_.probe_interval, [this, alive = alive_] {
     if (*alive) probeLoop();
   });
@@ -185,7 +215,8 @@ void FrontedDispatcher::probeConn(int id) {
 
 void FrontedDispatcher::onBlocklistChurn() {
   for (const auto& [id, conn] : conns_)
-    if (conn.tunnel != nullptr && conn.tunnel->connected()) probeConn(id);
+    if (conn.tunnel != nullptr && conn.tunnel->connected() && !conn.draining)
+      probeConn(id);
 }
 
 void FrontedDispatcher::withStream(net::Ipv4 client,

@@ -11,7 +11,10 @@
 // dispatcher's job is to make that loss survivable: failed dials and
 // missed pings count toward a ban verdict, a banned endpoint is retired
 // through the FunctionProvider (which respawns on a fresh IP), and picks
-// fail over to the remaining live tunnels meanwhile.
+// fail over to the remaining live tunnels meanwhile. A TTL reap is routine
+// churn instead: the reaped endpoint takes no new picks, and its tunnel
+// closes when its last stream ends or at core::kProxiedRequestTimeout,
+// whichever comes first.
 //
 // Implements core::TunnelProvider, so a DomesticProxy delegates every
 // stream open here with zero new plumbing (same seam fleet::Fleet uses).
@@ -83,11 +86,13 @@ class FrontedDispatcher final : public core::TunnelProvider {
   struct Conn {
     core::Tunnel::Ptr tunnel;
     bool dialing = false;
-    int failures = 0;  // consecutive; reset by a pong
+    bool draining = false;  // reaped: no probes, closes once idle
+    int failures = 0;       // consecutive; reset by a pong
   };
 
   void dial(int id);
-  void drop(int id);  // endpoint retired: sever the tunnel, forget the conn
+  void drain(int id);  // reaped: let open streams finish, then drop
+  void drop(int id);   // sever the tunnel, forget the conn
   void noteFailure(int id);
   void probeLoop();
   void probeConn(int id);

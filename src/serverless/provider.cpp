@@ -1,7 +1,5 @@
 #include "serverless/provider.h"
 
-#include <string_view>
-
 #include "obs/hub.h"
 #include "obs/tracer.h"
 
@@ -85,7 +83,7 @@ void FunctionProvider::retire(int id, const char* cause) {
   // Erase before notifying: the dispatcher's onRetire severs the tunnel,
   // whose close handler must not see the endpoint as still live.
   endpoints_.erase(it);
-  if (on_retire_) on_retire_(id);
+  if (on_retire_) on_retire_(id, cause);
   if (options_.respawn) ensureFloor();
 }
 

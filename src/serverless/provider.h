@@ -15,9 +15,10 @@
 //             onReady fires (the dispatcher dials its fronted tunnel).
 //   reap    — the TTL expires; ephemeral-by-construction churn. Retired
 //             with cause "ttl" and, below the pre-warm floor, replaced.
-//   retire  — any cause ("ttl", "ban", "drain"): billing stops, onRetire
-//             fires so the dispatcher severs its tunnel, and when respawn
-//             is on the pre-warm floor is restored with fresh endpoints.
+//   retire  — any cause ("ttl", "ban"): billing stops, onRetire fires with
+//             the cause so the dispatcher drains ("ttl") or severs ("ban")
+//             its tunnel, and when respawn is on the pre-warm floor is
+//             restored with fresh endpoints.
 //
 // Ids are never reused (monotone sequence), so a scheduled reap for a dead
 // id is a harmless map miss — no generation counters needed.
@@ -28,6 +29,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/address.h"
@@ -104,7 +106,8 @@ class FunctionProvider {
 
   // ---- dispatcher wiring ----
   void setOnReady(std::function<void(int)> fn) { on_ready_ = std::move(fn); }
-  void setOnRetire(std::function<void(int)> fn) { on_retire_ = std::move(fn); }
+  using RetireFn = std::function<void(int id, std::string_view cause)>;
+  void setOnRetire(RetireFn fn) { on_retire_ = std::move(fn); }
 
  private:
   void ensureFloor();
@@ -122,7 +125,7 @@ class FunctionProvider {
   std::uint64_t retires_ = 0;
   std::uint64_t reaps_ = 0;
   std::function<void(int)> on_ready_;
-  std::function<void(int)> on_retire_;
+  RetireFn on_retire_;
 };
 
 }  // namespace sc::serverless

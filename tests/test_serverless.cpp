@@ -185,6 +185,45 @@ TEST(ServerlessTestbed, EndpointIpBanRetiresAndRespawnsOnFreshIp) {
   EXPECT_TRUE(page_ok);  // the method survived the per-endpoint loss
 }
 
+TEST(ServerlessTestbed, TtlReapDrainsAnInFlightFetch) {
+  // A TTL reap is routine churn, not a failure: the reaped endpoint takes
+  // no new picks, but the request already riding its tunnel completes.
+  measure::Testbed bed;
+  bool ready = false;
+  auto& client = bed.addClient(measure::Method::kServerless, 42,
+                               [&](bool ok) { ready = ok; });
+  ASSERT_TRUE(bed.sim().runWhile([&] { return ready; }, sim::kMinute));
+  auto* provider = bed.serverlessProvider();
+  auto* cost = bed.serverlessCost();
+  ASSERT_NE(provider, nullptr);
+  ASSERT_NE(cost, nullptr);
+  bed.sim().runUntil(bed.sim().now() + 5 * sim::kSecond);
+
+  bool done = false, page_ok = false;
+  const std::uint64_t invocations = cost->invocations();
+  client.browser->loadPage(measure::Testbed::kScholarHost,
+                           [&](http::PageLoadResult r) {
+                             done = true;
+                             page_ok = r.ok;
+                           });
+  // The first stream is open: reap every endpoint under it.
+  ASSERT_TRUE(bed.sim().runWhile(
+      [&] { return cost->invocations() > invocations; },
+      bed.sim().now() + sim::kMinute));
+  ASSERT_FALSE(done);
+  const std::uint64_t reaps = provider->retires();
+  for (const int id : provider->readyIds()) provider->retire(id, "ttl");
+  ASSERT_GT(provider->retires(), reaps);
+
+  ASSERT_TRUE(bed.sim().runWhile([&] { return done; },
+                                 bed.sim().now() + 2 * sim::kMinute));
+  EXPECT_TRUE(page_ok);
+  // Past the drain deadline no reaped tunnel is left connected.
+  bed.sim().runUntil(bed.sim().now() + 45 * sim::kSecond);
+  EXPECT_LE(bed.serverlessDispatcher()->connectedCount(),
+            provider->liveCount());
+}
+
 TEST(ServerlessTestbed, FrontDomainBlocklistingKillsTheMethod) {
   // The one move that does work: blocklisting the front domain itself. The
   // SNI is on the wire in every dial, so once it's on the domain blocklist
