@@ -23,28 +23,24 @@ int connectionsPerAccess(Method m) {
   }
 }
 
-// Hashes the border wire for ScalabilityExports::border_wire_hash. It only
-// reads: every packet passes on unchanged.
-struct BorderWireTap final : net::PacketFilter {
-  Fnv1a wire;
-
-  Verdict onPacket(net::Packet& pkt, net::Direction dir, net::Link&) override {
-    wire.addByte(static_cast<std::uint8_t>(dir));
-    if (pkt.isTcp()) {
-      const net::TcpSeg& t = pkt.tcp();
-      wire.add(t.seq);
-      wire.add(t.ack);
-      wire.addByte(static_cast<std::uint8_t>(
-          t.flags.syn | t.flags.ack << 1 | t.flags.fin << 2 |
-          t.flags.rst << 3 | t.flags.psh << 4));
-    }
-    wire.add(static_cast<std::uint64_t>(pkt.payload.size()));
-    wire.add(std::string_view(reinterpret_cast<const char*>(pkt.payload.data()),
-                              pkt.payload.size()));
-    return Verdict::kPass;
-  }
-};
 }  // namespace
+
+BorderWireTap::Verdict BorderWireTap::onPacket(net::Packet& pkt,
+                                               net::Direction dir, net::Link&) {
+  wire.addByte(static_cast<std::uint8_t>(dir));
+  if (pkt.isTcp()) {
+    const net::TcpSeg& t = pkt.tcp();
+    wire.add(t.seq);
+    wire.add(t.ack);
+    wire.addByte(static_cast<std::uint8_t>(
+        t.flags.syn | t.flags.ack << 1 | t.flags.fin << 2 | t.flags.rst << 3 |
+        t.flags.psh << 4));
+  }
+  wire.add(static_cast<std::uint64_t>(pkt.payload.size()));
+  wire.add(std::string_view(reinterpret_cast<const char*>(pkt.payload.data()),
+                            pkt.payload.size()));
+  return Verdict::kPass;
+}
 
 CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
                                  CampaignOptions options) {

@@ -13,6 +13,8 @@
 
 #include "measure/stats.h"
 #include "measure/testbed.h"
+#include "net/link.h"
+#include "util/hash.h"
 
 namespace sc::measure {
 
@@ -71,6 +73,14 @@ struct ScalabilityExports {
   // direction, and for TCP seq, ack and flags, then the payload. It pins
   // what neither JSONL carries (TCP flags, segment boundaries).
   std::uint64_t border_wire_hash = 0;
+};
+
+// Hashes the border wire for ScalabilityExports::border_wire_hash and the
+// per-method goldens. It only reads: every packet passes on unchanged.
+struct BorderWireTap final : net::PacketFilter {
+  Fnv1a wire;
+
+  Verdict onPacket(net::Packet& pkt, net::Direction dir, net::Link&) override;
 };
 
 // One cell of the Fig. 7 sweep: a fresh testbed running `n_clients`

@@ -2,6 +2,7 @@
 
 #include "helpers.h"
 #include "measure/campaign.h"
+#include "measure/cell_world.h"
 #include "measure/report.h"
 #include "measure/resource_model.h"
 #include "measure/stats.h"
@@ -231,6 +232,65 @@ TEST(Campaign, ColdCacheMakesEveryAccessFirstVisit) {
   ASSERT_TRUE(result.setup_ok);
   EXPECT_EQ(result.plt_first_s.n, 3u);
   EXPECT_EQ(result.plt_sub_s.n, 0u);
+}
+
+// Same-seed goldens for each paper method's access path (plus serverless):
+// one reduced campaign on its own traced testbed, hashed over every
+// CampaignResult field, the metrics and trace and the border wire. They pin
+// what fig5 and fig7 run through the Browser and each method's stack.
+void addSummary(Fnv1a& h, const Summary& s) {
+  h.add(static_cast<std::uint64_t>(s.n));
+  for (double v : {s.mean, s.min, s.max, s.stddev, s.p50, s.p90, s.p95, s.p99})
+    h.add(v);
+}
+
+std::uint64_t campaignDigest(Method method) {
+  TestbedOptions topts;
+  topts.seed = 23;
+  topts.tracing = true;
+  BorderWireTap tap;  // outlives the testbed whose link points at it
+  Testbed tb(topts);
+  tb.world().borderLink().addFilter(&tap);
+  CampaignOptions opts;
+  opts.accesses = 3;
+  const CampaignResult r = runAccessCampaign(tb, method, 70, opts);
+  EXPECT_TRUE(r.setup_ok);
+  EXPECT_EQ(r.successes, 3);
+  std::string metrics, trace;
+  captureJsonl(tb.hub(), metrics, &trace);
+  EXPECT_FALSE(trace.empty());
+  Fnv1a summaries;
+  for (const Summary* s : {&r.plt_first_s, &r.plt_sub_s, &r.rtt_ms})
+    addSummary(summaries, *s);
+  return test::cellDigest(metrics, trace, static_cast<int>(r.method),
+                          r.setup_ok, r.successes, r.failures,
+                          summaries.value(), r.plr_pct,
+                          r.traffic_kb_per_access, r.client_bytes,
+                          r.connections_estimate, tap.wire.value());
+}
+
+TEST(Campaign, NativeVpnGolden) {
+  EXPECT_EQ(campaignDigest(Method::kNativeVpn), 0xc43304b7b0553eb8ULL);
+}
+
+TEST(Campaign, OpenVpnGolden) {
+  EXPECT_EQ(campaignDigest(Method::kOpenVpn), 0x894a86f011fe3014ULL);
+}
+
+TEST(Campaign, TorGolden) {
+  EXPECT_EQ(campaignDigest(Method::kTor), 0xce48e88b580d9e72ULL);
+}
+
+TEST(Campaign, ShadowsocksGolden) {
+  EXPECT_EQ(campaignDigest(Method::kShadowsocks), 0x249a57bef0177a7bULL);
+}
+
+TEST(Campaign, ScholarCloudGolden) {
+  EXPECT_EQ(campaignDigest(Method::kScholarCloud), 0x62954dbadf3c6857ULL);
+}
+
+TEST(Campaign, ServerlessGolden) {
+  EXPECT_EQ(campaignDigest(Method::kServerless), 0x6aa5d7f626106e41ULL);
 }
 
 TEST(Scalability, MorePointsMoreLoad) {
