@@ -194,9 +194,8 @@ int main() {
                 r.label, r.cost_units, r.blocked_rate * 100, r.unrecovered);
 
   // ---- cold starts ---------------------------------------------------
-  const serverless::ProviderOptions pdefaults;
-  const double cold_min_ms = sim::toMillis(pdefaults.cold_start_min);
-  const double cold_max_ms = sim::toMillis(pdefaults.cold_start_max);
+  const double cold_min_ms = sim::toMillis(serverless::kColdStartMin);
+  const double cold_max_ms = sim::toMillis(serverless::kColdStartMax);
   const bool cold_ok = ephem.cold_starts > 0 &&
                        ephem.cold_start_mean_ms >= cold_min_ms &&
                        ephem.cold_start_mean_ms <= cold_max_ms &&

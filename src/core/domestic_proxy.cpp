@@ -5,6 +5,11 @@
 
 namespace sc::core {
 
+namespace {
+// Built-in pool size: mux capacity scales with expected concurrency.
+constexpr std::size_t kTunnelPoolSize = 8;
+}  // namespace
+
 DomesticProxy::DomesticProxy(transport::HostStack& stack,
                              DomesticProxyOptions options,
                              std::uint32_t measure_tag)
@@ -46,7 +51,7 @@ DomesticProxy::DomesticProxy(transport::HostStack& stack,
   // Fleet-only deployments leave `remote` zero: the built-in pool would
   // just dial nowhere and count saturation forever.
   if (!options_.remote.ip.isZero()) {
-    tunnels_.resize(static_cast<std::size_t>(options_.tunnel_pool_size));
+    tunnels_.resize(kTunnelPoolSize);
     for (std::size_t i = 0; i < tunnels_.size(); ++i) ensureTunnel(i);
   }
 }

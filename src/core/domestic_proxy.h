@@ -33,7 +33,6 @@ struct DomesticProxyOptions {
   Bytes tunnel_secret;
   crypto::BlindingMode blinding_mode = crypto::BlindingMode::kByteMap;
   std::vector<std::string> whitelist;  // e.g. {"scholar.google.com"}
-  int tunnel_pool_size = 8;  // mux capacity scales with expected concurrency
   // Per-request work of the real deployment's user-space proxy (whitelist
   // check, user registry, logging, blinding) on its single-core VM. Light
   // enough that the service scales linearly in Fig. 7, as the paper found.

@@ -93,8 +93,9 @@ Tunnel::Ptr Tunnel::create(transport::Stream::Ptr wire, sim::Simulator& sim,
 }
 
 void Tunnel::start(transport::Stream::Ptr raw_wire) {
-  wire_ = BlindedStream::wrap(std::move(raw_wire), options_.secret,
-                              options_.blinding_epoch, options_.blinding_mode);
+  // Every tunnel starts at blinding epoch 0; rotateBlinding moves it on.
+  wire_ = BlindedStream::wrap(std::move(raw_wire), options_.secret, 0,
+                              options_.blinding_mode);
   // The tunnel owns its wire, so the wire's handlers hold only `this`;
   // ~Tunnel clears them. Each call keeps the tunnel alive while it runs.
   wire_->setOnData([this](ByteView data) {

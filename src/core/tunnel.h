@@ -74,7 +74,6 @@ class Tunnel : public std::enable_shared_from_this<Tunnel> {
 
   struct Options {
     Bytes secret;
-    std::uint32_t blinding_epoch = 0;
     crypto::BlindingMode blinding_mode = crypto::BlindingMode::kByteMap;
     bool client_side = true;
   };

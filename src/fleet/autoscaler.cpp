@@ -2,6 +2,13 @@
 
 namespace sc::fleet {
 
+namespace {
+// Leased streams per endpoint above which the fleet grows, below which it
+// shrinks.
+constexpr double kHighWatermark = 4.0;
+constexpr double kLowWatermark = 1.0;
+}  // namespace
+
 Autoscaler::Autoscaler(sim::Simulator& sim, AutoscalerOptions options,
                        SizeFn size, ScaleFn scale)
     : sim_(sim),
@@ -12,8 +19,8 @@ Autoscaler::Autoscaler(sim::Simulator& sim, AutoscalerOptions options,
   if (options_.max_size < options_.min_size)
     options_.max_size = options_.min_size;
   if (obs::Registry* reg = obs::registryOf(sim_)) {
-    g_load_ = reg->gauge(options_.load_gauge);
-    c_saturation_ = reg->counter(options_.saturation_counter);
+    g_load_ = reg->gauge("sc.fleet.active_streams");
+    c_saturation_ = reg->counter("sc.domestic.pool_saturation");
   }
 }
 
@@ -48,7 +55,7 @@ void Autoscaler::tick() {
   if (cooling) return;
 
   const double per_endpoint = readLoad() / static_cast<double>(size);
-  if ((saturated || per_endpoint > options_.high_watermark) &&
+  if ((saturated || per_endpoint > kHighWatermark) &&
       size < options_.max_size) {
     ++ups_;
     scaled_once_ = true;
@@ -56,7 +63,7 @@ void Autoscaler::tick() {
     scale_(+1);
     return;
   }
-  if (per_endpoint < options_.low_watermark && size > options_.min_size) {
+  if (per_endpoint < kLowWatermark && size > options_.min_size) {
     ++downs_;
     scaled_once_ = true;
     last_scale_at_ = sim_.now();

@@ -2,14 +2,14 @@
 //
 // Reads load from the obs::Registry — the same instruments the exporters
 // dump, so a scaling decision is always explainable from the metrics file:
-//   - `load_gauge` (sc.fleet.active_streams): current leased streams;
-//   - `saturation_counter` (sc.domestic.pool_saturation): retries because
-//     no tunnel was available. Any growth between ticks is immediate
-//     scale-up pressure regardless of the average load.
+//   - sc.fleet.active_streams: current leased streams;
+//   - sc.domestic.pool_saturation: retries because no tunnel was
+//     available. Any growth between ticks is immediate scale-up pressure
+//     regardless of the average load.
 //
-// Policy: every `interval`, per-endpoint load = gauge / size(). Above
-// `high_watermark` (or saturation growth) -> grow by one; below
-// `low_watermark` -> shrink by one; always within [min_size, max_size] and
+// Policy: every `interval`, per-endpoint load = gauge / size(). Above 4
+// leased streams per endpoint (or saturation growth) -> grow by one; below
+// 1 -> shrink by one; always within [min_size, max_size] and
 // at most one step per `cooldown` (rented VMs take minutes to provision —
 // flapping would churn egress IPs for nothing).
 #pragma once
@@ -23,12 +23,8 @@
 namespace sc::fleet {
 
 struct AutoscalerOptions {
-  std::string load_gauge = "sc.fleet.active_streams";
-  std::string saturation_counter = "sc.domestic.pool_saturation";
   int min_size = 1;
   int max_size = 8;
-  double high_watermark = 4.0;  // leased streams per endpoint
-  double low_watermark = 1.0;
   sim::Time interval = 10 * sim::kSecond;
   sim::Time cooldown = 30 * sim::kSecond;
 };

@@ -4,6 +4,13 @@ namespace sc::fleet {
 
 namespace {
 
+// An unanswered health ping after this long is a failure.
+constexpr sim::Time kProbeTimeout = sim::kSecond;
+// withStream retry while nothing is available (mirrors the legacy
+// withTunnel cadence: the pool may be mid-dial or mid-respawn).
+constexpr int kPickRetries = 25;
+constexpr sim::Time kPickRetryDelay = 200 * sim::kMillisecond;
+
 // Decorates a tunnel stream so the balancer lease is returned exactly once,
 // whichever side closes first (domestic proxy after a fetch, or the wire
 // dying under the stream). Not on destruction: a destructor touches no
@@ -179,7 +186,7 @@ void Fleet::probeEndpoint(int id, std::function<void(bool)> done) {
     *settled = true;
     done(true);
   });
-  stack_.sim().schedule(options_.probe_timeout, [settled, done] {
+  stack_.sim().schedule(kProbeTimeout, [settled, done] {
     if (*settled) return;
     *settled = true;
     done(false);
@@ -300,7 +307,7 @@ void Fleet::withStream(net::Ipv4 client,
                                               : obs::SpanStatus::kError);
             fn(std::move(stream));
           },
-          options_.pick_retries);
+          kPickRetries);
 }
 
 void Fleet::tryPick(net::Ipv4 client, transport::ConnectTarget target,
@@ -338,7 +345,7 @@ void Fleet::tryPick(net::Ipv4 client, transport::ConnectTarget target,
     return;
   }
   stack_.sim().schedule(
-      options_.pick_retry_delay,
+      kPickRetryDelay,
       [this, client, target = std::move(target), passthrough,
        fn = std::move(fn), retries_left]() mutable {
         tryPick(client, std::move(target), passthrough, std::move(fn),

@@ -51,11 +51,6 @@ struct FleetOptions {
   Bytes tunnel_secret;
   crypto::BlindingMode blinding_mode = crypto::BlindingMode::kByteMap;
   HealthProberOptions health;
-  sim::Time probe_timeout = sim::kSecond;  // unanswered ping = failure
-  // withStream retry while nothing is available (mirrors the legacy
-  // withTunnel cadence: the pool may be mid-dial or mid-respawn).
-  int pick_retries = 25;
-  sim::Time pick_retry_delay = 200 * sim::kMillisecond;
   bool enable_cache = true;
   CacheOptions cache;
   bool autoscale = false;

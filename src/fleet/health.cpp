@@ -2,6 +2,11 @@
 
 namespace sc::fleet {
 
+namespace {
+// First retry after a failure; each further failure doubles it.
+constexpr sim::Time kBackoffBase = sim::kSecond;
+}  // namespace
+
 const char* healthName(Health h) {
   switch (h) {
     case Health::kUnknown: return "unknown";
@@ -99,7 +104,7 @@ void HealthProber::onProbeDone(int id, std::uint64_t generation, bool ok) {
                                                  : Health::kDegraded);
   // The state handler may have retired (unwatched) the endpoint; `w` is
   // dead then and scheduleProbe below degrades to a no-op.
-  sim::Time backoff = options_.backoff_base;
+  sim::Time backoff = kBackoffBase;
   for (int i = 1; i < failures && backoff < options_.backoff_max; ++i)
     backoff *= 2;
   if (backoff > options_.backoff_max) backoff = options_.backoff_max;

@@ -8,7 +8,7 @@
 //   kDown ------> kHealthy                           consecutive failures)
 //
 // Probe cadence: `interval` while healthy; after the f-th consecutive
-// failure the next probe fires at min(backoff_base << (f-1), backoff_max) —
+// failure the next probe fires at min(1 s << (f-1), backoff_max) —
 // a blocked egress is retried quickly at first (the GFW's temporary-suspect
 // entries expire), then left alone so probe traffic doesn't become a beacon.
 //
@@ -30,7 +30,6 @@ const char* healthName(Health h);
 
 struct HealthProberOptions {
   sim::Time interval = 2 * sim::kSecond;       // cadence while healthy
-  sim::Time backoff_base = sim::kSecond;       // first retry after a failure
   sim::Time backoff_max = 30 * sim::kSecond;
   int fail_threshold = 3;  // consecutive failures until kDown
 };

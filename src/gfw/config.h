@@ -24,11 +24,10 @@ struct GfwConfig {
   // Post-2015 policy: recognized VPN protocols pass (registered-VPN era).
   // Flip to true for the 2012–2015 era where VPNs were extensively blocked.
   bool block_vpn_protocols = false;
-  // Leniency for flows whose China-side endpoint is a registered ICP — the
-  // paper's §2/§3 argument for why a legalized service survives.
-  bool registered_icp_leniency = true;
-  // If true, *any* unclassifiable high-entropy flow is throttled, even
-  // registered ones (a hypothetical future GFW; used in ablations).
+  // Flows whose China-side endpoint is a registered ICP get leniency — the
+  // paper's §2/§3 argument for why a legalized service survives. If true,
+  // *any* unclassifiable high-entropy flow is throttled, even registered
+  // ones (a hypothetical future GFW; used in ablations).
   bool throttle_all_unknown = false;
 
   // ---- per-class disciplines (per-packet drop probability) ----
@@ -44,12 +43,7 @@ struct GfwConfig {
 
   // ---- active probing ----
   sim::Time probe_delay = 12 * sim::kSecond;   // suspicion -> probe launch
-  sim::Time probe_mute_window = 3 * sim::kSecond;
   sim::Time suspect_block_ttl = 2 * sim::kHour;
-
-  // ---- flow table hygiene ----
-  sim::Time flow_idle_timeout = 2 * sim::kMinute;
-  sim::Time flow_gc_interval = sim::kMinute;
 };
 
 }  // namespace sc::gfw

@@ -7,6 +7,13 @@
 
 namespace sc::gfw {
 
+namespace {
+// Flow-table hygiene for day-long campaigns: every minute, drop flows idle
+// for two.
+constexpr sim::Time kFlowGcInterval = sim::kMinute;
+constexpr sim::Time kFlowIdleTimeout = 2 * sim::kMinute;
+}  // namespace
+
 Gfw::Gfw(net::Network& network, GfwConfig config)
     : network_(network), config_(config) {
   resolveInstruments();
@@ -47,10 +54,10 @@ void Gfw::attachTo(net::Link& link, net::Direction outbound) {
   // Periodic flow-table garbage collection for day-long campaigns.
   const auto gc = [this](auto&& self_ref) -> void {
     gcFlows();
-    network_.sim().schedule(config_.flow_gc_interval,
+    network_.sim().schedule(kFlowGcInterval,
                             [this, self_ref] { self_ref(self_ref); });
   };
-  network_.sim().schedule(config_.flow_gc_interval, [gc] { gc(gc); });
+  network_.sim().schedule(kFlowGcInterval, [gc] { gc(gc); });
 }
 
 void Gfw::addKnownTorRelay(net::Ipv4 ip) {
@@ -70,7 +77,7 @@ void Gfw::mutatePolicy(const std::function<void(GfwConfig&)>& fn) {
 }
 
 void Gfw::enableActiveProbing(transport::HostStack& probe_stack) {
-  prober_ = std::make_unique<ActiveProber>(probe_stack, config_);
+  prober_ = std::make_unique<ActiveProber>(probe_stack);
 }
 
 std::map<FlowClass, std::uint64_t> Gfw::flowClassCounts() const {
@@ -89,7 +96,7 @@ void Gfw::gcFlows() {
   // on it.
   std::vector<std::uint64_t> stale;
   std::erase_if(flows_, [&](const auto& kv) {
-    const bool dead = now - kv.second.last_seen > config_.flow_idle_timeout;
+    const bool dead = now - kv.second.last_seen > kFlowIdleTimeout;
     if (dead && kv.second.span != 0 && !kv.second.classified)
       stale.push_back(kv.second.span);
     return dead;
@@ -294,7 +301,7 @@ void Gfw::classifyFlow(Flow& flow, const net::Packet& pkt, net::Link& link,
     }
     case FlowClass::kHighEntropy: {
       if (!config_.entropy_classification) break;
-      if (config_.registered_icp_leniency && !config_.throttle_all_unknown &&
+      if (!config_.throttle_all_unknown &&
           endpointIsRegisteredIcp(pkt, outbound)) {
         flow.lenient = true;
         ++stats_.leniency_granted;
@@ -379,8 +386,7 @@ net::PacketFilter::Verdict Gfw::onPacket(net::Packet& pkt, net::Direction dir,
   if (!flow.lenient && flow.drop_prob == 0.0) {
     const net::Ipv4 server_ip = outbound ? pkt.dst : pkt.src;
     if (isSuspectServer(server_ip) &&
-        !(config_.registered_icp_leniency &&
-          endpointIsRegisteredIcp(pkt, outbound))) {
+        !endpointIsRegisteredIcp(pkt, outbound)) {
       flow.drop_prob = config_.shadowsocks_discipline;
       traceVerdict(pkt, "active_probe", "discipline");
     }

@@ -3,18 +3,19 @@
 namespace sc::gfw {
 
 namespace {
+// A probed server that stays mute this long after the garbage is confirmed.
+constexpr sim::Time kProbeMuteWindow = 3 * sim::kSecond;
+
 struct ProbeOp : std::enable_shared_from_this<ProbeOp> {
   transport::HostStack& stack;
-  const GfwConfig& config;
   ActiveProber::ProbeCallback cb;
   transport::TcpSocket::Ptr sock;
   sim::EventHandle mute_timer;
   bool done = false;
   bool got_data = false;
 
-  ProbeOp(transport::HostStack& s, const GfwConfig& c,
-          ActiveProber::ProbeCallback callback)
-      : stack(s), config(c), cb(std::move(callback)) {}
+  ProbeOp(transport::HostStack& s, ActiveProber::ProbeCallback callback)
+      : stack(s), cb(std::move(callback)) {}
 
   void finish(bool confirmed) {
     if (done) return;
@@ -55,7 +56,7 @@ struct ProbeOp : std::enable_shared_from_this<ProbeOp> {
       });
       self->sock->send(self->stack.sim().rng().randomBytes(64));
       self->mute_timer = self->stack.sim().schedule(
-          self->config.probe_mute_window,
+          kProbeMuteWindow,
           [self] { self->finish(!self->got_data); });
     });
   }
@@ -65,7 +66,7 @@ struct ProbeOp : std::enable_shared_from_this<ProbeOp> {
 void ActiveProber::probe(net::Endpoint target, ProbeCallback cb) {
   ++probes_sent_;
   auto op = std::make_shared<ProbeOp>(
-      stack_, config_, [this, cb = std::move(cb)](bool confirmed) {
+      stack_, [this, cb = std::move(cb)](bool confirmed) {
         if (confirmed) ++probes_confirmed_;
         cb(confirmed);
       });

@@ -10,15 +10,13 @@
 
 #include <functional>
 
-#include "gfw/config.h"
 #include "transport/host_stack.h"
 
 namespace sc::gfw {
 
 class ActiveProber {
  public:
-  ActiveProber(transport::HostStack& stack, const GfwConfig& config)
-      : stack_(stack), config_(config) {}
+  explicit ActiveProber(transport::HostStack& stack) : stack_(stack) {}
 
   using ProbeCallback = std::function<void(bool confirmed)>;
   void probe(net::Endpoint target, ProbeCallback cb);
@@ -28,7 +26,6 @@ class ActiveProber {
 
  private:
   transport::HostStack& stack_;
-  const GfwConfig& config_;
   std::uint64_t probes_sent_ = 0;
   std::uint64_t probes_confirmed_ = 0;
 };

@@ -6,6 +6,14 @@
 
 namespace sc::http {
 
+namespace {
+constexpr int kMaxParallelFetches = 6;
+// Layout/JS between a page's fetch phases.
+constexpr sim::Time kParseDelay = 60 * sim::kMillisecond;
+constexpr sim::Time kRequestTimeout = 45 * sim::kSecond;
+constexpr sim::Time kPoolIdleTimeout = 25 * sim::kSecond;
+}  // namespace
+
 Browser::Browser(transport::HostStack& stack, BrowserOptions options,
                  std::uint32_t measure_tag)
     : stack_(stack),
@@ -22,11 +30,6 @@ void Browser::setFixedProxy(ProxyDecision decision) {
 void Browser::setPac(PacScript pac) {
   pac_ = std::move(pac);
   has_fixed_proxy_ = false;
-}
-
-void Browser::clearProxy() {
-  has_fixed_proxy_ = false;
-  pac_.reset();
 }
 
 void Browser::setDnsServer(net::Ipv4 server) {
@@ -103,7 +106,7 @@ void Browser::offerPooled(const std::string& key,
   stream->setOnData(nullptr);
   stream->setOnClose(nullptr);
   pool_[key].push_back(
-      Pooled{std::move(stream), stack_.sim().now() + options_.pool_idle_timeout});
+      Pooled{std::move(stream), stack_.sim().now() + kPoolIdleTimeout});
 }
 
 // ------------------------------------------------------------- stream setup
@@ -218,7 +221,7 @@ void Browser::connectVia(const ProxyHop& decision, const Url& url,
               span = sp->begin(obs::SpanKind::kProxyHop, tag_, "connect",
                                connect_req.target);
             HttpClient::fetchOn(
-                raw, stack_.sim(), connect_req, options_.request_timeout,
+                raw, stack_.sim(), connect_req, kRequestTimeout,
                 [this, url, raw, span, cb](std::optional<Response> resp) {
                   const bool ok = resp && resp->status == 200;
                   if (auto* sp = obs::spansOf(stack_.sim()))
@@ -287,7 +290,7 @@ void Browser::fetchUrl(const Url& url, bool conditional, FetchCb cb) {
     if (auto* sp = obs::spansOf(stack_.sim()))
       span = sp->begin(obs::SpanKind::kUpstreamFetch, tag_, "", url.str());
     HttpClient::fetchOn(
-        stream, stack_.sim(), req, options_.request_timeout,
+        stream, stack_.sim(), req, kRequestTimeout,
         [this, url, key, span, stream, cb = std::move(cb)](
             std::optional<Response> resp) {
           if (auto* sp = obs::spansOf(stack_.sim()))
@@ -408,7 +411,7 @@ class PageLoadOp : public std::enable_shared_from_this<PageLoadOp> {
 
     // Parse/render pause before the subresource wave.
     auto self = shared_from_this();
-    browser_.stack_.sim().schedule(browser_.options_.parse_delay,
+    browser_.stack_.sim().schedule(kParseDelay,
                                    [self] { self->pumpFetches(); });
   }
 
@@ -419,7 +422,7 @@ class PageLoadOp : public std::enable_shared_from_this<PageLoadOp> {
     }
     auto self = shared_from_this();
     while (!pending_urls_.empty() &&
-           in_flight_ < browser_.options_.max_parallel_fetches) {
+           in_flight_ < kMaxParallelFetches) {
       const Url url = pending_urls_.front();
       pending_urls_.erase(pending_urls_.begin());
       ++in_flight_;

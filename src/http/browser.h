@@ -39,10 +39,6 @@ struct BrowserOptions {
   // still-reachable address. Defeated once the GFW blocks the addresses
   // themselves and filters the TLS SNI.
   std::map<std::string, net::Ipv4> hosts_overrides;
-  int max_parallel_fetches = 6;
-  sim::Time parse_delay = 60 * sim::kMillisecond;  // layout/JS between phases
-  sim::Time request_timeout = 45 * sim::kSecond;
-  sim::Time pool_idle_timeout = 25 * sim::kSecond;
 };
 
 struct PageLoadResult {
@@ -64,7 +60,6 @@ class Browser {
   // ---- proxy configuration ----
   void setFixedProxy(ProxyDecision decision);
   void setPac(PacScript pac);
-  void clearProxy();
   // Downloads a PAC file over plain HTTP (how ScholarCloud users set up) and
   // installs it. cb(false) when the fetch or parse fails.
   void loadPacFrom(const Url& pac_url, std::function<void(bool)> cb);

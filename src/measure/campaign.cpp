@@ -11,6 +11,9 @@
 namespace sc::measure {
 
 namespace {
+// How long a client's method set-up (VPN up, PAC installed, ...) may take.
+constexpr sim::Time kSetupTimeout = 2 * sim::kMinute;
+
 // Rough connections-per-access estimate per method (used by the memory
 // model): main + subresources + method-specific extras.
 int connectionsPerAccess(Method m) {
@@ -64,7 +67,7 @@ CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
     ready = true;
     ready_result = ok;
   });
-  sim.runWhile([&] { return ready; }, sim.now() + options.setup_timeout);
+  sim.runWhile([&] { return ready; }, sim.now() + kSetupTimeout);
   result.setup_ok = ready && ready_result;
   if (!result.setup_ok) return result;
 

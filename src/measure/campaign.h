@@ -26,7 +26,6 @@ struct CampaignOptions {
   // Clear browser caches before every access: each load transfers the full
   // page, matching the per-access transfer sizes Fig. 6a reports.
   bool cold_cache = false;
-  sim::Time setup_timeout = 2 * sim::kMinute;
 };
 
 struct CampaignResult {

@@ -11,6 +11,10 @@ namespace sc::measure {
 namespace {
 
 constexpr sim::Time kFetchTimeout = 15 * sim::kSecond;
+// How long the churn driver blocks each egress IP it discovers.
+constexpr sim::Time kBlockDuration = 60 * sim::kSecond;
+// Mean of the users' exponential think time.
+constexpr sim::Time kThinkMean = 2 * sim::kSecond;
 
 }  // namespace
 
@@ -31,7 +35,7 @@ FleetCellResult runFleetCell(const FleetCellOptions& opt) {
   std::function<void()> churn = [&] {
     for (const net::Endpoint& ep : fl.liveEndpoints()) {
       if (cw.gfw.ips().isBlocked(ep.ip, sim.now())) continue;
-      cw.gfw.ips().add(ep.ip, sim.now() + opt.block_duration);
+      cw.gfw.ips().add(ep.ip, sim.now() + kBlockDuration);
       ++out.blocks_applied;
       break;
     }
@@ -49,7 +53,7 @@ FleetCellResult runFleetCell(const FleetCellOptions& opt) {
       [&](std::size_t i, bool ok, sim::Time) {
         if (ok) ++out.successes;
         return static_cast<sim::Time>(rngs[i].exponential(
-                   static_cast<double>(opt.think_mean))) +
+                   static_cast<double>(kThinkMean))) +
                sim::kMillisecond;
       });
   for (int i = 0; i < opt.users; ++i) {

@@ -24,11 +24,9 @@ struct FleetCellOptions {
   int fleet_size = 2;           // initial endpoints (autoscaler may move it)
   int tunnels_per_endpoint = 2;
   // GFW blocklist churn: every interval one live egress IP is blocked for
-  // block_duration (0 interval disables churn).
+  // 60 s (0 interval disables churn).
   sim::Time churn_interval = 20 * sim::kSecond;
-  sim::Time block_duration = 60 * sim::kSecond;
   sim::Time duration = 120 * sim::kSecond;
-  sim::Time think_mean = 2 * sim::kSecond;  // exponential user think time
   bool cache = true;
   bool autoscale = false;
   bool tracing = false;

@@ -16,6 +16,8 @@ namespace sc::measure {
 namespace {
 
 constexpr sim::Time kFetchTimeout = 15 * sim::kSecond;
+// Mean of the cohort users' exponential think time.
+constexpr sim::Time kCohortThinkMean = 2 * sim::kSecond;
 
 }  // namespace
 
@@ -62,7 +64,7 @@ PopulationCellResult runPopulationCell(const PopulationCellOptions& opt) {
           out.cohort_plt_max_s = std::max(out.cohort_plt_max_s, plt);
         }
         return static_cast<sim::Time>(rngs[i].exponential(
-                   static_cast<double>(opt.cohort_think_mean))) +
+                   static_cast<double>(kCohortThinkMean))) +
                sim::kMillisecond;
       });
   for (int i = 0; i < opt.cohort_users; ++i) {

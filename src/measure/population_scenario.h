@@ -36,7 +36,6 @@ struct PopulationCellOptions {
   bool background = true;  // false: cohort-only control cell
   // Packet-level cohort (0 disables it; pure flow-level campaign).
   int cohort_users = 0;
-  sim::Time cohort_think_mean = 2 * sim::kSecond;
   // Fleet.
   int fleet_size = 2;
   int tunnels_per_endpoint = 2;

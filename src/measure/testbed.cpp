@@ -4,6 +4,16 @@
 
 namespace sc::measure {
 
+namespace {
+// Public Tor relays listed in the consensus (all blocked by the GFW).
+constexpr int kTorPublicGuards = 2;
+constexpr int kTorPublicMiddles = 2;
+constexpr int kTorPublicExits = 2;
+// The serverless provider's cap and idle TTL (its own default cap is 16).
+constexpr int kServerlessMaxLive = 8;
+constexpr sim::Time kServerlessTtl = 120 * sim::kSecond;
+}  // namespace
+
 const char* methodName(Method m) {
   switch (m) {
     case Method::kNativeVpn: return "Native VPN";
@@ -154,11 +164,11 @@ void Testbed::buildTorNetwork() {
     gfw_->addKnownTorRelay(desc.address);
     relays_.push_back(std::move(host));
   };
-  for (int i = 0; i < options_.tor_public_guards; ++i)
+  for (int i = 0; i < kTorPublicGuards; ++i)
     add_relay("guard" + std::to_string(i), true, false);
-  for (int i = 0; i < options_.tor_public_middles; ++i)
+  for (int i = 0; i < kTorPublicMiddles; ++i)
     add_relay("middle" + std::to_string(i), false, false);
-  for (int i = 0; i < options_.tor_public_exits; ++i)
+  for (int i = 0; i < kTorPublicExits; ++i)
     add_relay("exit" + std::to_string(i), false, true);
   // The directory authority itself is likewise blocked.
   if (options_.gfw_enabled) gfw_->ips().add(directory_ip_);
@@ -224,16 +234,13 @@ void Testbed::buildScholarCloud() {
 void Testbed::ensureServerless() {
   if (serverless_ != nullptr) return;
   serverless::ProviderOptions popts;
-  popts.prewarm = options_.serverless_prewarm;
-  popts.max_live = options_.serverless_max_live;
-  popts.ttl = options_.serverless_ttl;
+  popts.prewarm = kServerlessPrewarm;
+  popts.max_live = kServerlessMaxLive;
+  popts.ttl = kServerlessTtl;
   serverless_ = std::make_unique<ServerlessDeployment>(
       *world_, *gfw_, us_dns_ip_, popts, options_.blinding_mode);
 }
 
-core::DomesticProxy* Testbed::serverlessGateway() noexcept {
-  return serverless_ != nullptr ? &serverless_->gateway : nullptr;
-}
 serverless::FunctionProvider* Testbed::serverlessProvider() noexcept {
   return serverless_ != nullptr ? &serverless_->provider : nullptr;
 }

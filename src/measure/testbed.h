@@ -58,6 +58,11 @@ inline constexpr std::size_t kMethodCount =
 
 const char* methodName(Method m);
 
+// Function endpoints the Testbed's serverless provider keeps warm. The
+// serverless world is built lazily on the first kServerless client, so it
+// costs nothing for other methods.
+inline constexpr int kServerlessPrewarm = 2;
+
 struct TestbedOptions {
   std::uint64_t seed = 42;
   net::WorldParams world = calibratedWorld();
@@ -65,15 +70,7 @@ struct TestbedOptions {
   bool gfw_enabled = true;
   bool register_scholarcloud = true;  // pre-approved ICP (the deployed state)
   crypto::BlindingMode blinding_mode = crypto::BlindingMode::kByteMap;
-  int tor_public_guards = 2;
-  int tor_public_middles = 2;
-  int tor_public_exits = 2;
   sim::Time ss_keepalive = 10 * sim::kSecond;  // paper default
-  // Serverless method knobs (the world is built lazily on the first
-  // kServerless client, so these cost nothing for other methods).
-  int serverless_prewarm = 2;
-  int serverless_max_live = 8;
-  sim::Time serverless_ttl = 120 * sim::kSecond;
   // Structured event tracing (obs::Tracer). Off by default: metrics are
   // always collected (they observe, never perturb), but the trace ring only
   // fills when requested.
@@ -166,7 +163,6 @@ class Testbed {
   // Serverless handles (valid once a kServerless client exists; null
   // before — the subsystem is built lazily to keep other methods' worlds,
   // and therefore their rng draws, byte-identical to the seed).
-  core::DomesticProxy* serverlessGateway() noexcept;
   serverless::FunctionProvider* serverlessProvider() noexcept;
   serverless::FrontedDispatcher* serverlessDispatcher() noexcept;
   serverless::CostModel* serverlessCost() noexcept;

@@ -27,10 +27,6 @@ std::string Ipv4::str() const {
          std::to_string(v >> 8 & 0xFF) + "." + std::to_string(v & 0xFF);
 }
 
-std::string Prefix::str() const {
-  return base.str() + "/" + std::to_string(length);
-}
-
 std::string Endpoint::str() const {
   return ip.str() + ":" + std::to_string(port);
 }

@@ -42,7 +42,6 @@ struct Prefix {
         length >= 32 ? 0xFFFFFFFFu : ~(0xFFFFFFFFu >> length);
     return (ip.v & mask) == (base.v & mask);
   }
-  std::string str() const;
   auto operator<=>(const Prefix&) const = default;
 };
 

@@ -17,11 +17,6 @@ Link::Link(Network& net, Node& a, Node& b, LinkParams params, std::string name)
   }
 }
 
-Node& Link::peer(const Node& n) const {
-  assert(&n == a_ || &n == b_);
-  return &n == a_ ? *b_ : *a_;
-}
-
 Direction Link::directionFrom(const Node& from) const {
   assert(&from == a_ || &from == b_);
   return &from == a_ ? Direction::kAtoB : Direction::kBtoA;

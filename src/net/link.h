@@ -74,7 +74,6 @@ class Link {
   Node& endpoint(Direction dir) const {
     return dir == Direction::kAtoB ? *b_ : *a_;
   }
-  Node& peer(const Node& n) const;
   Direction directionFrom(const Node& from) const;
 
   LinkParams& params() noexcept { return params_; }

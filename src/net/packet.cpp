@@ -2,22 +2,6 @@
 
 namespace sc::net {
 
-std::string TcpFlags::str() const {
-  std::string s;
-  if (syn) s += 'S';
-  if (ack) s += 'A';
-  if (fin) s += 'F';
-  if (rst) s += 'R';
-  if (psh) s += 'P';
-  return s.empty() ? "-" : s;
-}
-
-std::string FiveTuple::str() const {
-  return src.str() + ":" + std::to_string(src_port) + "->" + dst.str() + ":" +
-         std::to_string(dst_port) + "/" +
-         std::to_string(static_cast<int>(proto));
-}
-
 Port Packet::srcPort() const {
   if (isTcp()) return tcp().src_port;
   if (isUdp()) return udp().src_port;
@@ -40,26 +24,6 @@ std::size_t Packet::headerBytes() const {
   if (isUdp()) return kIp + 8;
   if (isGre()) return kIp + 12;  // GRE with key field
   return kIp + 8;                // ESP header
-}
-
-std::string Packet::summary() const {
-  std::string s = src.str() + "->" + dst.str();
-  if (isTcp()) {
-    const auto& t = tcp();
-    s += " TCP " + std::to_string(t.src_port) + ">" +
-         std::to_string(t.dst_port) + " [" + t.flags.str() + "] seq=" +
-         std::to_string(t.seq) + " len=" + std::to_string(payload.size());
-  } else if (isUdp()) {
-    s += " UDP " + std::to_string(udp().src_port) + ">" +
-         std::to_string(udp().dst_port) + " len=" +
-         std::to_string(payload.size());
-  } else if (isGre()) {
-    s += " GRE call=" + std::to_string(gre().call_id) + " len=" +
-         std::to_string(payload.size());
-  } else {
-    s += " ESP len=" + std::to_string(payload.size());
-  }
-  return s;
 }
 
 Packet makeTcp(Ipv4 src, Ipv4 dst, Port sport, Port dport, TcpFlags flags,

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <variant>
 
 #include "net/address.h"
@@ -31,7 +30,6 @@ struct TcpFlags {
   bool fin = false;
   bool rst = false;
   bool psh = false;
-  std::string str() const;
 };
 
 struct TcpSeg {
@@ -69,7 +67,6 @@ struct FiveTuple {
   FiveTuple reversed() const {
     return FiveTuple{dst, src, dst_port, src_port, proto};
   }
-  std::string str() const;
   auto operator<=>(const FiveTuple&) const = default;
 };
 
@@ -102,8 +99,6 @@ struct Packet {
 
   std::size_t headerBytes() const;
   std::size_t wireSize() const { return headerBytes() + payload.size(); }
-
-  std::string summary() const;
 };
 
 // Factory helpers.

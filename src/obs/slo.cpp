@@ -7,6 +7,17 @@
 
 namespace sc::obs {
 
+namespace {
+constexpr double kAvailabilityTarget = 0.99;
+// Share of accesses that must finish under kLatencyTarget.
+constexpr double kLatencyObjective = 0.99;
+constexpr sim::Time kLatencyTarget = 8 * sim::kSecond;  // per-access PLT
+// The long window proves a burn is sustained.
+constexpr sim::Time kLongWindow = sim::kHour;
+constexpr double kPageBurn = 14.0;
+constexpr double kTicketBurn = 6.0;
+}  // namespace
+
 SloEngine::SloEngine(SloConfig config) : config_(config) {}
 
 void SloEngine::bind(Registry* registry, Tracer* tracer) {
@@ -26,12 +37,12 @@ void SloEngine::sample(sim::Time at, bool ok, sim::Time latency) {
   ++samples_seen_;
   if (c_samples_ != nullptr) c_samples_->inc();
   if (!ok && c_errors_ != nullptr) c_errors_->inc();
-  while (!samples_.empty() && samples_.front().at + config_.long_window < now_)
+  while (!samples_.empty() && samples_.front().at + kLongWindow < now_)
     samples_.pop_front();
 
-  const WindowStats long_w = window(config_.long_window);
+  const WindowStats long_w = window(kLongWindow);
   if (long_w.samples < config_.min_samples) return;
-  const WindowStats short_w = window(config_.short_window);
+  const WindowStats short_w = window(kSloShortWindow);
   evaluate(availability_, short_w.availability_burn, long_w.availability_burn);
   evaluate(latency_, short_w.latency_burn, long_w.latency_burn);
 }
@@ -45,22 +56,19 @@ SloEngine::WindowStats SloEngine::window(sim::Time width) const {
     if (!s.ok) {
       ++out.errors;
     } else {
-      if (s.latency > config_.latency_target) ++out.slow;
+      if (s.latency > kLatencyTarget) ++out.slow;
       latencies.push_back(s.latency);
     }
   }
   if (out.samples == 0) return out;
   const double n = static_cast<double>(out.samples);
   out.availability = 1.0 - static_cast<double>(out.errors) / n;
-  const double avail_budget = 1.0 - config_.availability_target;
-  const double lat_budget = 1.0 - config_.latency_objective;
-  if (avail_budget > 0)
-    out.availability_burn =
-        (static_cast<double>(out.errors) / n) / avail_budget;
+  const double avail_budget = 1.0 - kAvailabilityTarget;
+  const double lat_budget = 1.0 - kLatencyObjective;
+  out.availability_burn = (static_cast<double>(out.errors) / n) / avail_budget;
   // A failed access spends latency budget too (it never finished in time).
-  if (lat_budget > 0)
-    out.latency_burn =
-        (static_cast<double>(out.slow + out.errors) / n) / lat_budget;
+  out.latency_burn =
+      (static_cast<double>(out.slow + out.errors) / n) / lat_budget;
   if (!latencies.empty()) {
     std::sort(latencies.begin(), latencies.end());
     const std::size_t rank =
@@ -72,10 +80,8 @@ SloEngine::WindowStats SloEngine::window(sim::Time width) const {
 
 void SloEngine::evaluate(Objective& objective, double short_burn,
                          double long_burn) {
-  const bool page =
-      short_burn > config_.page_burn && long_burn > config_.page_burn;
-  const bool ticket =
-      short_burn > config_.ticket_burn && long_burn > config_.ticket_burn;
+  const bool page = short_burn > kPageBurn && long_burn > kPageBurn;
+  const bool ticket = short_burn > kTicketBurn && long_burn > kTicketBurn;
   if (page && objective.level < 2) {
     objective.level = 2;
     ++alerts_fired_;

@@ -2,20 +2,21 @@
 //
 // Two objectives over the access stream (fed one sample per completed page
 // load, ok + latency):
-//   - availability: at least `availability_target` of accesses succeed;
-//   - p99 latency: at least `latency_objective` of accesses finish under
-//     `latency_target` ("slow is the new down" — a slow success spends the
-//     same budget as a failure, tracked separately).
+//   - availability: at least 99% of accesses succeed;
+//   - p99 latency: at least 99% of accesses finish under 8 s, the per-access
+//     PLT bound ("slow is the new down" — a slow success spends the same
+//     budget as a failure, tracked separately).
 //
 // Burn rate is the SRE-workbook ratio: (bad fraction over a window) divided
 // by the budget fraction (1 - target). Burn 1.0 spends exactly the budget
 // over the window; 14x is the classic page threshold. Alerts use the
 // two-window AND rule — the long window proves the burn is sustained, the
 // short window proves it is still happening — so a single failure spike
-// neither pages nor sticks after recovery:
-//   - page   when both windows burn above `page_burn`,
-//   - ticket when both windows burn above `ticket_burn`,
-//   - clear  when both drop below `ticket_burn` after an alert.
+// neither pages nor sticks after recovery. The windows are 5 minutes and
+// one hour:
+//   - page   when both windows burn above 14x,
+//   - ticket when both windows burn above 6x,
+//   - clear  when both drop below 6x after an alert.
 // Transitions emit kSloAlert trace events (the rollback signal ROADMAP item
 // 5's gradual-rollout consumes) and bump sc.slo.* counters.
 //
@@ -37,14 +38,10 @@ class Registry;
 class Tracer;
 class Counter;
 
+// The short burn-rate window: proves a burn is still happening.
+inline constexpr sim::Time kSloShortWindow = 5 * sim::kMinute;
+
 struct SloConfig {
-  double availability_target = 0.99;
-  double latency_objective = 0.99;              // quantile under latency_target
-  sim::Time latency_target = 8 * sim::kSecond;  // per-access PLT bound
-  sim::Time short_window = 5 * sim::kMinute;
-  sim::Time long_window = sim::kHour;
-  double page_burn = 14.0;
-  double ticket_burn = 6.0;
   // No alert evaluation until the long window holds this many samples — a
   // cold start with one failed access is not a 100x burn.
   std::uint64_t min_samples = 10;
@@ -63,7 +60,7 @@ class SloEngine {
   struct WindowStats {
     std::uint64_t samples = 0;
     std::uint64_t errors = 0;  // failed accesses
-    std::uint64_t slow = 0;    // ok but above latency_target
+    std::uint64_t slow = 0;    // ok but above the 8 s latency target
     double availability = 1.0;
     double availability_burn = 0.0;
     double latency_burn = 0.0;

@@ -120,8 +120,7 @@ void FlowModel::refreshDerived() const {
   // leniency excuses the unknown-protocol throttle unless the hypothetical
   // throttle-everything policy is armed.
   double sc = 0.0;
-  if (c.entropy_classification &&
-      (!c.registered_icp_leniency || c.throttle_all_unknown))
+  if (c.entropy_classification && c.throttle_all_unknown)
     sc = c.unknown_discipline;
   discipline_[static_cast<std::size_t>(Method::kScholarCloud)] = sc;
 

@@ -60,7 +60,7 @@ PopulationModel::PopulationModel(PopulationOptions options,
                                  std::vector<UserClassSpec> classes)
     : options_(options),
       classes_(std::move(classes)),
-      sampler_(options.seed, options.serverless_share),
+      sampler_(options.seed),
       adoption_mix_(mixU64(options.seed ^ kAdoptionLabel)) {
   // Normalize each diurnal curve to mean 1.0 so accesses_per_day is the
   // daily budget no matter how the curve was sketched.

@@ -51,10 +51,6 @@ struct PopulationOptions {
   // have adopted ScholarCloud. 0 = pre-deployment baseline; raising it is
   // the paper's §6 adoption story.
   double sc_adoption = 0.0;
-  // What-if overlay: fraction of ALL scholars reassigned to the serverless
-  // method (drawn proportionally from every survey bucket). 0 = the
-  // historical Fig. 3 mix, byte-identical to before the overlay existed.
-  double serverless_share = 0.0;
   // Size of the Zipf query catalog (distinct cache keys) and its exponent.
   int query_catalog = 512;
   double zipf_s = 1.1;

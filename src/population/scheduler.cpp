@@ -10,6 +10,7 @@ namespace sc::population {
 namespace {
 
 constexpr std::uint64_t kSchedulerRngLabel = 0x5c'0b'9e'31ULL;
+constexpr sim::Time kTick = sim::kSecond;  // arrival slice
 
 // Campus client address space for background affinity: 10.3.128.0/17 (the
 // packet cohort's clients live lower in 10.3.0.0/16, so leases never alias
@@ -71,13 +72,13 @@ sim::Time HybridScheduler::dayTime(sim::Time t) const {
 }
 
 void HybridScheduler::start(sim::Time horizon) {
-  sim_.schedule(options_.tick, [this, horizon] { tick(horizon); });
+  sim_.schedule(kTick, [this, horizon] { tick(horizon); });
 }
 
 void HybridScheduler::tick(sim::Time horizon) {
   const sim::Time day = dayTime(sim_.now());
   const double tick_s =
-      static_cast<double>(options_.tick) / static_cast<double>(sim::kSecond);
+      static_cast<double>(kTick) / static_cast<double>(sim::kSecond);
   ++stats_.ticks;
 
   std::uint64_t slice_arrivals = 0;
@@ -85,9 +86,9 @@ void HybridScheduler::tick(sim::Time horizon) {
   for (std::size_t i = 0; i < model_.classes().size(); ++i) {
     // Effective arrivals per sim-second: the diurnal rate at the (scaled)
     // day clock, times time_scale so a compressed day still integrates to
-    // the same per-day total, times the what-if load knob.
-    const double rate = model_.classRatePerSecond(i, day) *
-                        options_.time_scale * options_.rate_scale;
+    // the same per-day total.
+    const double rate =
+        model_.classRatePerSecond(i, day) * options_.time_scale;
     total_rate += rate;
     acc_[i] += rate * tick_s;
     const auto n = static_cast<std::uint64_t>(acc_[i]);
@@ -98,8 +99,8 @@ void HybridScheduler::tick(sim::Time horizon) {
   if (g_rate_ != nullptr) g_rate_->set(total_rate);
   trace("tick", "", static_cast<std::int64_t>(slice_arrivals));
 
-  if (sim_.now() + options_.tick < horizon)
-    sim_.schedule(options_.tick, [this, horizon] { tick(horizon); });
+  if (sim_.now() + kTick < horizon)
+    sim_.schedule(kTick, [this, horizon] { tick(horizon); });
 }
 
 LoadState HybridScheduler::loadState(Method m, int query_rank) const {

@@ -36,16 +36,12 @@
 namespace sc::population {
 
 struct SchedulerOptions {
-  sim::Time tick = sim::kSecond;  // arrival slice
   // Where in the (diurnal) day the sim clock starts.
   sim::Time day_phase = 9 * sim::kHour;
   // Diurnal day-seconds advanced per sim-second: 1.0 replays the day in
   // real sim time; 1440 compresses a day into a 60 s sim. Arrival counts
   // scale with it so the swept day always integrates to the same total.
   double time_scale = 1.0;
-  // Extra multiplier on arrival rates (what-if load knob; total accesses
-  // scale linearly with it).
-  double rate_scale = 1.0;
   // Streams per live endpoint assumed when turning fleet active_streams
   // into a utilization in [0, ~3] (matches FleetOptions
   // tunnels_per_endpoint in the scenarios).

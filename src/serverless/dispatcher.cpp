@@ -9,6 +9,20 @@
 
 namespace sc::serverless {
 
+namespace {
+// withStream retry cadence while nothing is pickable (endpoints may be
+// cold-starting or mid-dial) — mirrors the fleet's pick loop.
+constexpr int kPickRetries = 25;
+constexpr sim::Time kPickRetryDelay = 200 * sim::kMillisecond;
+// Liveness: sim-time tunnel pings, first-answer-wins against the timeout
+// (a banned IP swallows the ping silently — the timeout IS the signal).
+constexpr sim::Time kProbeInterval = 2 * sim::kSecond;
+constexpr sim::Time kProbeTimeout = sim::kSecond;
+// Consecutive failures (failed dial, missed pong, dead tunnel) before an
+// endpoint is declared banned and retired.
+constexpr int kBanThreshold = 2;
+}  // namespace
+
 FrontedDispatcher::FrontedDispatcher(transport::HostStack& stack,
                                      DispatcherOptions options,
                                      FunctionProvider& provider,
@@ -30,7 +44,7 @@ FrontedDispatcher::FrontedDispatcher(transport::HostStack& stack,
   // Endpoints that warmed before we were wired (provider constructed first,
   // cold starts are >= 150 ms, so normally none — but cheap to be exact).
   for (int id : provider_.readyIds()) dial(id);
-  stack_.sim().schedule(options_.probe_interval, [this, alive = alive_] {
+  stack_.sim().schedule(kProbeInterval, [this, alive = alive_] {
     if (*alive) probeLoop();
   });
 }
@@ -179,13 +193,13 @@ void FrontedDispatcher::noteFailure(int id) {
   const int count = ++it->second.failures;
   const FunctionProvider::Endpoint* ep = provider_.get(id);
   trace("fail", ep == nullptr ? "" : ep->name, id);
-  if (count >= options_.ban_threshold)
+  if (count >= kBanThreshold)
     provider_.retire(id, "ban");  // fires drop(id) via onRetire
 }
 
 void FrontedDispatcher::probeLoop() {
   onBlocklistChurn();  // the same sweep: ping every live, undrained tunnel
-  stack_.sim().schedule(options_.probe_interval, [this, alive = alive_] {
+  stack_.sim().schedule(kProbeInterval, [this, alive = alive_] {
     if (*alive) probeLoop();
   });
 }
@@ -205,7 +219,7 @@ void FrontedDispatcher::probeConn(int id) {
     const auto live = conns_.find(id);
     if (live != conns_.end()) live->second.failures = 0;
   });
-  stack_.sim().schedule(options_.probe_timeout,
+  stack_.sim().schedule(kProbeTimeout,
                         [this, id, settled, alive = alive_] {
                           if (*settled) return;
                           *settled = true;
@@ -233,7 +247,7 @@ void FrontedDispatcher::withStream(net::Ipv4 client,
                                               : obs::SpanStatus::kError);
             fn(std::move(stream));
           },
-          options_.pick_retries);
+          kPickRetries);
 }
 
 void FrontedDispatcher::tryPick(transport::ConnectTarget target,
@@ -271,7 +285,7 @@ void FrontedDispatcher::tryPick(transport::ConnectTarget target,
     return;
   }
   stack_.sim().schedule(
-      options_.pick_retry_delay,
+      kPickRetryDelay,
       [this, target = std::move(target), passthrough, fn = std::move(fn),
        retries_left, alive = alive_]() mutable {
         if (!*alive) {

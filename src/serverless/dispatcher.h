@@ -40,17 +40,6 @@ struct DispatcherOptions {
   std::string tls_fingerprint = "chrome-56";
   Bytes tunnel_secret;
   crypto::BlindingMode blinding_mode = crypto::BlindingMode::kByteMap;
-  // withStream retry cadence while nothing is pickable (endpoints may be
-  // cold-starting or mid-dial) — mirrors the fleet's pick loop.
-  int pick_retries = 25;
-  sim::Time pick_retry_delay = 200 * sim::kMillisecond;
-  // Liveness: sim-time tunnel pings, first-answer-wins against the timeout
-  // (a banned IP swallows the ping silently — the timeout IS the signal).
-  sim::Time probe_interval = 2 * sim::kSecond;
-  sim::Time probe_timeout = sim::kSecond;
-  // Consecutive failures (failed dial, missed pong, dead tunnel) before an
-  // endpoint is declared banned and retired.
-  int ban_threshold = 2;
 };
 
 class FrontedDispatcher final : public core::TunnelProvider {
@@ -71,7 +60,8 @@ class FrontedDispatcher final : public core::TunnelProvider {
 
   // Wire to gfw.ips().setOnChange(...) (the embedding world does this so
   // sc_serverless never links sc_gfw): probes every tunnel immediately,
-  // collapsing ban-detection latency from probe_interval to one RTT.
+  // collapsing ban-detection latency from the 2 s probe interval to one
+  // RTT.
   void onBlocklistChurn();
 
   // ---- introspection ----

@@ -5,6 +5,10 @@
 
 namespace sc::serverless {
 
+namespace {
+constexpr std::uint64_t kProviderRngLabel = 0x5e'41'e5'50ULL;
+}  // namespace
+
 FunctionProvider::FunctionProvider(sim::Simulator& sim,
                                    ProviderOptions options, SpawnFn spawn,
                                    CostModel* cost, std::uint32_t tag)
@@ -13,7 +17,7 @@ FunctionProvider::FunctionProvider(sim::Simulator& sim,
       spawn_(std::move(spawn)),
       cost_(cost),
       tag_(tag),
-      rng_(sim.rng().fork(options_.rng_label)) {
+      rng_(sim.rng().fork(kProviderRngLabel)) {
   for (int i = 0; i < options_.prewarm; ++i)
     if (this->spawn("prewarm") < 0) break;
 }
@@ -33,13 +37,10 @@ int FunctionProvider::spawn(const char* cause) {
   ep.remote = provisioned->endpoint;
   ep.name = std::move(provisioned->name);
   ep.spawned_at = sim_.now();
-  // One draw per spawn keeps the stream consumption rate fixed per endpoint
-  // regardless of the [min, max] window (min == max still draws).
-  const std::uint64_t window = static_cast<std::uint64_t>(
-      options_.cold_start_max - options_.cold_start_min);
+  constexpr auto window =
+      static_cast<std::uint64_t>(kColdStartMax - kColdStartMin);
   const sim::Time cold =
-      options_.cold_start_min +
-      static_cast<sim::Time>(rng_.uniformU64(window + 1));
+      kColdStartMin + static_cast<sim::Time>(rng_.uniformU64(window + 1));
   ep.ready_at = ep.spawned_at + cold;
   if (obs::SpanTracer* spans = obs::spansOf(sim_))
     ep.cold_span = spans->begin(obs::SpanKind::kColdStart, tag_, cause, ep.name);

@@ -48,15 +48,15 @@ struct FunctionSpawn {
   std::string name;
 };
 
+// Cold-start latency is drawn uniformly in [kColdStartMin, kColdStartMax]
+// per spawn — the tail the bench's cold_start section checks against.
+inline constexpr sim::Time kColdStartMin = 150 * sim::kMillisecond;
+inline constexpr sim::Time kColdStartMax = 900 * sim::kMillisecond;
+
 struct ProviderOptions {
   int prewarm = 2;    // floor of live endpoints kept provisioned
   int max_live = 16;  // hard cap incl. endpoints still cold-starting
   sim::Time ttl = 120 * sim::kSecond;  // endpoint lifetime; 0 = no reaping
-  // Cold-start latency is drawn uniformly in [min, max] per spawn — the
-  // tail the bench's cold_start section checks against.
-  sim::Time cold_start_min = 150 * sim::kMillisecond;
-  sim::Time cold_start_max = 900 * sim::kMillisecond;
-  std::uint64_t rng_label = 0x5e'41'e5'50ULL;  // provider rng fork label
   // false = static baseline: the endpoint set is frozen after the pre-warm
   // loop — no floor refill on retire AND no demand spawns, so a permanent
   // ban wave exhausts it for good (the frontier's dead comparison row).

@@ -4,6 +4,13 @@
 
 namespace sc::tor {
 
+namespace {
+constexpr sim::Time kDirTimeout = 3 * sim::kSecond;
+constexpr sim::Time kGuardTimeout = 4 * sim::kSecond;
+// The TLS fingerprint of the client's direct guard link.
+constexpr const char* kLinkFingerprint = "tor-browser-6.5";
+}  // namespace
+
 // App stream: the client end of a RELAY_BEGIN stream.
 class TorClient::AppStream final
     : public transport::Stream,
@@ -111,7 +118,7 @@ void TorClient::fetchConsensus(
     *done = true;
     (*cb_shared)(options_.cached_consensus);  // stale-but-cached consensus
   };
-  stack_.sim().schedule(options_.dir_timeout, fallback);
+  stack_.sim().schedule(kDirTimeout, fallback);
 
   stack_.directConnector(tag_)->connect(
       transport::ConnectTarget::byAddress(options_.directory),
@@ -126,7 +133,7 @@ void TorClient::fetchConsensus(
         req.target = "/tor/status";
         req.headers.set("host", "dirauth.torproject.net");
         http::HttpClient::fetchOn(
-            stream, stack_.sim(), req, options_.dir_timeout,
+            stream, stack_.sim(), req, kDirTimeout,
             [done, cb_shared, fallback, stream](
                 std::optional<http::Response> resp) {
               stream->close();
@@ -167,7 +174,7 @@ void TorClient::tryDirectGuard(
         }
         http::TlsClientOptions tls;
         tls.sni = "www.github-mirror.net";  // Tor's camouflage SNI
-        tls.fingerprint = options_.link_fingerprint;
+        tls.fingerprint = kLinkFingerprint;
         http::TlsStream::clientHandshake(
             std::move(raw), stack_.sim(), tls, nullptr,
             [done, cb_shared](http::TlsStream::Ptr link) {
@@ -181,7 +188,7 @@ void TorClient::tryDirectGuard(
       },
       tag_);
   // The guard timeout keeps the socket until it fires, to give up on the SYN.
-  stack_.sim().schedule(options_.guard_timeout, [done, cb_shared, sock] {
+  stack_.sim().schedule(kGuardTimeout, [done, cb_shared, sock] {
     if (*done) return;
     *done = true;
     sock->abort();

@@ -2,11 +2,11 @@
 //
 // Bootstrap walks the path a client inside the GFW actually walks:
 //   1. try to fetch a fresh consensus from a directory authority — blocked
-//      (IP-blocklisted), so fall back to the cached consensus after a
+//      (IP-blocklisted), so fall back to the cached consensus after a 3 s
 //      timeout;
 //   2. try a TLS connection to a public guard — its address came from the
 //      public consensus, so the GFW has it blocklisted too; give up after
-//      guard_timeout;
+//      4 s;
 //   3. fall back to the unlisted bridge via the meek front, and build the
 //      3-hop circuit (bridge → middle → exit) over it.
 // Every one of those dead ends is wall-clock time, which is why the paper
@@ -32,9 +32,6 @@ struct TorClientOptions {
   std::vector<RelayDescriptor> cached_consensus;  // shipped with the bundle
   net::Port socks_port = 9050;
   bool try_direct_guard = true;
-  sim::Time dir_timeout = 3 * sim::kSecond;
-  sim::Time guard_timeout = 4 * sim::kSecond;
-  std::string link_fingerprint = "tor-browser-6.5";
   MeekClientOptions meek;                       // bridge line (out of band)
 };
 

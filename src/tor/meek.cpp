@@ -4,6 +4,12 @@
 
 namespace sc::tor {
 
+namespace {
+// The meek client's idle poll cadence; backs off on errors and speeds up
+// while data flows.
+constexpr sim::Time kPollInterval = 100 * sim::kMillisecond;
+}  // namespace
+
 // ----------------------------------------------------------------- CDN front
 
 FrontedCdn::FrontedCdn(transport::HostStack& stack, std::string front_domain)
@@ -236,7 +242,7 @@ MeekClient::Ptr MeekClient::open(transport::HostStack& stack,
 
 void MeekClient::start() {
   session_id_ = toHex(stack_.sim().rng().randomBytes(8));
-  schedulePoll(options_.poll_interval);
+  schedulePoll(kPollInterval);
 }
 
 void MeekClient::send(Bytes data) {
@@ -321,7 +327,7 @@ void MeekClient::pollNow() {
         appendBytes(merged, self->out_buffer_);
         self->out_buffer_ = std::move(merged);
       }
-      self->schedulePoll(self->options_.poll_interval * 3);
+      self->schedulePoll(kPollInterval * 3);
       return;
     }
     http::HttpClient::fetchOn(
@@ -331,7 +337,7 @@ void MeekClient::pollNow() {
           if (self->closed_) return;
           if (!resp.has_value() || resp->status != 200) {
             self->conn_ = nullptr;  // force reconnect next poll
-            self->schedulePoll(self->options_.poll_interval * 2);
+            self->schedulePoll(kPollInterval * 2);
             return;
           }
           if (!resp->body.empty()) self->emitData(resp->body);
@@ -342,8 +348,8 @@ void MeekClient::pollNow() {
             self->pollNow();
           } else {
             // Fast-poll while data is moving (real meek ramps the same way).
-            self->schedulePoll(active ? self->options_.poll_interval / 10
-                                      : self->options_.poll_interval);
+            self->schedulePoll(active ? kPollInterval / 10
+                                      : kPollInterval);
           }
         });
   });

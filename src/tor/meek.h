@@ -83,7 +83,6 @@ struct MeekClientOptions {
   net::Endpoint cdn;                 // the CDN edge's address
   std::string front_domain;          // what the SNI claims
   std::string bridge_host_header;    // what the Host header asks for
-  sim::Time poll_interval = 100 * sim::kMillisecond;
   std::string tls_fingerprint = "meek/0.25 chrome";
 };
 

@@ -7,15 +7,7 @@ void CpuQueue::submit(double cycles, sim::EventFn done) {
   const auto service =
       static_cast<sim::Time>(cycles / speed_hz_ * sim::kSecond);
   busy_until_ = std::max(busy_until_, now) + service;
-  busy_accum_ += service;
   sim_.scheduleAt(busy_until_, std::move(done));
-}
-
-double CpuQueue::utilization(sim::Time window_start, sim::Time now) const {
-  const sim::Time window = now - window_start;
-  if (window <= 0) return 0.0;
-  return std::min(1.0, static_cast<double>(busy_accum_) /
-                           static_cast<double>(window));
 }
 
 HostStack::HostStack(net::Node& node, double cpu_hz)

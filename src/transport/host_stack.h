@@ -30,14 +30,12 @@ class CpuQueue {
   // Schedules `done` after `cycles` of CPU work, FIFO behind earlier work.
   void submit(double cycles, sim::EventFn done);
 
-  double utilization(sim::Time window_start, sim::Time now) const;
   sim::Time busyUntil() const noexcept { return busy_until_; }
 
  private:
   sim::Simulator& sim_;
   double speed_hz_;
   sim::Time busy_until_ = 0;
-  sim::Time busy_accum_ = 0;
 };
 
 class HostStack {

@@ -50,8 +50,8 @@ TEST(ServerlessProvider, PrewarmColdStartsInsideConfiguredBounds) {
     const auto* ep = provider.get(id);
     ASSERT_NE(ep, nullptr);
     const sim::Time cold = ep->ready_at - ep->spawned_at;
-    EXPECT_GE(cold, opts.cold_start_min);
-    EXPECT_LE(cold, opts.cold_start_max);
+    EXPECT_GE(cold, serverless::kColdStartMin);
+    EXPECT_LE(cold, serverless::kColdStartMax);
   }
 }
 
@@ -144,7 +144,7 @@ TEST(ServerlessTestbed, PageLoadsThroughFrontedDispatcher) {
   EXPECT_TRUE(page_ok);
   ASSERT_NE(bed.serverlessProvider(), nullptr);
   EXPECT_GE(bed.serverlessProvider()->liveCount(),
-            bed.options().serverless_prewarm);
+            measure::kServerlessPrewarm);
   ASSERT_NE(bed.serverlessCost(), nullptr);
   EXPECT_GT(bed.serverlessCost()->invocations(), 0u);
 }

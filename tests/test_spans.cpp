@@ -410,7 +410,7 @@ TEST(Slo, SlowSuccessesSpendLatencyBudgetOnly) {
     slo.sample(t += sim::kSecond, true, 10 * sim::kSecond);
   EXPECT_EQ(slo.availabilityLevel(), 0);
   EXPECT_EQ(slo.latencyLevel(), 2);
-  const auto w = slo.window(cfg.short_window);
+  const auto w = slo.window(kSloShortWindow);
   EXPECT_EQ(w.errors, 0u);
   EXPECT_GT(w.slow, 0u);
   EXPECT_EQ(w.latency_p99, 10 * sim::kSecond);
