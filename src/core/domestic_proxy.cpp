@@ -1,6 +1,7 @@
 #include "core/domestic_proxy.h"
 
 #include "http/client.h"
+#include "http/url.h"
 #include "util/strings.h"
 
 namespace sc::core {
@@ -338,20 +339,13 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
 void DomesticProxy::handleConnect(const http::Request& req,
                                   transport::Stream::Ptr client,
                                   http::HttpServer::Respond respond) {
-  // CONNECT target is authority-form "host:port".
-  const auto parts = splitString(req.target, ':');
-  const std::string host = parts.empty() ? "" : parts[0];
-  net::Port port = 443;
-  if (parts.size() >= 2) {
-    int p = 0;
-    for (char c : parts[1])
-      if (c >= '0' && c <= '9') p = p * 10 + (c - '0');
-    if (p > 0 && p <= 65535) port = static_cast<net::Port>(p);
-  }
+  // CONNECT target is authority-form "host:port". A malformed one is
+  // refused like a host off the whitelist, before any stream opens.
+  const auto authority = http::parseAuthority(req.target, 443);
   const net::Ipv4 peer = peerOf(req);
 
   http::Response resp;
-  if (!isWhitelisted(host)) {
+  if (!authority.has_value() || !isWhitelisted(authority->host)) {
     noteDenied();
     resp.status = 403;
     resp.reason = http::statusReason(403);
@@ -362,7 +356,8 @@ void DomesticProxy::handleConnect(const http::Request& req,
   // HTTPS is already end-to-end encrypted: passthrough stream, no double
   // encryption (§3, "Data security and privacy").
   openProxiedStream(
-      peer, transport::ConnectTarget::byHostname(host, port),
+      peer,
+      transport::ConnectTarget::byHostname(authority->host, authority->port),
       /*passthrough=*/true,
       [this, client = std::move(client),
        respond = std::move(respond)](transport::Stream::Ptr stream) mutable {

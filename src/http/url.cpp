@@ -5,6 +5,29 @@
 
 namespace sc::http {
 
+std::optional<Authority> parseAuthority(std::string_view text,
+                                        net::Port default_port) {
+  Authority out;
+  out.port = default_port;
+  const auto colon = text.rfind(':');
+  if (colon != std::string_view::npos) {
+    const std::string_view port_sv = text.substr(colon + 1);
+    unsigned port = 0;
+    const auto [ptr, ec] =
+        std::from_chars(port_sv.data(), port_sv.data() + port_sv.size(), port);
+    if (ec != std::errc{} || ptr != port_sv.data() + port_sv.size() ||
+        port == 0 || port > 65535)
+      return std::nullopt;
+    out.port = static_cast<net::Port>(port);
+    text = text.substr(0, colon);
+  }
+  if (text.empty() ||
+      text.find_first_of("@:/?# \t\r\n\v\f") != std::string_view::npos)
+    return std::nullopt;
+  out.host = std::string(text);
+  return out;
+}
+
 std::optional<Url> Url::parse(std::string_view text) {
   Url url;
   const auto scheme_end = text.find("://");
@@ -16,33 +39,16 @@ std::optional<Url> Url::parse(std::string_view text) {
   // The authority ends at the first '/', '?' or '#' (RFC 3986 §3.2). A
   // query or fragment straight after it hangs off the root path.
   const auto authority_end = std::min(text.find_first_of("/?#"), text.size());
-  std::string_view authority = text.substr(0, authority_end);
+  auto authority =
+      parseAuthority(text.substr(0, authority_end), url.defaultPort());
+  if (!authority.has_value()) return std::nullopt;
+  url.host = std::move(authority->host);
+  url.port = authority->port;
   const std::string_view rest = text.substr(authority_end);
   std::string path;
   if (rest.empty() || rest.front() != '/') path.push_back('/');
   path.append(rest);
   url.path = std::move(path);
-
-  const auto colon = authority.rfind(':');
-  if (colon != std::string_view::npos) {
-    const std::string_view port_sv = authority.substr(colon + 1);
-    unsigned port = 0;
-    const auto [ptr, ec] =
-        std::from_chars(port_sv.data(), port_sv.data() + port_sv.size(), port);
-    if (ec != std::errc{} || ptr != port_sv.data() + port_sv.size() ||
-        port == 0 || port > 65535)
-      return std::nullopt;
-    url.port = static_cast<net::Port>(port);
-    authority = authority.substr(0, colon);
-  } else {
-    url.port = url.scheme == "https" ? 443 : 80;
-  }
-  // Userinfo, a second port and whitespace are not host bytes: a host that
-  // keeps any of them could smuggle a different name past a suffix match.
-  if (authority.empty() ||
-      authority.find_first_of("@: \t\r\n\v\f") != std::string_view::npos)
-    return std::nullopt;
-  url.host = std::string(authority);
   return url;
 }
 

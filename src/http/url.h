@@ -1,4 +1,5 @@
-// URL parsing: scheme://host[:port][/path][?query][#fragment]. Userinfo
+// URL parsing: scheme://host[:port][/path][?query][#fragment], and the
+// host[:port] authority on its own (a CONNECT target). Userinfo
 // ("user@host") is rejected, not stripped.
 #pragma once
 
@@ -9,6 +10,19 @@
 #include "net/address.h"
 
 namespace sc::http {
+
+struct Authority {
+  std::string host;
+  net::Port port = 0;
+};
+
+// Parses "host[:port]"; a missing port is `default_port`. Refuses an empty
+// host, a port that is not all digits in [1, 65535], and a host holding
+// userinfo, a second ':', a path, query or fragment delimiter or whitespace:
+// a host that keeps any of them could smuggle a different name past a
+// suffix match.
+std::optional<Authority> parseAuthority(std::string_view text,
+                                        net::Port default_port);
 
 struct Url {
   std::string scheme = "http";  // "http" or "https"

@@ -412,6 +412,50 @@ TEST(ScholarCloud, FragmentCannotSmuggleAWhitelistedSuffix) {
   EXPECT_FALSE(w.domestic->isWhitelisted(url->host));
 }
 
+// Sends one CONNECT for `target` to the domestic proxy and returns the
+// response status (0 when none arrives).
+int connectStatus(ScWorld& w, const std::string& target) {
+  int status = 0;
+  bool done = false;
+  w.client.tcpConnect(w.domestic->proxyEndpoint(), [&](const auto& conn) {
+    const bool ok = conn != nullptr;
+    ASSERT_TRUE(ok);
+    http::Request req;
+    req.method = "CONNECT";
+    req.target = target;
+    req.headers.set("host", target);
+    http::HttpClient::fetchOn(conn, w.sim, std::move(req), 30 * sim::kSecond,
+                              [&](std::optional<http::Response> resp) {
+                                done = true;
+                                if (resp.has_value()) status = resp->status;
+                              });
+  });
+  w.runUntilDone([&] { return done; });
+  return status;
+}
+
+// The CONNECT authority goes through the same parser as Url::parse: a
+// smuggled whitelisted suffix, userinfo, a junk port or a third field is
+// refused before any tunnel stream opens.
+TEST(ScholarCloud, MalformedConnectTargetsAreRefused) {
+  ScWorld w;
+  for (const char* target : {"evil.example#.scholar.google.com:443",
+                             "user@evil.example/.scholar.google.com:443",
+                             "scholar.google.com:443x9",
+                             "scholar.google.com:443:80"})
+    EXPECT_EQ(connectStatus(w, target), 403) << target;
+  EXPECT_EQ(w.domestic->requestsDenied(), 4u);
+  EXPECT_EQ(w.domestic->requestsProxied(), 0u);
+  EXPECT_EQ(w.remote->streamsServed(), 0u);
+}
+
+TEST(ScholarCloud, WellFormedConnectIsProxied) {
+  ScWorld w;
+  EXPECT_EQ(connectStatus(w, "scholar.google.com:443"), 200);
+  EXPECT_EQ(w.domestic->requestsDenied(), 0u);
+  EXPECT_EQ(w.domestic->requestsProxied(), 1u);
+}
+
 TEST(ScholarCloud, WhitelistIsMutableOnDemand) {
   ScWorld w;
   EXPECT_TRUE(w.domestic->isWhitelisted("scholar.google.com"));

@@ -102,6 +102,25 @@ TEST(Url, EdgeCases) {
   }
 }
 
+// A CONNECT target is a bare authority: the path, query and fragment
+// delimiters Url::parse splits on are host bytes here, so they must fail.
+TEST(Url, AuthorityFormRejectsWhatAHostCannotHold) {
+  auto a = parseAuthority("scholar.google.com:443", 443);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->host, "scholar.google.com");
+  EXPECT_EQ(a->port, 443);
+  a = parseAuthority("a.b", 8443);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->port, 8443);
+
+  for (const char* text :
+       {"evil.example#.scholar.google.com:443",
+        "user@evil.example/.scholar.google.com:443", "a.b?.scholar.google.com",
+        "scholar.google.com:443x9", "scholar.google.com:443:80", ":443",
+        "a.b:", "a.b:0", "a.b:65536", "a b:443"})
+    EXPECT_FALSE(parseAuthority(text, 443).has_value()) << text;
+}
+
 // ---- message codec ----
 
 TEST(HttpMessage, RequestSerializeParseRoundTrip) {
