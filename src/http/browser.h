@@ -79,7 +79,6 @@ class Browser {
   dns::Resolver& resolver() noexcept { return resolver_; }
   TlsSessionCache& tlsCache() noexcept { return tls_cache_; }
   transport::HostStack& stack() noexcept { return stack_; }
-  const BrowserOptions& options() const noexcept { return options_; }
   std::uint32_t measureTag() const noexcept { return tag_; }
 
   ProxyDecision decisionFor(const std::string& host) const;

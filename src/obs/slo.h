@@ -76,7 +76,6 @@ class SloEngine {
 
   std::uint64_t alertsFired() const noexcept { return alerts_fired_; }
   std::uint64_t samplesSeen() const noexcept { return samples_seen_; }
-  const SloConfig& config() const noexcept { return config_; }
 
  private:
   struct Sample {

@@ -61,7 +61,6 @@ class PopulationModel {
   PopulationModel(PopulationOptions options,
                   std::vector<UserClassSpec> classes = defaultClasses());
 
-  const PopulationOptions& options() const noexcept { return options_; }
   const std::vector<UserClassSpec>& classes() const noexcept {
     return classes_;
   }
