@@ -25,9 +25,9 @@ struct GfwConfig {
   // Flip to true for the 2012–2015 era where VPNs were extensively blocked.
   bool block_vpn_protocols = false;
   // Flows whose China-side endpoint is a registered ICP get leniency — the
-  // paper's §2/§3 argument for why a legalized service survives. If true,
-  // *any* unclassifiable high-entropy flow is throttled, even registered
-  // ones (a hypothetical future GFW; used in ablations).
+  // paper's §2/§3 argument for why a legalized service survives — unless
+  // this is set: then *any* unclassifiable high-entropy flow is throttled,
+  // even registered ones (a hypothetical future GFW; used in ablations).
   bool throttle_all_unknown = false;
 
   // ---- per-class disciplines (per-packet drop probability) ----
