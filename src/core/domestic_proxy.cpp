@@ -326,6 +326,8 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
                 return;
               }
               if (cacheable && r->status == 200) {
+                // The key is built from the string this callback owns; the
+                // enclosing lambda's copy was moved into it.
                 if (ResponseCache* c = provider_ != nullptr
                                            ? provider_->responseCache()
                                            : nullptr)

@@ -12,14 +12,17 @@
 //     ever crosses the border link. fleet::ShardedLruCache implements it.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "http/message.h"
 #include "net/address.h"
 #include "sim/time.h"
 #include "transport/stream.h"
+#include "util/hash.h"
 
 namespace sc::core {
 
@@ -27,6 +30,23 @@ namespace sc::core {
 // request. A provider that retires an egress on schedule lets the streams
 // already on it run this long before it cuts them.
 inline constexpr sim::Time kProxiedRequestTimeout = 40 * sim::kSecond;
+
+// A response-cache key (host + path) carrying its FNV-1a hash, so a lookup
+// hashes the text once: the hash picks the shard and the shard's bucket.
+// The text is a view: the caller keeps it alive for the call, and the
+// cache copies it on insert. A caller that reuses a key (the population
+// engine's query catalog) passes a hash it computed earlier.
+struct CacheKey {
+  std::string_view text;
+  std::uint64_t hash = 0;
+
+  // Implicit, so a string or a literal passes wherever a key is expected.
+  CacheKey(const std::string& key) noexcept : text(key), hash(fnv1a(key)) {}
+  CacheKey(const char* key) noexcept : text(key), hash(fnv1a(text)) {}
+  // `key_hash` must be fnv1a(key).
+  constexpr CacheKey(std::string_view key, std::uint64_t key_hash) noexcept
+      : text(key), hash(key_hash) {}
+};
 
 class ResponseCache {
  public:
@@ -38,8 +58,8 @@ class ResponseCache {
   using Hit = std::optional<std::reference_wrapper<const http::Response>>;
 
   // nullopt on miss or expiry.
-  virtual Hit lookup(const std::string& key) = 0;
-  virtual void insert(const std::string& key, const http::Response& resp) = 0;
+  virtual Hit lookup(CacheKey key) = 0;
+  virtual void insert(CacheKey key, const http::Response& resp) = 0;
 };
 
 class TunnelProvider {

@@ -1,7 +1,5 @@
 #include "fleet/cache.h"
 
-#include "util/hash.h"
-
 namespace sc::fleet {
 
 ShardedLruCache::ShardedLruCache(sim::Simulator& sim, CacheOptions options)
@@ -16,11 +14,7 @@ ShardedLruCache::ShardedLruCache(sim::Simulator& sim, CacheOptions options)
   }
 }
 
-std::size_t ShardedLruCache::shardOf(const std::string& key) const {
-  return static_cast<std::size_t>(fnv1a(key) % shards_.size());
-}
-
-ShardedLruCache::Hit ShardedLruCache::lookup(const std::string& key) {
+ShardedLruCache::Hit ShardedLruCache::lookup(core::CacheKey key) {
   const std::size_t si = shardOf(key);
   Shard& shard = shards_[si];
   const auto it = shard.index.find(key);
@@ -30,8 +24,9 @@ ShardedLruCache::Hit ShardedLruCache::lookup(const std::string& key) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       out = std::cref(it->second->response);
     } else {
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
+      const auto entry = it->second;
+      shard.index.erase(it);  // before the entry whose key it views
+      shard.lru.erase(entry);
     }
   }
   const bool hit = out.has_value();
@@ -47,14 +42,14 @@ ShardedLruCache::Hit ShardedLruCache::lookup(const std::string& key) {
     ev.at = sim_.now();
     ev.type = obs::EventType::kCacheLookup;
     ev.what = hit ? "hit" : "miss";
-    ev.detail = key;
+    ev.detail = std::string(key.text);
     ev.a = static_cast<std::int64_t>(si);
     tracer->record(std::move(ev));
   }
   return out;
 }
 
-void ShardedLruCache::insert(const std::string& key,
+void ShardedLruCache::insert(core::CacheKey key,
                              const http::Response& resp) {
   Shard& shard = shards_[shardOf(key)];
   const auto it = shard.index.find(key);
@@ -66,13 +61,16 @@ void ShardedLruCache::insert(const std::string& key,
   }
   if (shard.lru.size() >= options_.capacity_per_shard) {
     const Entry& victim = shard.lru.back();
-    shard.index.erase(victim.key);
+    shard.index.erase(core::CacheKey(victim.key, victim.hash));
     shard.lru.pop_back();
     ++evictions_;
     if (c_evictions_ != nullptr) c_evictions_->inc();
   }
-  shard.lru.push_front(Entry{key, resp, sim_.now() + options_.ttl});
-  shard.index[key] = shard.lru.begin();
+  shard.lru.push_front(Entry{std::string(key.text), key.hash, resp,
+                             sim_.now() + options_.ttl});
+  const Entry& entry = shard.lru.front();
+  shard.index.emplace(core::CacheKey(entry.key, entry.hash),
+                      shard.lru.begin());
 }
 
 std::size_t ShardedLruCache::entries() const {

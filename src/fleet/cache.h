@@ -5,15 +5,18 @@
 // crossing — the scarcest link in the whole system. Caching 200-responses on
 // the domestic side means a repeat hit is served entirely inside China.
 //
-// Sharding: keys are FNV-1a-hashed (not std::hash — libstdc++/libc++ differ,
-// and shard assignment must be identical everywhere for byte-identical
-// runs) into `shards` independent LRU lists. Each shard owns its own
-// capacity, so one hot prefix cannot evict the whole cache, and a real
-// multi-worker proxy would lock per shard — the structure mirrors that
-// design even though the simulator is single-threaded.
+// Sharding: a core::CacheKey carries the key's FNV-1a hash (not std::hash —
+// libstdc++/libc++ differ, and shard assignment must be identical everywhere
+// for byte-identical runs), which picks one of `shards` independent LRU
+// lists and then the bucket in that shard's index, so a key is hashed once.
+// Each shard owns its own capacity, so one hot prefix cannot evict the
+// whole cache, and a real multi-worker proxy would lock per shard — the
+// structure mirrors that design even though the simulator is
+// single-threaded.
 //
 // Entries expire after `ttl` of sim-time (Scholar results go stale);
-// expired entries count as misses and are erased on touch.
+// expired entries count as misses and are erased on touch. An insert copies
+// the key's text into its entry; the index keys view that copy.
 #pragma once
 
 #include <cstdint>
@@ -40,24 +43,42 @@ class ShardedLruCache final : public core::ResponseCache {
 
   // Splices a hit to the front of its shard's LRU and returns the stored
   // response; see core::ResponseCache for how long the reference lives.
-  Hit lookup(const std::string& key) override;
-  void insert(const std::string& key, const http::Response& resp) override;
+  Hit lookup(core::CacheKey key) override;
+  void insert(core::CacheKey key, const http::Response& resp) override;
 
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t evictions() const noexcept { return evictions_; }
   std::size_t entries() const;
-  std::size_t shardOf(const std::string& key) const;
+  std::size_t shardOf(core::CacheKey key) const {
+    return static_cast<std::size_t>(key.hash % shards_.size());
+  }
 
  private:
   struct Entry {
     std::string key;
+    std::uint64_t hash = 0;  // fnv1a(key)
     http::Response response;
     sim::Time expires = 0;
   };
+  struct KeyHash {
+    std::size_t operator()(const core::CacheKey& k) const noexcept {
+      return static_cast<std::size_t>(k.hash);
+    }
+  };
+  struct KeyEq {
+    bool operator()(const core::CacheKey& a,
+                    const core::CacheKey& b) const noexcept {
+      return a.text == b.text;
+    }
+  };
+  // An index key views its Entry's `key`: list nodes never move, so the
+  // view lives exactly as long as the entry it indexes.
   struct Shard {
     std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    std::unordered_map<core::CacheKey, std::list<Entry>::iterator, KeyHash,
+                       KeyEq>
+        index;
   };
 
   sim::Simulator& sim_;

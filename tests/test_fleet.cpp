@@ -2,6 +2,9 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/deployment.h"
 #include "core/domestic_proxy.h"
@@ -18,6 +21,7 @@
 #include "obs/hub.h"
 #include "regulation/icp_registry.h"
 #include "transport/host_stack.h"
+#include "util/hash.h"
 
 namespace sc::fleet {
 namespace {
@@ -185,6 +189,72 @@ TEST(Cache, ShardAssignmentIsStableAndBounded) {
   // FNV-1a, not std::hash: shard assignment is part of the deterministic
   // contract (offset basis 14695981039346656037 % 8 == 5).
   EXPECT_EQ(cache.shardOf(""), 5u);
+}
+
+// A key built from a string hashes its text; one built from (text, hash)
+// takes the hash as given. Both must land in the same shard and find the
+// same entry, through LRU eviction and TTL expiry, which erase index
+// entries through the stored hash.
+TEST(Cache, PrecomputedKeyMatchesStringKey) {
+  sim::Simulator sim(1);
+  CacheOptions opts;
+  opts.shards = 3;
+  opts.capacity_per_shard = 2;
+  opts.ttl = 10 * sim::kSecond;
+  ShardedLruCache by_string(sim, opts);
+  ShardedLruCache by_hash(sim, opts);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 12; ++i)
+    keys.push_back("scholar.google.com/scholar?q=q" + std::to_string(i));
+  const auto precomputed = [](const std::string& k) {
+    return core::CacheKey(std::string_view(k), fnv1a(k));
+  };
+
+  std::string trace_string, trace_hash;
+  const auto lookupAll = [&] {
+    for (const std::string& k : keys) {
+      ASSERT_EQ(by_string.shardOf(k), by_hash.shardOf(precomputed(k))) << k;
+      trace_string += by_string.lookup(k).has_value() ? 'h' : 'm';
+      trace_hash += by_hash.lookup(precomputed(k)).has_value() ? 'h' : 'm';
+    }
+  };
+  const auto insertRange = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      by_string.insert(keys[i], okResponse(keys[i]));
+      by_hash.insert(precomputed(keys[i]), okResponse(keys[i]));
+    }
+  };
+  const auto advance = [&](sim::Time dt) {
+    sim.schedule(dt, [] {});
+    sim.runUntil(sim.now() + dt);
+  };
+
+  insertRange(0, 8);  // 8 keys into 3 shards of 2: evictions
+  lookupAll();
+  advance(6 * sim::kSecond);
+  insertRange(8, 12);
+  lookupAll();
+  advance(6 * sim::kSecond);  // the first batch is past its TTL
+  lookupAll();
+  insertRange(0, 12);  // re-insert over erased and expired slots
+  lookupAll();
+
+  EXPECT_EQ(trace_string, trace_hash);
+  EXPECT_NE(trace_string.find('h'), std::string::npos);
+  EXPECT_NE(trace_string.find('m'), std::string::npos);
+  EXPECT_GT(by_string.evictions(), 0u);
+  EXPECT_EQ(by_string.evictions(), by_hash.evictions());
+  EXPECT_EQ(by_string.hits(), by_hash.hits());
+  EXPECT_EQ(by_string.misses(), by_hash.misses());
+  EXPECT_EQ(by_string.entries(), by_hash.entries());
+  for (const std::string& k : keys) {
+    const auto a = by_string.lookup(k);
+    const auto b = by_hash.lookup(precomputed(k));
+    ASSERT_EQ(a.has_value(), b.has_value()) << k;
+    if (a.has_value()) {
+      EXPECT_EQ(a->get().body, b->get().body) << k;
+    }
+  }
 }
 
 // ---- HealthProber --------------------------------------------------------
