@@ -88,6 +88,10 @@ PopulationModel::PopulationModel(PopulationOptions options,
     begin += count;
   }
   class_begin_.back() = options_.scholars;
+  class_draw_.reserve(classes_.size());
+  for (std::size_t i = 0; i < classes_.size(); ++i)
+    class_draw_.push_back(
+        sim::Rng::boundOf(std::max<std::uint64_t>(1, classSize(i))));
 
   // Zipf CDF over the query catalog.
   const int n = std::max(1, options_.query_catalog);
@@ -155,8 +159,7 @@ Method PopulationModel::methodOf(std::uint64_t user_id) const noexcept {
 }
 
 std::uint64_t PopulationModel::sampleUser(std::size_t i, sim::Rng& rng) const {
-  return classBegin(i) + rng.uniformU64(std::max<std::uint64_t>(1,
-                                                                classSize(i)));
+  return classBegin(i) + rng.uniform(class_draw_[i]);
 }
 
 int PopulationModel::sampleQueryRank(sim::Rng& rng) const {

@@ -91,8 +91,8 @@ class PopulationModel {
   // order).
   Method methodOf(std::uint64_t user_id) const noexcept;
 
-  // A member of class `i`: one uniformU64 (rejection sampling may repeat
-  // its draw).
+  // A member of class `i`: one uniform draw over the class (rejection
+  // sampling may repeat it), from a Bound built once per class.
   std::uint64_t sampleUser(std::size_t i, sim::Rng& rng) const;
 
   // One uniform draw: a Zipf-distributed query rank in [0, query_catalog),
@@ -106,6 +106,9 @@ class PopulationModel {
   int queryRankOf(double u) const;
   static constexpr std::size_t kZipfGuide = 1024;  // a power of two
 
+  // The number of ranks sampleQueryRank can return: [0, queryCatalog()).
+  std::size_t queryCatalog() const noexcept { return zipf_cdf_.size(); }
+
   // The cache key the domestic proxy would use for query `rank` (host +
   // path; rank 0 is the Scholar home page — the hottest key, and the same
   // key the packet-level cohort's first hit inserts).
@@ -115,6 +118,7 @@ class PopulationModel {
   PopulationOptions options_;
   std::vector<UserClassSpec> classes_;
   std::vector<std::uint64_t> class_begin_;  // size classes_.size() + 1
+  std::vector<sim::Rng::Bound> class_draw_;  // boundOf(max(1, classSize(i)))
   survey::MethodSampler sampler_;
   std::uint64_t adoption_mix_;    // the seed's adoption hash, mixed once
   std::vector<double> zipf_cdf_;  // upper edges, ascending

@@ -103,7 +103,19 @@ void HybridScheduler::tick(sim::Time horizon) {
     sim_.schedule(kTick, [this, horizon] { tick(horizon); });
 }
 
-LoadState HybridScheduler::loadState(Method m, int query_rank) const {
+core::CacheKey HybridScheduler::queryKey(int rank) {
+  // Sized on the first call, before any view of a key is handed out, so a
+  // set-up that runs no arrival allocates nothing.
+  if (query_keys_.empty()) query_keys_.resize(model_.queryCatalog());
+  QueryKey& key = query_keys_[static_cast<std::size_t>(rank)];
+  if (key.text.empty()) {
+    key.text = PopulationModel::queryCacheKey(rank);
+    key.hash = fnv1a(key.text);
+  }
+  return core::CacheKey(key.text, key.hash);
+}
+
+LoadState HybridScheduler::loadState(Method m, int query_rank) {
   LoadState ls;
   // The fleet is ScholarCloud's infrastructure; VPN/Tor/Shadowsocks paths
   // don't touch it, so its utilization must not inflate their latency.
@@ -116,9 +128,7 @@ LoadState HybridScheduler::loadState(Method m, int query_rank) const {
   if (fleet_->cache() != nullptr) {
     // A real lookup, not a peek: it touches the LRU and the shared
     // sc.domestic.cache_* counters, exactly as a proxied GET would.
-    ls.cache_hit = fleet_->cache()
-                       ->lookup(PopulationModel::queryCacheKey(query_rank))
-                       .has_value();
+    ls.cache_hit = fleet_->cache()->lookup(queryKey(query_rank)).has_value();
   }
   return ls;
 }
@@ -174,7 +184,7 @@ void HybridScheduler::oneArrival(std::size_t class_idx) {
       resp.headers.set("content-type", "text/html");
       resp.headers.set("x-population", "1");
       resp.body.assign(2048, std::uint8_t{'p'});
-      fleet_->cache()->insert(PopulationModel::queryCacheKey(rank), resp);
+      fleet_->cache()->insert(queryKey(rank), resp);
     }
     // Occupy a balancer slot for the modeled page-load time: the load the
     // autoscaler and the packet cohort actually see.

@@ -25,8 +25,10 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/fleet_api.h"
 #include "fleet/fleet.h"
 #include "obs/hub.h"
 #include "population/flow_model.h"
@@ -96,10 +98,20 @@ class HybridScheduler {
   // Diurnal day-time the scheduler evaluates at sim time `t`.
   sim::Time dayTime(sim::Time t) const;
 
+  // The shared-cache key of query `rank`: PopulationModel::queryCacheKey's
+  // text with its hash, both built on the rank's first use and kept for
+  // the scheduler's life.
+  core::CacheKey queryKey(int rank);
+
  private:
+  struct QueryKey {
+    std::string text;  // empty until the rank is first used
+    std::uint64_t hash = 0;
+  };
+
   void tick(sim::Time horizon);
   void oneArrival(std::size_t class_idx);
-  LoadState loadState(Method m, int query_rank) const;
+  LoadState loadState(Method m, int query_rank);
   void trace(const char* what, const std::string& detail, std::int64_t a);
 
   sim::Simulator& sim_;
@@ -111,6 +123,7 @@ class HybridScheduler {
 
   std::vector<double> acc_;      // per-class fractional arrival accumulator
   std::vector<bool> visited_;    // first-visit bit per scholar
+  std::vector<QueryKey> query_keys_;  // one per rank once used, lazily
   SchedulerStats stats_;
 
   obs::Counter* c_accesses_ = nullptr;

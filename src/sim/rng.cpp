@@ -14,10 +14,6 @@ std::uint64_t splitMix64(std::uint64_t& x) noexcept {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept : seed_lineage_(seed) {
@@ -25,34 +21,9 @@ Rng::Rng(std::uint64_t seed) noexcept : seed_lineage_(seed) {
   for (auto& s : s_) s = splitMix64(x);
 }
 
-std::uint64_t Rng::nextU64() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::uniformU64(std::uint64_t bound) noexcept {
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = -bound % bound;
-  while (true) {
-    const std::uint64_t r = nextU64();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(uniformU64(span));
-}
-
-double Rng::uniformDouble() noexcept {
-  return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::chance(double p) noexcept {
@@ -73,10 +44,6 @@ double Rng::normal(double mean, double stddev) noexcept {
   if (u1 <= 0.0) u1 = 0x1.0p-53;
   const double mag = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
-}
-
-void Rng::discard(int n) noexcept {
-  for (int i = 0; i < n; ++i) nextU64();
 }
 
 Bytes Rng::randomBytes(std::size_t n) {

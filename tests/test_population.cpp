@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fleet_api.h"
 #include "gfw/gfw.h"
 #include "helpers.h"
 #include "measure/calibration.h"
@@ -16,6 +17,7 @@
 #include "population/population.h"
 #include "population/scheduler.h"
 #include "sim/simulator.h"
+#include "util/hash.h"
 
 namespace sc {
 namespace {
@@ -289,6 +291,28 @@ TEST(Population, ZipfGuideTableMatchesUpperBound) {
 }
 
 // ---- hybrid scheduler / cells ------------------------------------------
+
+// The scheduler memoises each rank's cache key; the text must be the one
+// PopulationModel::queryCacheKey builds (perfbench's replay and the
+// packet-level proxy both use that text) and the hash its FNV-1a.
+TEST(Population, SchedulerQueryKeysMatchQueryCacheKey) {
+  sim::Simulator sim(3);
+  PopulationOptions opts;
+  opts.scholars = 100;
+  population::HybridScheduler sched(
+      sim, PopulationModel(opts),
+      FlowModel(measure::calibratedWorld(), nullptr, measure::calibratedGfw()),
+      nullptr, population::SchedulerOptions{});
+  ASSERT_EQ(sched.population().queryCatalog(), 512u);
+  for (int pass = 0; pass < 2; ++pass) {  // first use fills, second reads
+    for (int rank = 0; rank < 512; ++rank) {
+      const std::string text = PopulationModel::queryCacheKey(rank);
+      const core::CacheKey key = sched.queryKey(rank);
+      ASSERT_EQ(key.text, text) << "rank " << rank;
+      ASSERT_EQ(key.hash, fnv1a(text)) << "rank " << rank;
+    }
+  }
+}
 
 measure::PopulationCellOptions smallCell() {
   measure::PopulationCellOptions opt;

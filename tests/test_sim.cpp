@@ -21,6 +21,36 @@ TEST(Rng, DeterministicForSameSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.nextU64(), b.nextU64());
 }
 
+// uniform(Bound) with the bound built once draws what uniformU64 draws,
+// and both draw what the textbook rejection loop over nextU64 draws,
+// rejections included, leaving the stream at the same place. The bounds
+// cover no rejection (1, 2), small odd ranges, just past 2^32 and 2^63
+// (nearly half of all draws rejected), the full range, and the default
+// population's three class sizes (150k/550k/300k of 1M).
+TEST(Rng, UniformBoundMatchesUniformU64) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{7},
+        (std::uint64_t{1} << 32) + 1, (std::uint64_t{1} << 63) + 1, kMax,
+        std::uint64_t{150'000}, std::uint64_t{550'000},
+        std::uint64_t{300'000}}) {
+    const Rng::Bound bound = Rng::boundOf(n);
+    EXPECT_EQ(bound.n, n);
+    EXPECT_EQ(bound.threshold, (0 - n) % n);
+    Rng a(0xb0b + n), b(0xb0b + n), ref(0xb0b + n);
+    for (int i = 0; i < 2000; ++i) {
+      std::uint64_t r = ref.nextU64();
+      while (r < (0 - n) % n) r = ref.nextU64();
+      const std::uint64_t v = a.uniformU64(n);
+      ASSERT_EQ(v, r % n) << "n=" << n << " draw " << i;
+      ASSERT_EQ(v, b.uniform(bound)) << "n=" << n << " draw " << i;
+    }
+    const std::uint64_t next = ref.nextU64();
+    EXPECT_EQ(a.nextU64(), next) << "n=" << n;
+    EXPECT_EQ(b.nextU64(), next) << "n=" << n;
+  }
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
   Rng a(1), b(2);
   int same = 0;
