@@ -341,13 +341,16 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
 void DomesticProxy::handleConnect(const http::Request& req,
                                   transport::Stream::Ptr client,
                                   http::HttpServer::Respond respond) {
-  // CONNECT target is authority-form "host:port". A malformed one is
-  // refused like a host off the whitelist, before any stream opens.
-  const auto authority = http::parseAuthority(req.target, 443);
+  // CONNECT target is authority-form "host:port", and the port is
+  // mandatory (RFC 9112 §3.2.3): parsed with default 0, which no explicit
+  // port can be, a missing one reads 0. A malformed target is refused like
+  // a host off the whitelist, before any stream opens.
+  const auto authority = http::parseAuthority(req.target, 0);
   const net::Ipv4 peer = peerOf(req);
 
   http::Response resp;
-  if (!authority.has_value() || !isWhitelisted(authority->host)) {
+  if (!authority.has_value() || authority->port == 0 ||
+      !isWhitelisted(authority->host)) {
     noteDenied();
     resp.status = 403;
     resp.reason = http::statusReason(403);

@@ -435,21 +435,23 @@ int connectStatus(ScWorld& w, const std::string& target) {
 }
 
 // The CONNECT authority goes through the same parser as Url::parse: a
-// smuggled whitelisted suffix, userinfo, a junk port or a third field is
-// refused before any tunnel stream opens; a well-formed target is proxied.
+// smuggled whitelisted suffix, userinfo, a junk port, a third field or a
+// missing port is refused before any tunnel stream opens; a well-formed
+// target is proxied.
 TEST(ScholarCloud, ConnectTargetMustBeAWellFormedAuthority) {
   ScWorld w;
   for (const char* target : {"evil.example#.scholar.google.com:443",
                              "user@evil.example/.scholar.google.com:443",
                              "scholar.google.com:443x9",
-                             "scholar.google.com:443:80"})
+                             "scholar.google.com:443:80",
+                             "scholar.google.com"})  // the port is mandatory
     EXPECT_EQ(connectStatus(w, target), 403) << target;
-  EXPECT_EQ(w.domestic->requestsDenied(), 4u);
+  EXPECT_EQ(w.domestic->requestsDenied(), 5u);
   EXPECT_EQ(w.domestic->requestsProxied(), 0u);
   EXPECT_EQ(w.remote->streamsServed(), 0u);
 
   EXPECT_EQ(connectStatus(w, "scholar.google.com:443"), 200);
-  EXPECT_EQ(w.domestic->requestsDenied(), 4u);
+  EXPECT_EQ(w.domestic->requestsDenied(), 5u);
   EXPECT_EQ(w.domestic->requestsProxied(), 1u);
 }
 
