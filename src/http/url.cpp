@@ -21,8 +21,11 @@ std::optional<Authority> parseAuthority(std::string_view text,
     out.port = static_cast<net::Port>(port);
     text = text.substr(0, colon);
   }
-  if (text.empty() ||
-      text.find_first_of("@:/?# \t\r\n\v\f") != std::string_view::npos)
+  if (text.empty() || std::any_of(text.begin(), text.end(), [](char c) {
+        const auto b = static_cast<unsigned char>(c);
+        return b <= 0x20 || b == 0x7f ||
+               std::string_view("@:/?#\\").find(c) != std::string_view::npos;
+      }))
     return std::nullopt;
   out.host = std::string(text);
   return out;

@@ -16,11 +16,13 @@ struct Authority {
   net::Port port = 0;
 };
 
-// Parses "host[:port]"; a missing port is `default_port`. Refuses an empty
+// Parses "host[:port]"; a missing port is `default_port` (pass 0 where the
+// port is mandatory: an explicit port is never 0). Refuses an empty
 // host, a port that is not all digits in [1, 65535], and a host holding
-// userinfo, a second ':', a path, query or fragment delimiter or whitespace:
-// a host that keeps any of them could smuggle a different name past a
-// suffix match.
+// userinfo, a second ':', a path, query or fragment delimiter, a backslash
+// (which WHATWG parsers read as '/'), whitespace or another control byte
+// (a NUL ends the name for a C-string reader): a host that keeps any of
+// them could smuggle a different name past a suffix match.
 std::optional<Authority> parseAuthority(std::string_view text,
                                         net::Port default_port);
 

@@ -1,17 +1,20 @@
 // Shared fixtures: a minimal two-host world (client in China, server in the
 // US, GFW-capable border) used by transport/http/method unit tests that
 // don't need the full measurement Testbed, the digest behind the
-// measurement cells' same-seed goldens, and the TLS-sim ClientHello bytes
-// the DPI tests classify.
+// measurement cells' same-seed goldens, the TLS-sim ClientHello bytes the
+// DPI tests classify, and the seeded mutator the hostile-input tests use.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "net/topology.h"
+#include "sim/rng.h"
 #include "transport/host_stack.h"
 #include "util/bytes.h"
 #include "util/hash.h"
@@ -70,6 +73,52 @@ inline Bytes clientHelloBytes(std::string_view sni, std::string_view fp) {
   appendU16(out, static_cast<std::uint16_t>(fp.size()));
   appendBytes(out, toBytes(fp));
   return out;
+}
+
+// One seeded mutation: a copy of a random seed with 1 to 4 edits, each an
+// overwrite, an insert, a short delete, a duplicated run or a splice onto
+// the tail of another seed. New bytes come from `spice`. The draw order is
+// fixed, so a given rng state always yields the same bytes.
+inline Bytes mutate(const std::vector<Bytes>& seeds, std::string_view spice,
+                    sim::Rng& rng) {
+  Bytes wire = seeds[rng.uniformU64(seeds.size())];
+  const auto edits = 1 + rng.uniformU64(4);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const std::size_t at = wire.empty() ? 0 : rng.uniformU64(wire.size());
+    const auto fresh =
+        static_cast<std::uint8_t>(spice[rng.uniformU64(spice.size())]);
+    switch (rng.uniformU64(5)) {
+      case 0:
+        if (!wire.empty()) wire[at] = fresh;
+        break;
+      case 1:
+        wire.insert(wire.begin() + static_cast<std::ptrdiff_t>(at), fresh);
+        break;
+      case 2: {
+        const std::size_t n =
+            std::min<std::size_t>(wire.size() - at, 1 + rng.uniformU64(8));
+        wire.erase(wire.begin() + static_cast<std::ptrdiff_t>(at),
+                   wire.begin() + static_cast<std::ptrdiff_t>(at + n));
+        break;
+      }
+      case 3: {
+        const std::size_t n =
+            std::min<std::size_t>(wire.size() - at, 1 + rng.uniformU64(16));
+        const Bytes run(wire.begin() + static_cast<std::ptrdiff_t>(at),
+                        wire.begin() + static_cast<std::ptrdiff_t>(at + n));
+        wire.insert(wire.begin() + static_cast<std::ptrdiff_t>(at),
+                    run.begin(), run.end());
+        break;
+      }
+      default: {
+        const Bytes& other = seeds[rng.uniformU64(seeds.size())];
+        wire.resize(at);
+        appendBytes(wire, other);
+        break;
+      }
+    }
+  }
+  return wire;
 }
 
 }  // namespace sc::test

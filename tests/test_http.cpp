@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 
 #include "helpers.h"
 #include "http/client.h"
@@ -103,7 +104,8 @@ TEST(Url, EdgeCases) {
 }
 
 // A CONNECT target is a bare authority: the path, query and fragment
-// delimiters Url::parse splits on are host bytes here, so they must fail.
+// delimiters Url::parse splits on are host bytes here, so they must fail,
+// as must a backslash or a control byte.
 TEST(Url, AuthorityFormRejectsWhatAHostCannotHold) {
   auto a = parseAuthority("scholar.google.com:443", 443);
   ASSERT_TRUE(a.has_value());
@@ -113,11 +115,13 @@ TEST(Url, AuthorityFormRejectsWhatAHostCannotHold) {
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->port, 8443);
 
-  for (const char* text :
-       {"evil.example#.scholar.google.com:443",
-        "user@evil.example/.scholar.google.com:443", "a.b?.scholar.google.com",
-        "scholar.google.com:443x9", "scholar.google.com:443:80", ":443",
-        "a.b:", "a.b:0", "a.b:65536", "a b:443"})
+  for (const std::string_view text : std::initializer_list<std::string_view>{
+           "evil.example#.scholar.google.com:443",
+           "user@evil.example/.scholar.google.com:443",
+           "a.b?.scholar.google.com", "scholar.google.com:443x9",
+           "scholar.google.com:443:80", ":443", "a.b:", "a.b:0", "a.b:65536",
+           "a b:443", "evil.example\\.scholar.google.com:443",
+           {"evil.example\0.scholar.google.com:443", 36}, "a\x7f.b:443"})
     EXPECT_FALSE(parseAuthority(text, 443).has_value()) << text;
 }
 
@@ -456,43 +460,8 @@ TEST(HttpParser, MutatedMessagesRoundTrip) {
   std::uint64_t accepted = 0;
   constexpr int kIterations = 20000;
   for (int i = 0; i < kIterations; ++i) {
-    Bytes wire = seeds[rng.uniformU64(seeds.size())];
-    const auto edits = 1 + rng.uniformU64(4);
-    for (std::uint64_t e = 0; e < edits; ++e) {
-      const std::size_t at = wire.empty() ? 0 : rng.uniformU64(wire.size());
-      const auto spice = static_cast<std::uint8_t>(
-          kSpice[rng.uniformU64(sizeof(kSpice) - 1)]);
-      switch (rng.uniformU64(5)) {
-        case 0:
-          if (!wire.empty()) wire[at] = spice;
-          break;
-        case 1:
-          wire.insert(wire.begin() + static_cast<std::ptrdiff_t>(at), spice);
-          break;
-        case 2: {
-          const std::size_t n =
-              std::min<std::size_t>(wire.size() - at, 1 + rng.uniformU64(8));
-          wire.erase(wire.begin() + static_cast<std::ptrdiff_t>(at),
-                     wire.begin() + static_cast<std::ptrdiff_t>(at + n));
-          break;
-        }
-        case 3: {
-          const std::size_t n =
-              std::min<std::size_t>(wire.size() - at, 1 + rng.uniformU64(16));
-          const Bytes run(wire.begin() + static_cast<std::ptrdiff_t>(at),
-                          wire.begin() + static_cast<std::ptrdiff_t>(at + n));
-          wire.insert(wire.begin() + static_cast<std::ptrdiff_t>(at),
-                      run.begin(), run.end());
-          break;
-        }
-        default: {
-          const Bytes& other = seeds[rng.uniformU64(seeds.size())];
-          wire.resize(at);
-          appendBytes(wire, other);
-          break;
-        }
-      }
-    }
+    const Bytes wire = test::mutate(
+        seeds, std::string_view(kSpice, sizeof(kSpice) - 1), rng);
     RequestParser requests;
     ResponseParser responses;
     for (std::size_t off = 0; off < wire.size();) {
@@ -511,6 +480,187 @@ TEST(HttpParser, MutatedMessagesRoundTrip) {
     }
   }
   EXPECT_GT(accepted, static_cast<std::uint64_t>(kIterations) / 4);
+}
+
+// ---- URL and CONNECT authority robustness ----
+
+std::vector<std::string> hostileAuthorityCorpus() {
+  const std::string big(64 * 1024, 'a');
+  return {
+      "",
+      ":",
+      "::",
+      ":443",
+      "a:",
+      "a:0",
+      "a:1",
+      "a:65535",
+      "a:65536",
+      "a:99999999999999999999",
+      "a:-1",
+      "a:+80",
+      "a: 80",
+      "a:80 ",
+      "a:0x50",
+      "a:\xef\xbc\x98\xef\xbc\x90",
+      "a:0080",
+      "[::1]:443",
+      "[::1]",
+      "scholar.google.com",
+      "scholar.google.com:443",
+      "scholar.google.com.:443",
+      "scholar.google.com:443:443",
+      "scholar.google.com:443/",
+      "scholar.google.com.evil.example:443",
+      "evil.example#.scholar.google.com:443",
+      "evil.example?.scholar.google.com:443",
+      "evil.example/.scholar.google.com:443",
+      "evil.example\\.scholar.google.com:443",
+      "user@scholar.google.com:443",
+      "user:pass@scholar.google.com:443",
+      "scholar.google.com:443@evil.example",
+      std::string("scholar.google.com\0.evil.example:443", 36),
+      "scholar.google.com\r\nHost: evil.example:443",
+      "scholar.google.com\t:443",
+      "scholar.google.com\v:443",
+      "a b:443",
+      "%2e%2e:443",
+      ".:443",
+      "\xff\xfe:443",
+      big + ":443",
+      big,
+      "http://",
+      "http:///",
+      "http://a",
+      "http://a:80",
+      "http://a:/",
+      "http://a:0/",
+      "http://a:65536/",
+      "http://:80/",
+      "https://a:443/",
+      "https://a:80/",
+      "HTTP://a/",
+      "ftp://a/",
+      "http:/a/",
+      "http//a/",
+      "://a/",
+      "http://http://a/",
+      "http://a:8080:80/",
+      "http://user@a/",
+      "http://a@b/",
+      "http://a#@b/",
+      "http://a?@b/",
+      "http://a/#frag",
+      "http://a?q",
+      "http://a#f",
+      "http://a/p?q#f",
+      "http://[::1]/",
+      "http://a b/",
+      "http:// a/",
+      "http://a\tb/",
+      "http://a\r\n/",
+      "http://a/\r\nHost: evil.example",
+      "http://scholar.google.com.evil.example/",
+      "http://evil.example#.scholar.google.com/",
+      "https://evil.example\\.scholar.google.com/",
+      "https://scholar.google.com:8443/citations?user=abc#x",
+      "https://" + big + "/",
+  };
+}
+
+// Whether an accepted authority is one a suffix match can trust: a
+// non-empty host free of userinfo, port, path, query and fragment
+// delimiters, backslashes, whitespace and control bytes, and a port in
+// [1, 65535].
+::testing::AssertionResult wellFormed(std::string_view host, net::Port port) {
+  const bool bad_byte = std::any_of(host.begin(), host.end(), [](char c) {
+    const auto b = static_cast<unsigned char>(c);
+    return b < 0x20 || b == 0x7f || std::isspace(b) != 0 ||
+           std::string_view("@:/?#\\").find(c) != std::string_view::npos;
+  });
+  if (host.empty() || bad_byte)
+    return ::testing::AssertionFailure() << "host '" << host << "'";
+  if (port == 0) return ::testing::AssertionFailure() << "port 0";
+  return ::testing::AssertionSuccess();
+}
+
+void addAuthority(Fnv1a& h, const std::optional<Authority>& a) {
+  h.addByte(a.has_value() ? 1 : 0);
+  if (!a.has_value()) return;
+  addText(h, a->host);
+  h.add(static_cast<std::uint16_t>(a->port));
+}
+
+void addUrl(Fnv1a& h, const std::optional<Url>& u) {
+  h.addByte(u.has_value() ? 1 : 0);
+  if (!u.has_value()) return;
+  addText(h, u->scheme);
+  addText(h, u->host);
+  h.add(static_cast<std::uint16_t>(u->port));
+  addText(h, u->path);
+}
+
+// Everything parseAuthority reports for each entry, as a CONNECT target
+// (no default port) and with a default, then everything Url::parse
+// reports. Pinned when the corpus was written.
+TEST(Url, HostileCorpusDigest) {
+  Fnv1a h;
+  for (const std::string& text : hostileAuthorityCorpus()) {
+    const auto connect = parseAuthority(text, 0);
+    const auto with_default = parseAuthority(text, 443);
+    const auto url = Url::parse(text);
+    if (connect.has_value() && connect->port != 0) {
+      EXPECT_TRUE(wellFormed(connect->host, connect->port)) << text;
+    }
+    if (with_default.has_value()) {
+      EXPECT_TRUE(wellFormed(with_default->host, with_default->port)) << text;
+    }
+    if (url.has_value()) {
+      EXPECT_TRUE(wellFormed(url->host, url->port)) << text;
+    }
+    addAuthority(h, connect);
+    addAuthority(h, with_default);
+    addUrl(h, url);
+  }
+  EXPECT_EQ(h.value(), 0x9b5acb88c7c3121cULL);
+}
+
+// Seeded mutations of CONNECT targets and URLs: nothing crashes, whatever
+// is accepted is well formed, and an accepted URL survives str() -> parse.
+TEST(Url, MutatedAuthoritiesStayWellFormed) {
+  std::vector<Bytes> seeds;
+  for (const std::string& text : hostileAuthorityCorpus())
+    if (text.size() < 1024) seeds.push_back(toBytes(text));
+
+  static constexpr char kSpice[] = "@:/?#[]% \t\r\n.0123456789ahpst\0\xff";
+  sim::Rng rng(0x0a7b0e11ULL);
+  std::uint64_t connects = 0, urls = 0;
+  constexpr int kIterations = 20000;
+  for (int i = 0; i < kIterations; ++i) {
+    const Bytes bytes = test::mutate(
+        seeds, std::string_view(kSpice, sizeof(kSpice) - 1), rng);
+    const std::string_view text = asStringView(bytes);
+    if (const auto a = parseAuthority(text, 0);
+        a.has_value() && a->port != 0) {
+      ++connects;
+      ASSERT_TRUE(wellFormed(a->host, a->port)) << "iteration " << i;
+    }
+    if (const auto a = parseAuthority(text, 443); a.has_value()) {
+      ASSERT_TRUE(wellFormed(a->host, a->port)) << "iteration " << i;
+    }
+    const auto url = Url::parse(text);
+    if (!url.has_value()) continue;
+    ++urls;
+    ASSERT_TRUE(wellFormed(url->host, url->port)) << "iteration " << i;
+    const auto again = Url::parse(url->str());
+    ASSERT_TRUE(again.has_value()) << "iteration " << i;
+    EXPECT_EQ(again->scheme, url->scheme) << "iteration " << i;
+    EXPECT_EQ(again->host, url->host) << "iteration " << i;
+    EXPECT_EQ(again->port, url->port) << "iteration " << i;
+    EXPECT_EQ(again->path, url->path) << "iteration " << i;
+  }
+  EXPECT_GT(connects, static_cast<std::uint64_t>(kIterations) / 40);
+  EXPECT_GT(urls, static_cast<std::uint64_t>(kIterations) / 40);
 }
 
 // ---- TLS ----
