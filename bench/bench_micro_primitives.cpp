@@ -1,13 +1,14 @@
 // Microbenchmarks (google-benchmark) of the hot primitives: the crypto the
 // tunnels run on, the blinding codec, Tor cell handling, the HTTP message
 // codec, a router's next-hop lookup, the simulator's event loop, a host's
-// socket demux, a TCP bulk send, and the population day's per-arrival query
-// rank and cache hit. Useful for spotting regressions that would silently
+// socket demux, a TCP bulk send, and the population day's per-arrival user
+// draw, query rank and cache hit. Useful for spotting regressions that would silently
 // stretch the figure benches' wall time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -15,6 +16,7 @@
 #include "crypto/entropy.h"
 #include "crypto/sha256.h"
 #include "core/blinded_stream.h"
+#include "core/fleet_api.h"
 #include "fleet/cache.h"
 #include "http/message.h"
 #include "http/origin.h"
@@ -25,6 +27,7 @@
 #include "tor/cell.h"
 #include "transport/conn_table.h"
 #include "transport/host_stack.h"
+#include "util/hash.h"
 
 namespace {
 
@@ -280,28 +283,82 @@ void BM_ZipfQueryRank(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfQueryRank);
 
-// A hit in the domestic response cache on a 2 KB Scholar page, the lookup
-// every ScholarCloud arrival of the population day makes. Keys cycle
-// through the default catalog's 64 hottest queries, all resident.
-void BM_CacheLookupHit(benchmark::State& state) {
-  sc::sim::Simulator sim(1);
-  sc::fleet::ShardedLruCache cache(sim, sc::fleet::CacheOptions{});
-  sc::http::Response page;
-  page.status = 200;
-  page.headers.set("content-type", "text/html");
-  page.body = makeData(2048);
-  std::vector<std::string> keys;
-  for (int rank = 0; rank < 64; ++rank) {
-    keys.push_back(sc::population::PopulationModel::queryCacheKey(rank));
-    cache.insert(keys.back(), page);
+// One arrival's user draw, cycling over the default model's three class
+// sizes (150k/550k/300k of 1M scholars): /0 computes the rejection
+// threshold per call (uniformU64), /1 reuses each class's Bound built
+// once, as PopulationModel::sampleUser does.
+void BM_RngUniformBound(benchmark::State& state) {
+  const sc::population::PopulationModel model{
+      sc::population::PopulationOptions{}};
+  std::vector<std::uint64_t> sizes;
+  std::vector<sc::sim::Rng::Bound> bounds;
+  for (std::size_t i = 0; i < model.classes().size(); ++i) {
+    sizes.push_back(model.classSize(i));
+    bounds.push_back(sc::sim::Rng::boundOf(sizes.back()));
   }
+  sc::sim::Rng rng(7);
+  std::size_t i = 0;
+  if (state.range(0) == 0) {
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(rng.uniformU64(sizes[i]));
+      i = i + 1 == sizes.size() ? 0 : i + 1;
+    }
+  } else {
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(rng.uniform(bounds[i]));
+      i = i + 1 == bounds.size() ? 0 : i + 1;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniformBound)->Arg(0)->Arg(1);
+
+// A domestic response cache holding a 2 KB Scholar page under each of the
+// default catalog's 64 hottest queries, all resident.
+struct CachedCatalog {
+  sc::sim::Simulator sim{1};
+  sc::fleet::ShardedLruCache cache{sim, sc::fleet::CacheOptions{}};
+  std::vector<std::string> keys;
+
+  CachedCatalog() {
+    sc::http::Response page;
+    page.status = 200;
+    page.headers.set("content-type", "text/html");
+    page.body = makeData(2048);
+    for (int rank = 0; rank < 64; ++rank) {
+      keys.push_back(sc::population::PopulationModel::queryCacheKey(rank));
+      cache.insert(keys.back(), page);
+    }
+  }
+};
+
+// A hit keyed by a string: the lookup hashes the key's text, as the
+// domestic proxy's does for a repeat GET.
+void BM_CacheLookupHit(benchmark::State& state) {
+  CachedCatalog c;
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(keys[i]).has_value());
-    i = i + 1 == keys.size() ? 0 : i + 1;
+    benchmark::DoNotOptimize(c.cache.lookup(c.keys[i]).has_value());
+    i = i + 1 == c.keys.size() ? 0 : i + 1;
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheLookupHit);
+
+// A hit keyed by a (text, hash) key built once: the lookup every
+// ScholarCloud arrival of the population day makes.
+void BM_CacheLookupHitPrecomputed(benchmark::State& state) {
+  CachedCatalog c;
+  std::vector<sc::core::CacheKey> keys;
+  for (const std::string& k : c.keys)
+    keys.emplace_back(std::string_view(k), sc::fnv1a(k));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(c.cache.lookup(keys[i]).has_value());
+    i = i + 1 == keys.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheLookupHitPrecomputed);
 
 }  // namespace
