@@ -169,6 +169,140 @@ TEST(Testbed, PlrOrderingMatchesFig5c) {
   EXPECT_LT(sc.plr_pct, 1.0);
 }
 
+// ---- the paper's shape claims (EXPERIMENTS.md), on reduced runs ----
+
+// The five paper methods one after another on one testbed, in the order
+// the figure benches run them (bench_common.h).
+constexpr Method kPaperMethods[] = {Method::kNativeVpn, Method::kOpenVpn,
+                                    Method::kTor, Method::kShadowsocks,
+                                    Method::kScholarCloud};
+
+std::vector<CampaignResult> paperSweep(const CampaignOptions& copts) {
+  Testbed tb;
+  std::vector<CampaignResult> out;
+  std::uint32_t tag = 100;
+  for (const Method m : kPaperMethods) {
+    out.push_back(runAccessCampaign(tb, m, tag++, copts));
+    EXPECT_TRUE(out.back().setup_ok) << methodName(m);
+    EXPECT_EQ(out.back().failures, 0) << methodName(m);
+  }
+  return out;
+}
+
+const CampaignResult& resultOf(const std::vector<CampaignResult>& sweep,
+                               Method m) {
+  for (const auto& r : sweep)
+    if (r.method == m) return r;
+  ADD_FAILURE() << "no campaign for " << methodName(m);
+  return sweep.front();
+}
+
+TEST(Shape, Fig5aTorFirstVisitDominatesAndRevisitsAreFaster) {
+  CampaignOptions copts;
+  copts.accesses = 4;
+  copts.measure_rtt = false;
+  const auto sweep = paperSweep(copts);
+  const auto& tor = resultOf(sweep, Method::kTor);
+  const auto& ss = resultOf(sweep, Method::kShadowsocks);
+  for (const auto& r : sweep) {
+    ASSERT_EQ(r.plt_first_s.n, 1u) << methodName(r.method);
+    EXPECT_LT(r.plt_sub_s.mean, r.plt_first_s.mean) << methodName(r.method);
+    if (r.method == Method::kTor) continue;
+    // By several times, not by a hair: the dead directory and the blocked
+    // guards alone cost Tor ~7 s before the meek fallback.
+    EXPECT_GT(tor.plt_first_s.mean, 3 * r.plt_first_s.mean)
+        << methodName(r.method);
+    // Shadowsocks re-establishes its auth channel on every access, so its
+    // revisits are the slowest of the rest. (Its one first visit is not:
+    // a single sample is too noisy to rank against the VPNs.)
+    if (r.method != Method::kShadowsocks) {
+      EXPECT_GT(ss.plt_sub_s.mean, r.plt_sub_s.mean) << methodName(r.method);
+    }
+  }
+}
+
+TEST(Shape, Fig5bTorRttIsTheOutlier) {
+  // Ten probes per method: a Tor probe costs anywhere from one trans-Pacific
+  // round trip to a whole meek poll cycle more, so a few are not enough.
+  CampaignOptions copts;
+  copts.accesses = 20;
+  const auto sweep = paperSweep(copts);
+  const auto& tor = resultOf(sweep, Method::kTor);
+  ASSERT_GE(tor.rtt_ms.n, 2u);
+  for (const auto& r : sweep) {
+    if (r.method == Method::kTor) continue;
+    ASSERT_GE(r.rtt_ms.n, 2u) << methodName(r.method);
+    // The single-hop methods sit near the trans-Pacific RTT; Tor's relayed
+    // path is well above every one of them.
+    EXPECT_GT(tor.rtt_ms.mean, 1.5 * r.rtt_ms.mean) << methodName(r.method);
+  }
+}
+
+TEST(Shape, Fig6aScholarCloudAddsLeastTrafficNativeVpnMost) {
+  CampaignOptions copts;
+  copts.accesses = 3;
+  copts.measure_rtt = false;
+  copts.cold_cache = true;  // full transfers, as Fig. 6a reports
+  const auto sweep = paperSweep(copts);
+  const double sc = resultOf(sweep, Method::kScholarCloud).traffic_kb_per_access;
+  const double vpn = resultOf(sweep, Method::kNativeVpn).traffic_kb_per_access;
+  for (const auto& r : sweep) {
+    if (r.method == Method::kTor) continue;  // the known deviation
+    if (r.method != Method::kScholarCloud) {
+      EXPECT_LT(sc, r.traffic_kb_per_access) << methodName(r.method);
+    }
+    if (r.method != Method::kNativeVpn) {
+      EXPECT_GT(vpn, r.traffic_kb_per_access) << methodName(r.method);
+    }
+  }
+}
+
+TEST(Shape, Fig4ShadowsocksAuthConnectionOnEveryAccess) {
+  // The paper's TCP 1: only Shadowsocks opens it, and on every access,
+  // because its 10 s keep-alive always lapses at the 60 s cadence. TCP 2
+  // (the HTTP->HTTPS redirect) and TCP 4 (the account record) appear on the
+  // first visit only, for every method.
+  for (const Method m : kPaperMethods) {
+    Testbed tb;
+    bool ready = false, ok = false;
+    auto& client = tb.addClient(m, 50, [&](bool r) {
+      ready = true;
+      ok = r;
+    });
+    tb.sim().runWhile([&] { return ready; }, 3 * sim::kMinute);
+    ASSERT_TRUE(ok) << methodName(m);
+    auto& origin = tb.scholarOrigin();
+    for (int access = 0; access < 3; ++access) {
+      const std::uint64_t auth_before =
+          client.ss_local != nullptr ? client.ss_local->authRoundTrips() : 0;
+      const std::uint64_t redirects_before =
+          origin.httpServer().requestsServed();
+      const std::uint64_t records_before = origin.accountRecords();
+      bool done = false, loaded = false;
+      client.browser->loadPage(Testbed::kScholarHost,
+                               [&](http::PageLoadResult r) {
+                                 done = true;
+                                 loaded = r.ok;
+                               });
+      tb.sim().runWhile([&] { return done; },
+                        tb.sim().now() + 2 * sim::kMinute);
+      ASSERT_TRUE(loaded) << methodName(m) << " access " << access;
+      tb.sim().runUntil(tb.sim().now() + sim::kMinute);
+      const std::uint64_t auth =
+          (client.ss_local != nullptr ? client.ss_local->authRoundTrips()
+                                      : 0) -
+          auth_before;
+      EXPECT_EQ(auth, m == Method::kShadowsocks ? 1u : 0u)
+          << methodName(m) << " access " << access;
+      const std::uint64_t first = access == 0 ? 1 : 0;
+      EXPECT_EQ(origin.httpServer().requestsServed() - redirects_before, first)
+          << methodName(m) << " access " << access;
+      EXPECT_EQ(origin.accountRecords() - records_before, first)
+          << methodName(m) << " access " << access;
+    }
+  }
+}
+
 TEST(Testbed, GfwDisabledUnblocksDirectAccess) {
   TestbedOptions opts;
   opts.gfw_enabled = false;
