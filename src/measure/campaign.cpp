@@ -1,7 +1,9 @@
 #include "measure/campaign.h"
 
+#include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "measure/cell_world.h"
 #include "measure/parallel.h"
@@ -25,6 +27,18 @@ int connectionsPerAccess(Method m) {
     default: return 8;  // http redirect + https main + subresources + record
   }
 }
+
+// What a campaign's callbacks write, shared with the campaign.
+struct CampaignTally {
+  std::string host;
+  bool cold_cache = false;
+  bool ready = false;
+  bool ready_ok = false;
+  int done_accesses = 0;
+  int successes = 0;
+  int failures = 0;
+  Samples plt_first, plt_sub, rtt;
+};
 
 }  // namespace
 
@@ -62,14 +76,23 @@ CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
     ev.a = options.accesses;
     tr->record(ev);
   }
-  bool ready = false, ready_result = false;
-  auto& client = tb.addClient(method, tag, [&](bool ok) {
-    ready = true;
-    ready_result = ok;
+  // Every callback this campaign hands out captures the tally and pointers
+  // into the testbed, never this frame: a setup, access or probe callback
+  // that fires after the campaign returns writes to the tally, which
+  // nothing reads any more.
+  auto tally = std::make_shared<CampaignTally>();
+  tally->host = options.host;
+  tally->cold_cache = options.cold_cache;
+  Testbed::Client* client = &tb.addClient(method, tag, [tally](bool ok) {
+    tally->ready = true;
+    tally->ready_ok = ok;
   });
-  sim.runWhile([&] { return ready; }, sim.now() + kSetupTimeout);
-  result.setup_ok = ready && ready_result;
-  if (!result.setup_ok) return result;
+  sim.runWhile([&] { return tally->ready; }, sim.now() + kSetupTimeout);
+  result.setup_ok = tally->ready && tally->ready_ok;
+  if (!result.setup_ok) {
+    tb.retireClient(*client);
+    return result;
+  }
 
   // ScholarCloud's GFW-crossing leg is the proxies' tunnel; fold its loss
   // in. The serverless method has the same split shape — its border leg is
@@ -81,40 +104,41 @@ CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
                                        : Testbed::kScTunnelTag;
   const auto stats_before = tb.network().tagStats(tag);
   const auto tunnel_before = tb.network().tagStats(tunnel_tag);
-  const std::uint64_t bytes_before = client.accessLinkBytes();
-  Samples plt_first, plt_sub, rtt;
-  int done_accesses = 0;
+  const std::uint64_t bytes_before = client->accessLinkBytes();
 
+  sim::Simulator* s = &sim;
+  obs::Hub* hub = &tb.hub();
+  std::vector<sim::EventHandle> scheduled;
   const sim::Time t0 = sim.now() + sim::kSecond;
   for (int i = 0; i < options.accesses; ++i) {
-    sim.scheduleAt(t0 + static_cast<sim::Time>(i) * options.interval, [&,
-                                                                       i] {
-      if (options.cold_cache) client.browser->clearCaches();
-      client.browser->loadPage(options.host, [&](http::PageLoadResult r) {
-        ++done_accesses;
-        // One SLO sample per completed access (when an engine is installed):
-        // the burn-rate alert stream for this method's error budget.
-        if (obs::SloEngine* slo = tb.hub().slo())
-          slo->sample(sim.now(), r.ok, r.plt);
-        if (!r.ok) {
-          ++result.failures;
-          return;
-        }
-        ++result.successes;
-        (r.first_visit ? plt_first : plt_sub).add(sim::toSeconds(r.plt));
-      });
-    });
-    if (options.measure_rtt && i % 2 == 1) {
-      sim.scheduleAt(
-          t0 + static_cast<sim::Time>(i) * options.interval +
-              options.interval / 2,
-          [&] {
-            client.browser->pingOrigin(options.host,
-                                       [&](std::optional<sim::Time> t) {
-                                         if (t.has_value())
-                                           rtt.add(sim::toMillis(*t));
-                                       });
+    const sim::Time at = t0 + static_cast<sim::Time>(i) * options.interval;
+    scheduled.push_back(sim.scheduleAt(at, [tally, client, s, hub] {
+      if (tally->cold_cache) client->browser->clearCaches();
+      client->browser->loadPage(
+          tally->host, [tally, s, hub](http::PageLoadResult r) {
+            ++tally->done_accesses;
+            // One SLO sample per completed access (when an engine is
+            // installed): the burn-rate alert stream for this method's
+            // error budget.
+            if (obs::SloEngine* slo = hub->slo())
+              slo->sample(s->now(), r.ok, r.plt);
+            if (!r.ok) {
+              ++tally->failures;
+              return;
+            }
+            ++tally->successes;
+            (r.first_visit ? tally->plt_first : tally->plt_sub)
+                .add(sim::toSeconds(r.plt));
           });
+    }));
+    if (options.measure_rtt && i % 2 == 1) {
+      scheduled.push_back(
+          sim.scheduleAt(at + options.interval / 2, [tally, client] {
+            client->browser->pingOrigin(
+                tally->host, [tally](std::optional<sim::Time> t) {
+                  if (t.has_value()) tally->rtt.add(sim::toMillis(*t));
+                });
+          }));
     }
   }
 
@@ -122,12 +146,21 @@ CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
                              static_cast<sim::Time>(options.accesses + 2) *
                                  options.interval +
                              2 * sim::kMinute;
-  sim.runWhile([&] { return done_accesses >= options.accesses; }, deadline);
+  sim.runWhile([&] { return tally->done_accesses >= options.accesses; },
+               deadline);
+  // The campaign is over. What it scheduled and has not fired (the last RTT
+  // probe is due half an interval after the last access starts) never
+  // fires, and its client stops, so the next campaign on this testbed runs
+  // alone, as each method did in the paper.
+  for (sim::EventHandle& ev : scheduled) ev.cancel();
+  tb.retireClient(*client);
   sim.runUntil(sim.now() + 5 * sim::kSecond);  // drain stragglers
 
-  result.plt_first_s = plt_first.summarize();
-  result.plt_sub_s = plt_sub.summarize();
-  result.rtt_ms = rtt.summarize();
+  result.successes = tally->successes;
+  result.failures = tally->failures;
+  result.plt_first_s = tally->plt_first.summarize();
+  result.plt_sub_s = tally->plt_sub.summarize();
+  result.rtt_ms = tally->rtt.summarize();
   std::uint64_t originated = 0, lost = 0;
   if (include_tunnel) {
     // Only the proxies' tunnel crosses the GFW; the campus hop is lossless
@@ -143,7 +176,7 @@ CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
   result.plr_pct = originated == 0 ? 0.0
                                    : 100.0 * static_cast<double>(lost) /
                                          static_cast<double>(originated);
-  result.client_bytes = client.accessLinkBytes() - bytes_before;
+  result.client_bytes = client->accessLinkBytes() - bytes_before;
   const int denom = std::max(1, result.successes + result.failures);
   result.traffic_kb_per_access =
       static_cast<double>(result.client_bytes) / 1024.0 / denom;

@@ -360,4 +360,10 @@ Testbed::Client& Testbed::addClient(Method method, std::uint32_t tag,
   return c;
 }
 
+void Testbed::retireClient(Client& client) {
+  if (client.pptp != nullptr) client.pptp->disconnect();
+  if (client.ovpn != nullptr) client.ovpn->disconnect();
+  if (client.tor_client != nullptr) client.tor_client->shutdown();
+}
+
 }  // namespace sc::measure

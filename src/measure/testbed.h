@@ -120,6 +120,12 @@ class Testbed {
   Client& addClient(Method method, std::uint32_t tag,
                     std::function<void(bool)> ready);
 
+  // Stops what keeps a finished client busy: Tor's circuit and meek
+  // polling, the PPTP control channel and its LCP echoes, OpenVPN's pings.
+  // The client stays (its counters remain readable) but puts no more
+  // traffic of its own on the testbed.
+  void retireClient(Client& client);
+
   // ---- world handles ----
   sim::Simulator& sim() noexcept { return sim_; }
   obs::Hub& hub() noexcept { return hub_; }

@@ -44,6 +44,10 @@ class TorClient {
   // queued, so calling this explicitly is optional.
   void bootstrap(std::function<void(bool)> cb);
 
+  // Tears the circuit down and closes its link (a meek link stops polling),
+  // leaving the client idle; a later request bootstraps afresh.
+  void shutdown() { teardownCircuit(); }
+
   net::Endpoint socksEndpoint() const {
     return net::Endpoint{stack_.node().primaryIp(), options_.socks_port};
   }
