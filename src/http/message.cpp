@@ -140,8 +140,11 @@ std::string statusReason(int status) {
 
 namespace {
 
-// Exactly three space-separated parts, the last an HTTP version.
+// Exactly three space-separated parts, the last an HTTP version, and no
+// control byte: a bare CR in the target would reach the request line a
+// proxy forwards.
 bool parseStartLine(std::string_view line, Request& req) {
+  if (hasControlByte(line)) return false;
   const auto sp1 = line.find(' ');
   if (sp1 == std::string_view::npos) return false;
   const auto sp2 = line.find(' ', sp1 + 1);

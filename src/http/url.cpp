@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 
+#include "util/strings.h"
+
 namespace sc::http {
 
 std::optional<Authority> parseAuthority(std::string_view text,
@@ -48,6 +50,10 @@ std::optional<Url> Url::parse(std::string_view text) {
   url.host = std::move(authority->host);
   url.port = authority->port;
   const std::string_view rest = text.substr(authority_end);
+  // The path goes verbatim into a request line, which a space or a control
+  // byte would split or end.
+  if (hasControlByte(rest) || rest.find(' ') != std::string_view::npos)
+    return std::nullopt;
   std::string path;
   if (rest.empty() || rest.front() != '/') path.push_back('/');
   path.append(rest);

@@ -32,6 +32,8 @@ struct Url {
   net::Port port = 80;
   std::string path = "/";
 
+  // "http[s]://" + an authority parseAuthority accepts + the rest as the
+  // path; refuses a path holding a space or a control byte.
   static std::optional<Url> parse(std::string_view text);
   std::string str() const;
   bool isHttps() const { return scheme == "https"; }

@@ -54,6 +54,14 @@ bool iequals(std::string_view a, std::string_view b) {
   return true;
 }
 
+bool hasControlByte(std::string_view s) {
+  for (const char c : s) {
+    const auto b = static_cast<unsigned char>(c);
+    if (b < 0x20 || b == 0x7f) return true;
+  }
+  return false;
+}
+
 bool icontains(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
   if (haystack.size() < needle.size()) return false;

@@ -14,6 +14,11 @@ bool startsWith(std::string_view s, std::string_view prefix);
 bool endsWith(std::string_view s, std::string_view suffix);
 bool iequals(std::string_view a, std::string_view b);
 
+// True when `s` holds a control byte (0x00-0x1f or DEL). No request line or
+// URL may carry one: a bare CR or LF would split the line it is written
+// into (RFC 9112 §2.2).
+bool hasControlByte(std::string_view s);
+
 // ASCII-only case fold, locale-independent (bytes >= 0x80 map to
 // themselves, matching std::tolower in the "C" locale the DPI path and the
 // PAC evaluator both assume).

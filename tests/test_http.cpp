@@ -13,6 +13,7 @@
 #include "http/url.h"
 #include "sim/rng.h"
 #include "util/hash.h"
+#include "util/strings.h"
 
 namespace sc::http {
 namespace {
@@ -402,6 +403,18 @@ std::vector<std::string> adversarialHttpCorpus() {
   };
 }
 
+// Request-targets holding a control byte: a bare CR would reach the request
+// line a proxy forwards. Part of the digested corpus, but not of the
+// mutation seeds, which start from messages the parser mostly accepts.
+std::vector<std::string> controlByteRequests() {
+  return {
+      "GET http://scholar.google.com/a\rb HTTP/1.1\r\n\r\n",
+      "GET http://scholar.google.com/a\x01" "b HTTP/1.1\r\n\r\n",
+      "GET http://scholar.google.com/a\x7f" "b HTTP/1.1\r\n\r\n",
+      std::string("GET /a\0b HTTP/1.1\r\n\r\n", 21),
+  };
+}
+
 // Digest of everything a parser reports for each corpus entry, fed whole,
 // byte by byte and in 7-byte chunks.
 template <typename Message>
@@ -431,9 +444,22 @@ std::uint64_t corpusParseDigest(const std::vector<std::string>& corpus) {
 
 // Pinned before the view-based parser rewrite.
 TEST(HttpParser, AdversarialCorpusDigest) {
-  const auto corpus = adversarialHttpCorpus();
-  EXPECT_EQ(corpusParseDigest<Request>(corpus), 0x2657e5973a05356aULL);
-  EXPECT_EQ(corpusParseDigest<Response>(corpus), 0xcd0554fadccee38dULL);
+  auto corpus = adversarialHttpCorpus();
+  for (std::string& wire : controlByteRequests())
+    corpus.push_back(std::move(wire));
+  EXPECT_EQ(corpusParseDigest<Request>(corpus), 0xa0496759942056deULL);
+  EXPECT_EQ(corpusParseDigest<Response>(corpus), 0x725395d95aa59e69ULL);
+}
+
+TEST(HttpParser, RefusesControlBytesInTheRequestTarget) {
+  for (const std::string& wire : controlByteRequests()) {
+    RequestParser parser;
+    EXPECT_TRUE(parser.feed(toBytes(wire)).empty()) << wire;
+    EXPECT_TRUE(parser.malformed()) << wire;
+    const std::string_view target =
+        std::string_view(wire).substr(4, wire.find(" HTTP/") - 4);
+    EXPECT_FALSE(Url::parse(target).has_value()) << wire;
+  }
 }
 
 // Seeded byte mutations of valid messages, fed in random chunks: nothing
@@ -470,6 +496,7 @@ TEST(HttpParser, MutatedMessagesRoundTrip) {
       const ByteView part(wire.data() + off, n);
       for (const Request& m : requests.feed(part)) {
         ++accepted;
+        ASSERT_FALSE(hasControlByte(m.method + m.target)) << "iteration " << i;
         ASSERT_TRUE(roundTrips(m)) << "iteration " << i;
       }
       for (const Response& m : responses.feed(part)) {
@@ -565,6 +592,13 @@ std::vector<std::string> hostileAuthorityCorpus() {
       "https://evil.example\\.scholar.google.com/",
       "https://scholar.google.com:8443/citations?user=abc#x",
       "https://" + big + "/",
+      "http://scholar.google.com/a\rb",
+      "http://scholar.google.com/a\nb",
+      std::string("http://scholar.google.com/a\0b", 29),
+      "http://scholar.google.com/a\x01" "b",
+      "http://scholar.google.com/a\x7f" "b",
+      "http://scholar.google.com/?q=\x1f",
+      "http://scholar.google.com/a b",
   };
 }
 
@@ -617,12 +651,14 @@ TEST(Url, HostileCorpusDigest) {
     }
     if (url.has_value()) {
       EXPECT_TRUE(wellFormed(url->host, url->port)) << text;
+      EXPECT_FALSE(hasControlByte(url->path)) << text;
+      EXPECT_EQ(url->path.find(' '), std::string::npos) << text;
     }
     addAuthority(h, connect);
     addAuthority(h, with_default);
     addUrl(h, url);
   }
-  EXPECT_EQ(h.value(), 0x9b5acb88c7c3121cULL);
+  EXPECT_EQ(h.value(), 0x11c083ab202876c8ULL);
 }
 
 // Seeded mutations of CONNECT targets and URLs: nothing crashes, whatever
@@ -652,6 +688,8 @@ TEST(Url, MutatedAuthoritiesStayWellFormed) {
     if (!url.has_value()) continue;
     ++urls;
     ASSERT_TRUE(wellFormed(url->host, url->port)) << "iteration " << i;
+    ASSERT_FALSE(hasControlByte(url->path)) << "iteration " << i;
+    ASSERT_EQ(url->path.find(' '), std::string::npos) << "iteration " << i;
     const auto again = Url::parse(url->str());
     ASSERT_TRUE(again.has_value()) << "iteration " << i;
     EXPECT_EQ(again->scheme, url->scheme) << "iteration " << i;
