@@ -106,22 +106,21 @@ CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
   const auto tunnel_before = tb.network().tagStats(tunnel_tag);
   const std::uint64_t bytes_before = client->accessLinkBytes();
 
-  sim::Simulator* s = &sim;
-  obs::Hub* hub = &tb.hub();
+  Testbed* testbed = &tb;
   std::vector<sim::EventHandle> scheduled;
   const sim::Time t0 = sim.now() + sim::kSecond;
   for (int i = 0; i < options.accesses; ++i) {
     const sim::Time at = t0 + static_cast<sim::Time>(i) * options.interval;
-    scheduled.push_back(sim.scheduleAt(at, [tally, client, s, hub] {
+    scheduled.push_back(sim.scheduleAt(at, [tally, client, testbed] {
       if (tally->cold_cache) client->browser->clearCaches();
       client->browser->loadPage(
-          tally->host, [tally, s, hub](http::PageLoadResult r) {
+          tally->host, [tally, testbed](http::PageLoadResult r) {
             ++tally->done_accesses;
             // One SLO sample per completed access (when an engine is
             // installed): the burn-rate alert stream for this method's
             // error budget.
-            if (obs::SloEngine* slo = hub->slo())
-              slo->sample(s->now(), r.ok, r.plt);
+            if (obs::SloEngine* slo = testbed->hub().slo())
+              slo->sample(testbed->sim().now(), r.ok, r.plt);
             if (!r.ok) {
               ++tally->failures;
               return;
