@@ -293,12 +293,12 @@ TEST(Campaign, ServerlessGolden) {
   EXPECT_EQ(campaignDigest(Method::kServerless), 0x6aa5d7f626106e41ULL);
 }
 
-// A campaign leaves nothing running behind it. Before clients were retired
-// and pending events cancelled, the Tor campaign's last RTT probe (due half
-// an interval after its last access starts) fired inside the next campaign:
-// it re-bootstrapped the finished Tor client and wrote its RTT into a
-// Samples that had gone out of scope, and the Shadowsocks campaign after it
-// counted 15 probes with a 265.7 ms maximum.
+// A campaign leaves nothing running behind it. A Tor campaign that left its
+// last RTT probe pending (it is due half an interval after the last access
+// starts) would have it fire inside the next campaign: it re-bootstraps the
+// finished Tor client and writes its RTT into a Samples that has gone out
+// of scope, which, depending on stack layout, is the Shadowsocks campaign's
+// own (15 probes, a 265.7 ms maximum).
 TEST(Campaign, NoProbeOutlivesItsCampaign) {
   TestbedOptions topts;
   topts.seed = 5;
