@@ -144,6 +144,7 @@ class Testbed {
   net::Ipv4 scholarIp() const { return scholar_ip_; }
   net::Ipv4 amazonIp() const { return amazon_ip_; }
   net::Ipv4 ssRemoteIp() const { return ss_remote_ip_; }
+  net::Ipv4 scRemoteIp() const { return sc_remote_stack_->node().primaryIp(); }
   // The GFW-visible egress of Tor-via-meek is the fronting CDN, not the
   // hidden bridge — banning it is the collateral-damage move.
   net::Ipv4 torCdnIp() const { return cdn_ip_; }

@@ -303,6 +303,61 @@ TEST(Shape, Fig4ShadowsocksAuthConnectionOnEveryAccess) {
   }
 }
 
+TEST(Shape, Fig7ShadowsocksKneesScholarCloudStaysFlat) {
+  // Fig. 7: Shadowsocks' per-access auth connection saturates its server
+  // somewhere between 60 and 90 clients, while ScholarCloud's long-lived
+  // tunnels keep its curve flat. One point on each side of the knee.
+  ScalabilityOptions opts;
+  opts.accesses_per_client = 2;
+  const auto ss30 = runScalabilityPoint(Method::kShadowsocks, 30, opts);
+  const auto ss120 = runScalabilityPoint(Method::kShadowsocks, 120, opts);
+  const auto sc30 = runScalabilityPoint(Method::kScholarCloud, 30, opts);
+  const auto sc120 = runScalabilityPoint(Method::kScholarCloud, 120, opts);
+  for (const auto& p : {ss30, ss120, sc30, sc120}) {
+    EXPECT_EQ(p.failures, 0) << p.clients;
+  }
+  EXPECT_GT(ss120.plt_mean_s, 2 * ss30.plt_mean_s);
+  EXPECT_LT(sc120.plt_mean_s, 1.25 * sc30.plt_mean_s);
+  EXPECT_LT(sc120.plt_mean_s, ss120.plt_mean_s / 3);
+}
+
+TEST(Testbed, ScholarCloudRecoversOnceItsRemoteIsUnblocked) {
+  Testbed tb;
+  bool ready = false, ok = false;
+  auto& client = tb.addClient(Method::kScholarCloud, 60, [&](bool r) {
+    ready = true;
+    ok = r;
+  });
+  tb.sim().runWhile([&] { return ready; }, sim::kMinute);
+  ASSERT_TRUE(ok);
+  const auto load = [&] {
+    bool done = false, loaded = false;
+    client.browser->clearCaches();
+    client.browser->loadPage(Testbed::kScholarHost,
+                             [&](http::PageLoadResult r) {
+                               done = true;
+                               loaded = r.ok;
+                             });
+    tb.sim().runWhile([&] { return done; }, tb.sim().now() + 2 * sim::kMinute);
+    return loaded;
+  };
+  ASSERT_TRUE(load());
+
+  // The GFW blocks the remote proxy's IP long enough for the tunnels to
+  // die, then lifts the block.
+  tb.gfw().ips().add(tb.scRemoteIp());
+  tb.sim().runUntil(tb.sim().now() + 5 * sim::kMinute);
+  EXPECT_FALSE(load());
+  tb.gfw().ips().remove(tb.scRemoteIp());
+
+  bool recovered = false;
+  for (int attempt = 0; attempt < 10 && !recovered; ++attempt) {
+    recovered = load();
+    if (!recovered) tb.sim().runUntil(tb.sim().now() + 10 * sim::kSecond);
+  }
+  EXPECT_TRUE(recovered);
+}
+
 TEST(Testbed, GfwDisabledUnblocksDirectAccess) {
   TestbedOptions opts;
   opts.gfw_enabled = false;
