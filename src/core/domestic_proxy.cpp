@@ -205,6 +205,7 @@ void DomesticProxy::rotateBlinding(std::uint32_t new_epoch) {
   for (auto& tunnel : tunnels_) {
     if (tunnel != nullptr) tunnel->rotateBlinding(new_epoch);
   }
+  if (provider_ != nullptr) provider_->rotateBlinding(new_epoch);
 }
 
 void DomesticProxy::autoRotateBlinding(sim::Time interval) {

@@ -76,6 +76,9 @@ class TunnelProvider {
                           const transport::ConnectTarget& target,
                           bool passthrough, StreamHandler fn) = 0;
 
+  // Re-keys the blinding layer of every live tunnel to `new_epoch`.
+  virtual void rotateBlinding(std::uint32_t new_epoch) = 0;
+
   // Optional domestic-side response cache; nullptr when the provider does
   // not cache (the domestic proxy then always forwards).
   virtual ResponseCache* responseCache() { return nullptr; }

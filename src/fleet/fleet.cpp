@@ -292,6 +292,14 @@ std::optional<int> Fleet::endpointIdFor(net::Ipv4 ip) const {
   return std::nullopt;
 }
 
+std::vector<core::Tunnel::Ptr> Fleet::connectedTunnels() const {
+  std::vector<core::Tunnel::Ptr> out;
+  for (const auto& [id, ep] : endpoints_)
+    for (const auto& tunnel : ep.tunnels)
+      if (tunnel != nullptr && tunnel->connected()) out.push_back(tunnel);
+  return out;
+}
+
 void Fleet::withStream(net::Ipv4 client,
                        const transport::ConnectTarget& target,
                        bool passthrough, StreamHandler fn) {
@@ -351,6 +359,12 @@ void Fleet::tryPick(net::Ipv4 client, transport::ConnectTarget target,
         tryPick(client, std::move(target), passthrough, std::move(fn),
                 retries_left - 1);
       });
+}
+
+void Fleet::rotateBlinding(std::uint32_t new_epoch) {
+  for (auto& [id, ep] : endpoints_)
+    for (auto& tunnel : ep.tunnels)
+      if (tunnel != nullptr) tunnel->rotateBlinding(new_epoch);
 }
 
 std::optional<int> Fleet::leaseBackgroundSlot(net::Ipv4 client) {

@@ -73,6 +73,7 @@ class Fleet final : public core::TunnelProvider {
   // ---- core::TunnelProvider ----
   void withStream(net::Ipv4 client, const transport::ConnectTarget& target,
                   bool passthrough, StreamHandler fn) override;
+  void rotateBlinding(std::uint32_t new_epoch) override;
   core::ResponseCache* responseCache() override {
     return cache_ == nullptr ? nullptr : cache_.get();
   }
@@ -106,6 +107,7 @@ class Fleet final : public core::TunnelProvider {
   int size() const { return static_cast<int>(endpoints_.size()); }
   std::vector<net::Endpoint> liveEndpoints() const;
   std::optional<int> endpointIdFor(net::Ipv4 ip) const;
+  std::vector<core::Tunnel::Ptr> connectedTunnels() const;
   Health endpointHealth(int id) const { return prober_.state(id); }
   std::uint64_t respawns() const noexcept { return respawns_; }
   std::uint64_t failovers() const noexcept { return failovers_; }

@@ -233,6 +233,11 @@ void FrontedDispatcher::onBlocklistChurn() {
       probeConn(id);
 }
 
+void FrontedDispatcher::rotateBlinding(std::uint32_t new_epoch) {
+  for (auto& [id, conn] : conns_)
+    if (conn.tunnel != nullptr) conn.tunnel->rotateBlinding(new_epoch);
+}
+
 void FrontedDispatcher::withStream(net::Ipv4 client,
                                    const transport::ConnectTarget& target,
                                    bool passthrough, StreamHandler fn) {

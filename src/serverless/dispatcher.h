@@ -57,6 +57,7 @@ class FrontedDispatcher final : public core::TunnelProvider {
   // ---- core::TunnelProvider ----
   void withStream(net::Ipv4 client, const transport::ConnectTarget& target,
                   bool passthrough, StreamHandler fn) override;
+  void rotateBlinding(std::uint32_t new_epoch) override;
 
   // Wire to gfw.ips().setOnChange(...) (the embedding world does this so
   // sc_serverless never links sc_gfw): probes every tunnel immediately,

@@ -613,6 +613,19 @@ TEST(Fleet, BlockedEndpointIsReplacedWithoutDisturbingOtherFlows) {
   EXPECT_EQ(resp->status, 200);
 }
 
+TEST(Fleet, BlindingRotationReKeysEveryFleetTunnel) {
+  FleetWorld w;
+  w.runFor(3 * sim::kSecond);
+  w.proxy->rotateBlinding(5);
+  EXPECT_EQ(w.proxy->blindingEpoch(), 5u);
+  const auto tunnels = w.fl->connectedTunnels();
+  ASSERT_EQ(tunnels.size(), 4u);  // two endpoints, two tunnels each
+  for (const auto& tunnel : tunnels) EXPECT_EQ(tunnel->blindingEpoch(), 5u);
+  const auto resp = w.fetchOnce();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, 200);
+}
+
 TEST(Fleet, ManualScaleUpAndDown) {
   FleetWorld w(7, 1);
   w.runFor(2 * sim::kSecond);
