@@ -6,11 +6,6 @@
 
 namespace sc::core {
 
-namespace {
-// Built-in pool size: mux capacity scales with expected concurrency.
-constexpr std::size_t kTunnelPoolSize = 8;
-}  // namespace
-
 DomesticProxy::DomesticProxy(transport::HostStack& stack,
                              DomesticProxyOptions options,
                              std::uint32_t measure_tag)
@@ -20,7 +15,9 @@ DomesticProxy::DomesticProxy(transport::HostStack& stack,
     c_denied_ = reg->counter("sc.domestic.requests_denied");
     c_pac_downloads_ = reg->counter("sc.domestic.pac_downloads");
     c_rotations_ = reg->counter("sc.domestic.blinding_rotations");
-    c_pool_saturation_ = reg->counter("sc.domestic.pool_saturation");
+    // Written by the provider when it has no stream to give yet (the
+    // fleet's pick retries); declared here so every deployment reports it.
+    reg->counter("sc.domestic.pool_saturation");
     c_cache_hits_ = reg->counter("sc.domestic.cache_hits");
   }
   http::ServerOptions sopts;
@@ -48,13 +45,6 @@ DomesticProxy::DomesticProxy(transport::HostStack& stack,
              http::HttpServer::Respond respond) {
         handleConnect(req, std::move(client), std::move(respond));
       });
-
-  // Fleet-only deployments leave `remote` zero: the built-in pool would
-  // just dial nowhere and count saturation forever.
-  if (!options_.remote.ip.isZero()) {
-    tunnels_.resize(kTunnelPoolSize);
-    for (std::size_t i = 0; i < tunnels_.size(); ++i) ensureTunnel(i);
-  }
 }
 
 http::Url DomesticProxy::pacUrl() const {
@@ -93,89 +83,16 @@ void DomesticProxy::removeFromWhitelist(const std::string& domain) {
   std::erase(options_.whitelist, domain);
 }
 
-void DomesticProxy::ensureTunnel(std::size_t slot) {
-  obs::SpanId span = 0;
-  if (auto* sp = obs::spansOf(stack_.sim()))
-    span = sp->begin(obs::SpanKind::kTunnelHandshake, tag_, "sc-mux",
-                     options_.remote.str());
-  auto direct = stack_.directConnector(tag_);
-  direct->connect(
-      transport::ConnectTarget::byAddress(options_.remote),
-      [this, slot, span](transport::Stream::Ptr wire) {
-        if (wire == nullptr) {
-          if (auto* sp = obs::spansOf(stack_.sim()))
-            sp->end(span, obs::SpanStatus::kError);
-          // Remote unreachable: retry with backoff.
-          stack_.sim().schedule(5 * sim::kSecond,
-                                [this, slot] { ensureTunnel(slot); });
-          return;
-        }
-        if (auto* sp = obs::spansOf(stack_.sim()))
-          sp->end(span, obs::SpanStatus::kOk);
-        Tunnel::Options topts;
-        topts.secret = options_.tunnel_secret;
-        topts.blinding_mode = options_.blinding_mode;
-        topts.client_side = true;
-        auto tunnel = Tunnel::create(std::move(wire), stack_.sim(),
-                                     std::move(topts));
-        tunnel->setOnClose([this, slot] {
-          tunnels_[slot] = nullptr;
-          stack_.sim().schedule(sim::kSecond,
-                                [this, slot] { ensureTunnel(slot); });
-        });
-        tunnels_[slot] = std::move(tunnel);
-      });
-}
-
-void DomesticProxy::withTunnel(std::function<void(Tunnel::Ptr)> fn,
-                               int retries_left) {
-  if (Tunnel::Ptr tunnel = pickTunnel()) {
-    fn(std::move(tunnel));
-    return;
-  }
-  if (retries_left <= 0) {
-    fn(nullptr);
-    return;
-  }
-  // Pool exhausted (all slots dialing or dead): this retry is the signal
-  // autoscalers act on, so make it observable before waiting it out.
-  if (c_pool_saturation_ != nullptr) c_pool_saturation_->inc();
-  if (obs::Tracer* tracer = obs::tracerOf(stack_.sim())) {
-    obs::Event ev;
-    ev.at = stack_.sim().now();
-    ev.type = obs::EventType::kPoolSaturation;
-    ev.what = "tunnel_pool";
-    ev.tag = tag_;
-    ev.a = retries_left;
-    tracer->record(std::move(ev));
-  }
-  stack_.sim().schedule(200 * sim::kMillisecond,
-                        [this, fn = std::move(fn), retries_left]() mutable {
-                          withTunnel(std::move(fn), retries_left - 1);
-                        });
-}
-
 void DomesticProxy::openProxiedStream(net::Ipv4 client,
                                       transport::ConnectTarget target,
                                       bool passthrough,
                                       TunnelProvider::StreamHandler fn) {
-  if (provider_ != nullptr) {
-    // The provider (e.g. the fleet) records its own pick span.
-    provider_->withStream(client, target, passthrough, std::move(fn));
+  if (provider_ == nullptr) {
+    fn(nullptr);
     return;
   }
-  obs::SpanId span = 0;
-  if (auto* sp = obs::spansOf(stack_.sim()))
-    span = sp->begin(obs::SpanKind::kProxyHop, tag_, "pool-pick");
-  withTunnel([this, span, target = std::move(target), passthrough,
-              fn = std::move(fn)](Tunnel::Ptr tunnel) mutable {
-    transport::Stream::Ptr stream =
-        tunnel == nullptr ? nullptr : tunnel->openStream(target, passthrough);
-    if (auto* sp = obs::spansOf(stack_.sim()))
-      sp->end(span, stream != nullptr ? obs::SpanStatus::kOk
-                                      : obs::SpanStatus::kError);
-    fn(std::move(stream));
-  });
+  // The provider records its own pick span.
+  provider_->withStream(client, target, passthrough, std::move(fn));
 }
 
 net::Ipv4 DomesticProxy::peerOf(const http::Request& req) {
@@ -188,23 +105,9 @@ net::Ipv4 DomesticProxy::peerOf(const http::Request& req) {
   return net::Ipv4{};
 }
 
-Tunnel::Ptr DomesticProxy::pickTunnel() {
-  for (std::size_t i = 0; i < tunnels_.size(); ++i) {
-    const std::size_t idx = (next_tunnel_ + i) % tunnels_.size();
-    if (tunnels_[idx] != nullptr && tunnels_[idx]->connected()) {
-      next_tunnel_ = idx + 1;
-      return tunnels_[idx];
-    }
-  }
-  return nullptr;
-}
-
 void DomesticProxy::rotateBlinding(std::uint32_t new_epoch) {
   epoch_ = new_epoch;
   if (c_rotations_ != nullptr) c_rotations_->inc();
-  for (auto& tunnel : tunnels_) {
-    if (tunnel != nullptr) tunnel->rotateBlinding(new_epoch);
-  }
   if (provider_ != nullptr) provider_->rotateBlinding(new_epoch);
 }
 

@@ -3,8 +3,8 @@
 // This is the component users actually touch — and all they touch is one
 // browser setting: the PAC URL this proxy serves at /proxy.pac. The PAC
 // diverts only the visible whitelist of legal-but-blocked domains here;
-// everything else stays DIRECT. Whitelisted requests ride the blinded mux
-// tunnel to the remote proxy:
+// everything else stays DIRECT. Whitelisted requests ride a blinded mux
+// tunnel to a remote proxy, opened through the installed TunnelProvider:
 //   - plain-HTTP requests (absolute-form GET) open an AES-encrypted stream;
 //   - CONNECT requests (HTTPS) open a passthrough stream — the content is
 //     already end-to-end encrypted, so no double encryption.
@@ -59,6 +59,7 @@ class DomesticProxy {
   http::PacScript buildPac() const;
 
   // ---- blinding agility ----
+  // Re-keys every live tunnel of the installed provider.
   void rotateBlinding(std::uint32_t new_epoch);
   // Operators can rotate on a schedule without manual intervention: every
   // `interval` the epoch is bumped on all tunnels. Pass 0 to stop.
@@ -83,11 +84,11 @@ class DomesticProxy {
   void setIcpNumber(std::string number) { icp_number_ = std::move(number); }
   const std::string& icpNumber() const noexcept { return icp_number_; }
 
-  // ---- fleet delegation ----
-  // When a provider is installed every stream open goes through it
-  // (balancing, health, failover) instead of the built-in tunnel pool, and
-  // its ResponseCache (if any) short-circuits repeat GETs domestically.
-  // Pass nullptr to fall back to the built-in pool.
+  // ---- tunnel provider ----
+  // Every stream open goes through the installed provider (a fleet or the
+  // serverless dispatcher: balancing, health, failover), and its
+  // ResponseCache (if any) short-circuits repeat GETs domestically. With no
+  // provider installed (nullptr) every proxied request fails with 502.
   void setTunnelProvider(TunnelProvider* provider) { provider_ = provider; }
   TunnelProvider* tunnelProvider() const noexcept { return provider_; }
   std::uint64_t cacheHits() const noexcept { return cache_hits_; }
@@ -102,13 +103,8 @@ class DomesticProxy {
     if (c_denied_ != nullptr) c_denied_->inc();
   }
 
-  Tunnel::Ptr pickTunnel();
-  // Invokes `fn` with a connected tunnel, retrying briefly while the pool is
-  // still dialing (startup or post-drop reconnect); nullptr on timeout.
-  void withTunnel(std::function<void(Tunnel::Ptr)> fn, int retries_left = 50);
-  void ensureTunnel(std::size_t slot);
   // Single seam all three handlers (HTTP, CONNECT, SOCKS) go through:
-  // delegates to the installed TunnelProvider, else the built-in pool.
+  // the installed TunnelProvider's stream, or nullptr without one.
   void openProxiedStream(net::Ipv4 client, transport::ConnectTarget target,
                          bool passthrough, TunnelProvider::StreamHandler fn);
   net::Ipv4 peerOf(const http::Request& req);
@@ -131,8 +127,6 @@ class DomesticProxy {
   std::uint64_t socks_streams_ = 0;
   std::uint32_t epoch_ = 0;
   sim::EventHandle rotate_timer_;
-  std::vector<Tunnel::Ptr> tunnels_;
-  std::size_t next_tunnel_ = 0;
   std::set<net::Ipv4> users_;
   std::uint64_t proxied_ = 0;
   std::uint64_t denied_ = 0;
@@ -146,7 +140,6 @@ class DomesticProxy {
   obs::Counter* c_denied_ = nullptr;
   obs::Counter* c_pac_downloads_ = nullptr;
   obs::Counter* c_rotations_ = nullptr;
-  obs::Counter* c_pool_saturation_ = nullptr;
   obs::Counter* c_cache_hits_ = nullptr;
 };
 

@@ -4,10 +4,11 @@
 // domestic proxy cannot name fleet types directly without a cycle. Instead it
 // talks to two abstract interfaces defined here and implemented one layer up:
 //
-//   - TunnelProvider: hands out proxied streams to a target. The single
-//     built-in RemoteProxy keeps the legacy in-proxy tunnel pool; installing
-//     a provider (fleet::Fleet) routes every stream open through balancing,
-//     health state and failover instead.
+//   - TunnelProvider: hands out proxied streams to a target. The domestic
+//     proxy has no tunnels of its own: every stream it opens comes from the
+//     installed provider (fleet::Fleet, or serverless::FrontedDispatcher),
+//     through its balancing, health state and failover. The Testbed's
+//     ScholarCloud is a fleet of one endpoint.
 //   - ResponseCache: a domestic-side response cache consulted before a GET
 //     ever crosses the border link. fleet::ShardedLruCache implements it.
 #pragma once

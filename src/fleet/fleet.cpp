@@ -6,8 +6,8 @@ namespace {
 
 // An unanswered health ping after this long is a failure.
 constexpr sim::Time kProbeTimeout = sim::kSecond;
-// withStream retry while nothing is available (mirrors the legacy
-// withTunnel cadence: the pool may be mid-dial or mid-respawn).
+// withStream retries while no endpoint has a stream to give: its tunnels
+// may be mid-dial, or the endpoint mid-respawn.
 constexpr int kPickRetries = 25;
 constexpr sim::Time kPickRetryDelay = 200 * sim::kMillisecond;
 

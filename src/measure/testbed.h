@@ -9,7 +9,8 @@
 //     ss-remote, the Tor network (directory, public guards/middles/exits —
 //     all harvested into the GFW's IP blocklist — plus an unlisted bridge
 //     behind a meek reflector fronted by a CDN), and the ScholarCloud
-//     split-proxy pair (domestic proxy registered as an ICP);
+//     split-proxy pair (domestic proxy registered as an ICP, tunneling to
+//     the one remote proxy through a fleet of one endpoint);
 //   - client factory configuring a Browser per access method.
 #pragma once
 

@@ -508,7 +508,7 @@ TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
   // Goldens: both world shapes keep their traffic across commits.
   EXPECT_EQ(digestOf(serial[0]), 0x9c42beff61e961c4ULL)
       << std::hex << digestOf(serial[0]);
-  EXPECT_EQ(digestOf(serial[1]), 0x291212f16e09340bULL)
+  EXPECT_EQ(digestOf(serial[1]), 0x9eecb18ab217a46fULL)
       << std::hex << digestOf(serial[1]);
 }
 

@@ -270,27 +270,27 @@ std::uint64_t campaignDigest(Method method) {
 }
 
 TEST(Campaign, NativeVpnGolden) {
-  EXPECT_EQ(campaignDigest(Method::kNativeVpn), 0x8438dac0e1707aa7ULL);
+  EXPECT_EQ(campaignDigest(Method::kNativeVpn), 0x8ae16fa210e4cc3eULL);
 }
 
 TEST(Campaign, OpenVpnGolden) {
-  EXPECT_EQ(campaignDigest(Method::kOpenVpn), 0x894a86f011fe3014ULL);
+  EXPECT_EQ(campaignDigest(Method::kOpenVpn), 0x9d07d3dc4552d3c8ULL);
 }
 
 TEST(Campaign, TorGolden) {
-  EXPECT_EQ(campaignDigest(Method::kTor), 0x089fd9bfadd66e51ULL);
+  EXPECT_EQ(campaignDigest(Method::kTor), 0xfb7eb692196d9e4aULL);
 }
 
 TEST(Campaign, ShadowsocksGolden) {
-  EXPECT_EQ(campaignDigest(Method::kShadowsocks), 0x249a57bef0177a7bULL);
+  EXPECT_EQ(campaignDigest(Method::kShadowsocks), 0x91e298b37aee5b9fULL);
 }
 
 TEST(Campaign, ScholarCloudGolden) {
-  EXPECT_EQ(campaignDigest(Method::kScholarCloud), 0x62954dbadf3c6857ULL);
+  EXPECT_EQ(campaignDigest(Method::kScholarCloud), 0x7645ed1a9abb7ff7ULL);
 }
 
 TEST(Campaign, ServerlessGolden) {
-  EXPECT_EQ(campaignDigest(Method::kServerless), 0x6aa5d7f626106e41ULL);
+  EXPECT_EQ(campaignDigest(Method::kServerless), 0xa65606d0a55656ceULL);
 }
 
 // A campaign leaves nothing running behind it. A Tor campaign that left its
@@ -361,12 +361,12 @@ std::uint64_t scalabilityCellDigest(Method method) {
 }
 
 TEST(Scalability, ShadowsocksCellGolden) {
-  EXPECT_EQ(scalabilityCellDigest(Method::kShadowsocks), 0x378eed382e906dd6ULL);
+  EXPECT_EQ(scalabilityCellDigest(Method::kShadowsocks), 0x3f2731b091613a18ULL);
 }
 
 TEST(Scalability, ScholarCloudCellGolden) {
   EXPECT_EQ(scalabilityCellDigest(Method::kScholarCloud),
-            0xfa59005ec79b6946ULL);
+            0x873d82bc31e416f6ULL);
 }
 
 // Tracing the cell observes it without changing what it measures.
