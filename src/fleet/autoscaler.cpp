@@ -18,10 +18,8 @@ Autoscaler::Autoscaler(sim::Simulator& sim, AutoscalerOptions options,
   if (options_.min_size < 1) options_.min_size = 1;
   if (options_.max_size < options_.min_size)
     options_.max_size = options_.min_size;
-  if (obs::Registry* reg = obs::registryOf(sim_)) {
+  if (obs::Registry* reg = obs::registryOf(sim_))
     g_load_ = reg->gauge("sc.fleet.active_streams");
-    c_saturation_ = reg->counter("sc.domestic.pool_saturation");
-  }
 }
 
 void Autoscaler::start() {
@@ -38,25 +36,16 @@ double Autoscaler::readLoad() const {
   return g_load_ == nullptr ? 0.0 : g_load_->value();
 }
 
-std::uint64_t Autoscaler::readSaturation() const {
-  return c_saturation_ == nullptr ? 0 : c_saturation_->value();
-}
-
 void Autoscaler::tick() {
   const int size = size_ == nullptr ? 0 : size_();
   if (size <= 0) return;
-
-  const std::uint64_t saturation = readSaturation();
-  const bool saturated = saturation > last_saturation_;
-  last_saturation_ = saturation;
 
   const bool cooling =
       scaled_once_ && sim_.now() - last_scale_at_ < options_.cooldown;
   if (cooling) return;
 
   const double per_endpoint = readLoad() / static_cast<double>(size);
-  if ((saturated || per_endpoint > kHighWatermark) &&
-      size < options_.max_size) {
+  if (per_endpoint > kHighWatermark && size < options_.max_size) {
     ++ups_;
     scaled_once_ = true;
     last_scale_at_ = sim_.now();

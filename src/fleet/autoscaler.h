@@ -1,17 +1,14 @@
 // Metrics-driven fleet autoscaler.
 //
-// Reads load from the obs::Registry — the same instruments the exporters
+// Reads load from the obs::Registry — the same instrument the exporters
 // dump, so a scaling decision is always explainable from the metrics file:
-//   - sc.fleet.active_streams: current leased streams;
-//   - sc.domestic.pool_saturation: retries because no tunnel was
-//     available. Any growth between ticks is immediate scale-up pressure
-//     regardless of the average load.
+// sc.fleet.active_streams, the current leased streams.
 //
 // Policy: every `interval`, per-endpoint load = gauge / size(). Above 4
-// leased streams per endpoint (or saturation growth) -> grow by one; below
-// 1 -> shrink by one; always within [min_size, max_size] and
-// at most one step per `cooldown` (rented VMs take minutes to provision —
-// flapping would churn egress IPs for nothing).
+// leased streams per endpoint -> grow by one; below 1 -> shrink by one;
+// always within [min_size, max_size] and at most one step per `cooldown`
+// (rented VMs take minutes to provision — flapping would churn egress IPs
+// for nothing).
 #pragma once
 
 #include <functional>
@@ -49,7 +46,6 @@ class Autoscaler {
 
  private:
   double readLoad() const;
-  std::uint64_t readSaturation() const;
 
   sim::Simulator& sim_;
   AutoscalerOptions options_;
@@ -58,12 +54,10 @@ class Autoscaler {
   sim::EventHandle timer_;
   sim::Time last_scale_at_ = 0;
   bool scaled_once_ = false;
-  std::uint64_t last_saturation_ = 0;
   std::uint64_t ups_ = 0;
   std::uint64_t downs_ = 0;
 
   obs::Gauge* g_load_ = nullptr;
-  obs::Counter* c_saturation_ = nullptr;
 };
 
 }  // namespace sc::fleet

@@ -74,6 +74,7 @@ Fleet::Fleet(transport::HostStack& stack, FleetOptions options, SpawnFn spawn,
     g_size_ = reg->gauge("sc.fleet.size");
     c_respawns_ = reg->counter("sc.fleet.respawns");
     c_failovers_ = reg->counter("sc.fleet.failovers");
+    c_pool_saturation_ = reg->counter("sc.domestic.pool_saturation");
   }
   prober_.setOnStateChange([this](int id, Health from, Health to) {
     onHealthChange(id, from, to);
@@ -352,6 +353,9 @@ void Fleet::tryPick(net::Ipv4 client, transport::ConnectTarget target,
     fn(nullptr);
     return;
   }
+  // No endpoint had a stream to give: count the wait before retrying.
+  if (c_pool_saturation_ != nullptr) c_pool_saturation_->inc();
+  trace(obs::EventType::kPoolSaturation, "fleet-pick", "", retries_left);
   stack_.sim().schedule(
       kPickRetryDelay,
       [this, client, target = std::move(target), passthrough,

@@ -155,6 +155,8 @@ class Fleet final : public core::TunnelProvider {
   obs::Gauge* g_size_ = nullptr;
   obs::Counter* c_respawns_ = nullptr;
   obs::Counter* c_failovers_ = nullptr;
+  // sc.domestic.pool_saturation: pick retries while no stream was available.
+  obs::Counter* c_pool_saturation_ = nullptr;
 };
 
 }  // namespace sc::fleet

@@ -35,7 +35,7 @@ enum class EventType : std::uint8_t {
   kTunnelPing,     // a=1 ping / 0 pong
   kTcpRetransmit,  // what="rto"|"fast"|"syn", flow, a=seq
   kNote,           // free-form marker (campaign phase boundaries etc.)
-  kPoolSaturation, // domestic tunnel pool empty at pick, a=retries left
+  kPoolSaturation, // no tunnel stream to hand out at pick, a=retries left
   kFleetProbe,     // what="up"|"down"|"fail", detail=endpoint, a=failures
   kFleetFailover,  // what=cause ("retired"|"pick"), detail=endpoint, a=id
   kFleetScale,     // what="up"|"down"|"respawn"|"crash", detail=endpoint,

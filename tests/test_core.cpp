@@ -649,6 +649,8 @@ TEST(ScholarCloud, AutoRotateBumpsEpochOnSchedule) {
 
 // A request that arrives while the proxy's one remote has no connected
 // tunnel waits out the fleet's pick retries and ends in a 502, not a hang.
+// Every retry bumps sc.domestic.pool_saturation and (with tracing on)
+// records a kPoolSaturation event.
 TEST(ScholarCloud, PoolSaturationIsCountedAndTraced) {
   sim::Simulator sim(7);
   obs::Hub hub(sim);
@@ -683,6 +685,13 @@ TEST(ScholarCloud, PoolSaturationIsCountedAndTraced) {
   sim.runUntil(30 * sim::kSecond);
   ASSERT_TRUE(resp.has_value());  // retries exhausted -> 502, not a hang
   EXPECT_EQ(resp->status, 502);
+  EXPECT_GE(obs::registryOf(sim)->counter("sc.domestic.pool_saturation")
+                ->value(),
+            1u);
+  bool saw_event = false;
+  for (const auto& ev : hub.tracer().events())
+    if (ev.type == obs::EventType::kPoolSaturation) saw_event = true;
+  EXPECT_TRUE(saw_event);
 }
 
 }  // namespace

@@ -392,22 +392,6 @@ TEST(Autoscaler, ScalesWithinBoundsOnLoad) {
   EXPECT_EQ(as.scaleDowns(), 2u);
 }
 
-TEST(Autoscaler, SaturationGrowthForcesScaleUp) {
-  sim::Simulator sim(1);
-  obs::Hub hub(sim);
-  auto* sat = obs::registryOf(sim)->counter("sc.domestic.pool_saturation");
-  AutoscalerOptions opts;
-  opts.cooldown = 0;
-  int size = 1;
-  Autoscaler as(sim, opts, [&] { return size; },
-                [&](int delta) { size += delta; });
-  as.tick();  // baseline: load 0, no saturation -> hold at min
-  EXPECT_EQ(size, 1);
-  sat->inc();  // a request found no tunnel since the last tick
-  as.tick();
-  EXPECT_EQ(size, 2);  // load says shrink, saturation growth wins
-}
-
 TEST(Autoscaler, CooldownLimitsStepRate) {
   sim::Simulator sim(1);
   obs::Hub hub(sim);

@@ -388,8 +388,8 @@ TEST(Population, SameSeedCellsAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(again.background_digest, serial[0].background_digest);
   // Goldens: the hybrid world (cohort + background) keeps its traffic
   // across commits.
-  const std::uint64_t golden[] = {0x0e2dd6cee69e5357ULL, 0xf20cad06cac01ef7ULL,
-                                  0x432c717bb08e60deULL};
+  const std::uint64_t golden[] = {0xf848cbcb149c7269ULL, 0xf20cad06cac01ef7ULL,
+                                  0x4136029ef4c93602ULL};
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_EQ(digestOf(serial[i]), golden[i])
         << i << ": " << std::hex << digestOf(serial[i]);
