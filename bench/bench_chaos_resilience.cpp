@@ -59,13 +59,12 @@ int main() {
   struct Row {
     const char* label;
     measure::Method method;
-    bool fleet;
   };
   const std::vector<Row> rows = {
-      {"sc_fleet", measure::Method::kScholarCloud, true},
-      {"native_vpn", measure::Method::kNativeVpn, false},
-      {"tor", measure::Method::kTor, false},
-      {"shadowsocks", measure::Method::kShadowsocks, false},
+      {"sc_fleet", measure::Method::kScholarCloud},
+      {"native_vpn", measure::Method::kNativeVpn},
+      {"tor", measure::Method::kTor},
+      {"shadowsocks", measure::Method::kShadowsocks},
   };
 
   std::vector<measure::ChaosCellOptions> cells;
@@ -73,7 +72,6 @@ int main() {
     for (const Row& row : rows) {
       measure::ChaosCellOptions c;
       c.method = row.method;
-      c.fleet = row.fleet;
       c.fleet_size = fleet_size;
       c.users = users;
       c.script = script.script;
@@ -98,7 +96,7 @@ int main() {
   for (std::size_t s = 0; s < scripts.size(); ++s) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       const auto& cell = results[s * rows.size() + r];
-      if (rows[r].fleet) {
+      if (rows[r].method == measure::Method::kScholarCloud) {
         if (cell.unrecovered > 0 || cell.impacted == 0)
           sc_recovers_all = false;
       } else if (scripts[s].name == "vpn_ban" && cell.unrecovered > 0) {

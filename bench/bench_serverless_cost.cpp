@@ -139,11 +139,8 @@ int main() {
   // ---- frontier: the other methods through the same ban story --------
   std::vector<measure::ChaosCellOptions> baselines(3);
   baselines[0].method = measure::Method::kScholarCloud;
-  baselines[0].fleet = true;
   baselines[1].method = measure::Method::kTor;
-  baselines[1].fleet = false;
   baselines[2].method = measure::Method::kShadowsocks;
-  baselines[2].fleet = false;
   for (auto& c : baselines) {
     c.users = users;
     c.script = wave;

@@ -38,12 +38,10 @@ int main() {
 
   measure::ChaosCellOptions tor;
   tor.method = measure::Method::kTor;
-  tor.fleet = false;
   tor.script = script;
 
   measure::ChaosCellOptions sc_cell;
   sc_cell.method = measure::Method::kScholarCloud;
-  sc_cell.fleet = true;
   sc_cell.script = script;
 
   // One parallel sweep, like the bench runs it (order is still cell order).

@@ -21,7 +21,6 @@ int main() {
 
   measure::ChaosCellOptions cell;
   cell.method = measure::Method::kScholarCloud;
-  cell.fleet = true;
   cell.fleet_size = 3;
   cell.script = chaos::ssEndpointDiscovery(10 * sim::kSecond);
   const auto r = measure::runChaosCell(cell);

@@ -60,14 +60,12 @@ int main() {
 
   measure::ChaosCellOptions vpn;
   vpn.method = measure::Method::kNativeVpn;
-  vpn.fleet = false;
   vpn.script = script;
   const auto vpn_result = measure::runChaosCell(vpn);
   printCell("native VPN", vpn_result);
 
   measure::ChaosCellOptions sc_cell;
   sc_cell.method = measure::Method::kScholarCloud;
-  sc_cell.fleet = true;
   sc_cell.script = script;
   const auto sc_result = measure::runChaosCell(sc_cell);
   printCell("ScholarCloud + fleet", sc_result);

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/fleet_api.h"
-#include "core/tunnel.h"
 #include "http/pac.h"
 #include "http/server.h"
 #include "http/socks.h"
@@ -27,11 +26,6 @@ namespace sc::core {
 
 struct DomesticProxyOptions {
   net::Port http_port = 8080;
-  // Remote proxy tunnel endpoint. A zero IP means "no built-in pool": the
-  // proxy then serves nothing until a TunnelProvider (a fleet) is installed.
-  net::Endpoint remote;
-  Bytes tunnel_secret;
-  crypto::BlindingMode blinding_mode = crypto::BlindingMode::kByteMap;
   std::vector<std::string> whitelist;  // e.g. {"scholar.google.com"}
   // Per-request work of the real deployment's user-space proxy (whitelist
   // check, user registry, logging, blinding) on its single-core VM. Light

@@ -51,13 +51,10 @@ Bytes fleetSecret() { return toBytes("scholarcloud-operator-secret"); }
 
 Bytes serverlessSecret() { return toBytes("serverless-dispatch-secret"); }
 
-// A domestic proxy whose tunnels all come from a TunnelProvider (the fleet or
-// the dispatcher): its built-in remote stays zero.
-core::DomesticProxyOptions providerOnlyOptions(
-    Bytes secret, crypto::BlindingMode blinding_mode) {
+// A domestic proxy whitelisting the cell's one host; its tunnels come from
+// the TunnelProvider installed next (the fleet or the dispatcher).
+core::DomesticProxyOptions scholarOnlyOptions() {
   core::DomesticProxyOptions opts;
-  opts.tunnel_secret = std::move(secret);
-  opts.blinding_mode = blinding_mode;
   opts.whitelist = {Testbed::kScholarHost};
   return opts;
 }
@@ -67,9 +64,7 @@ core::DomesticProxyOptions providerOnlyOptions(
 FleetDeployment::FleetDeployment(CellWorld& cw, const std::string& prefix,
                                  fleet::FleetOptions options)
     : domestic_stack_(cw.world.addCampusServer("sc-domestic"), 2.3e9),
-      proxy(domestic_stack_,
-            providerOnlyOptions(fleetSecret(), crypto::BlindingMode::kByteMap),
-            Testbed::kScTunnelTag),
+      proxy(domestic_stack_, scholarOnlyOptions(), Testbed::kScTunnelTag),
       deployment(proxy),
       fleet(approveAndSpawn(cw, prefix, std::move(options))) {}
 
@@ -145,8 +140,7 @@ ServerlessDeployment::ServerlessDeployment(
     const serverless::ProviderOptions& provider_options,
     crypto::BlindingMode blinding_mode)
     : gateway_stack_(world.addCampusServer("fn-gateway"), 2.3e9),
-      gateway(gateway_stack_,
-              providerOnlyOptions(serverlessSecret(), blinding_mode),
+      gateway(gateway_stack_, scholarOnlyOptions(),
               Testbed::kServerlessTunnelTag),
       cost(world.network().sim()),
       provider(world.network().sim(), provider_options,

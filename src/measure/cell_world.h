@@ -8,7 +8,7 @@
 //                          blocking google.com and the origin IP; the ICP
 //                          registry its leniency consults.
 //   FleetDeployment      — ScholarCloud as a fleet: the ICP-approved
-//                          "sc-domestic" proxy in fleet-only mode whose fleet
+//                          "sc-domestic" proxy whose fleet
 //                          spawns RemoteProxy endpoints "<prefix>-remote-<seq>"
 //                          on fresh US IPs, with blocklist churn fed to it.
 //   ServerlessDeployment — the unregistered, provider-only "fn-gateway", its

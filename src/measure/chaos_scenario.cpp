@@ -172,7 +172,7 @@ ChaosCellResult runChaosCell(const ChaosCellOptions& options) {
     out.trace_jsonl = sr.trace_jsonl;
     return out;
   }
-  if (options.method == Method::kScholarCloud && options.fleet)
+  if (options.method == Method::kScholarCloud)
     return runFleetChaosCell(options);
   return runTestbedCell(options);
 }

@@ -4,11 +4,10 @@
 // Two world shapes behind one cell interface:
 //   - baseline methods (native VPN, OpenVPN, Tor, Shadowsocks, direct) run
 //     inside a full Testbed with Link + GFW injectors armed;
-//   - kScholarCloud with `fleet` set runs a CellWorld with a FleetDeployment
-//     (cell_world.h: domestic proxy in fleet-only mode, RemoteProxy
-//     endpoints on fresh US IPs) and all four injectors, so "egress" IP bans
-//     and "fleet:any" crashes land on live endpoints and the retire/respawn
-//     loop is the recovery under test;
+//   - kScholarCloud runs a CellWorld with a FleetDeployment (cell_world.h:
+//     RemoteProxy endpoints on fresh US IPs) and all four injectors, so
+//     "egress" IP bans and "fleet:any" crashes land on live endpoints and
+//     the retire/respawn loop is the recovery under test;
 //   - kServerless runs the serverless world (serverless_scenario.h) and
 //     folds its result down to this one.
 //
@@ -31,7 +30,6 @@ namespace sc::measure {
 struct ChaosCellOptions {
   std::uint64_t seed = 42;
   Method method = Method::kScholarCloud;
-  bool fleet = true;  // kScholarCloud only: fleet-backed world
   int fleet_size = 3;
   int users = 3;
   chaos::ChaosScript script;

@@ -474,7 +474,6 @@ TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
   {
     measure::ChaosCellOptions c;
     c.method = measure::Method::kScholarCloud;
-    c.fleet = true;
     c.fleet_size = 2;
     c.users = 2;
     c.script = ssEndpointDiscovery(4 * sim::kSecond);
@@ -484,7 +483,6 @@ TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
   {
     measure::ChaosCellOptions c;
     c.method = measure::Method::kNativeVpn;
-    c.fleet = false;
     c.users = 1;
     c.script = semesterVpnBan(4 * sim::kSecond);
     c.duration = 30 * sim::kSecond;
@@ -515,7 +513,6 @@ TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
 TEST(ChaosScenario, FleetWorldSurvivesEgressBanAndCrash) {
   measure::ChaosCellOptions c;
   c.method = measure::Method::kScholarCloud;
-  c.fleet = true;
   c.fleet_size = 2;
   c.users = 2;
   c.script = ssEndpointDiscovery(4 * sim::kSecond);

@@ -459,7 +459,6 @@ struct FleetWorld {
 
     const Bytes secret = toBytes("operator-secret");
     core::DomesticProxyOptions dopts;
-    dopts.tunnel_secret = secret;  // remote stays zero: fleet-only
     dopts.whitelist = {kHost};
     proxy = std::make_unique<core::DomesticProxy>(domestic_stack, dopts);
     deployment = std::make_unique<core::Deployment>(*proxy);
