@@ -156,8 +156,10 @@ bool parseStartLine(std::string_view line, Request& req) {
   return startsWith(line.substr(sp2 + 1), "HTTP/");
 }
 
-// "HTTP/x <status>[ <reason>]"; the reason may be empty or missing.
+// "HTTP/x <status>[ <reason>]"; the reason may be empty or missing, and
+// holds no control byte but HTAB.
 bool parseStartLine(std::string_view line, Response& resp) {
+  if (hasFieldControlByte(line)) return false;
   const auto sp1 = line.find(' ');
   if (sp1 == std::string_view::npos || !startsWith(line, "HTTP/")) return false;
   const auto sp2 = line.find(' ', sp1 + 1);
@@ -188,7 +190,8 @@ bool MessageParser<Message>::tryParseHeader(std::size_t& used) {
   }
 
   // Lines split on '\n' and trimmed; blank lines are skipped. The first
-  // line left is the start line, every later one a "name: value" field.
+  // line left is the start line, every later one a "name: value" field
+  // holding no control byte but HTAB.
   Message msg;
   const std::string_view head = pending.substr(0, end);
   bool first = true;
@@ -207,7 +210,7 @@ bool MessageParser<Message>::tryParseHeader(std::size_t& used) {
       continue;
     }
     const auto colon = line.find(':');
-    if (colon == std::string_view::npos) {
+    if (colon == std::string_view::npos || hasFieldControlByte(line)) {
       malformed_ = true;
       return false;
     }

@@ -62,6 +62,14 @@ bool hasControlByte(std::string_view s) {
   return false;
 }
 
+bool hasFieldControlByte(std::string_view s) {
+  for (const char c : s) {
+    const auto b = static_cast<unsigned char>(c);
+    if ((b < 0x20 && b != '\t') || b == 0x7f) return true;
+  }
+  return false;
+}
+
 bool icontains(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
   if (haystack.size() < needle.size()) return false;

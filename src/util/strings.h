@@ -19,6 +19,11 @@ bool iequals(std::string_view a, std::string_view b);
 // into (RFC 9112 §2.2).
 bool hasControlByte(std::string_view s);
 
+// True when `s` holds a control byte other than HTAB. A header field or a
+// response's reason phrase may hold HTAB but no other (RFC 9110 §5.5,
+// RFC 9112 §4): a bare CR would split the line a proxy forwards.
+bool hasFieldControlByte(std::string_view s);
+
 // ASCII-only case fold, locale-independent (bytes >= 0x80 map to
 // themselves, matching std::tolower in the "C" locale the DPI path and the
 // PAC evaluator both assume).
