@@ -129,10 +129,17 @@ bool Fleet::addEndpoint() {
 void Fleet::ensureTunnel(int id, std::size_t slot) {
   const auto it = endpoints_.find(id);
   if (it == endpoints_.end()) return;
+  obs::SpanId span = 0;
+  if (auto* sp = obs::spansOf(stack_.sim()))
+    span = sp->begin(obs::SpanKind::kTunnelHandshake, tag_, "sc-mux",
+                     it->second.remote.str());
   auto direct = stack_.directConnector(tag_);
   direct->connect(
       transport::ConnectTarget::byAddress(it->second.remote),
-      [this, id, slot](transport::Stream::Ptr wire) {
+      [this, id, slot, span](transport::Stream::Ptr wire) {
+        if (auto* sp = obs::spansOf(stack_.sim()))
+          sp->end(span, wire != nullptr ? obs::SpanStatus::kOk
+                                        : obs::SpanStatus::kError);
         const auto ep = endpoints_.find(id);
         if (ep == endpoints_.end()) {
           if (wire != nullptr) wire->close();

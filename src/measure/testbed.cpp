@@ -246,10 +246,7 @@ void Testbed::buildScholarCloud() {
   const net::Endpoint remote{remote_node.primaryIp(), 443};
   deployment_->spawnFleet<fleet::Fleet>(
       *sc_domestic_stack_, fleet_opts,
-      [remote](int) {
-        return std::optional<fleet::EndpointSpawn>{
-            fleet::EndpointSpawn{remote, "sc-remote"}};
-      },
+      [remote](int) { return fleet::EndpointSpawn{remote, "sc-remote"}; },
       kScTunnelTag);
 
   if (options_.register_scholarcloud) {

@@ -326,10 +326,8 @@ std::unique_ptr<fleet::Fleet> oneRemoteFleet(transport::HostStack& stack,
   fopts.blinding_mode = mode;
   fopts.enable_cache = false;
   return std::make_unique<fleet::Fleet>(
-      stack, std::move(fopts), [remote](int) {
-        return std::optional<fleet::EndpointSpawn>{
-            fleet::EndpointSpawn{remote, "remote"}};
-      });
+      stack, std::move(fopts),
+      [remote](int) { return fleet::EndpointSpawn{remote, "remote"}; });
 }
 
 struct ScWorld : MiniWorld {
