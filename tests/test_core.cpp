@@ -545,6 +545,9 @@ TEST(Deployment, ApplicationCarriesDocumentsAndWhitelist) {
 
 TEST(Deployment, RegistersThroughTcaAndInstallsIcpNumber) {
   ScWorld w;
+  // Registration needs no tunnel, and the review takes months of sim time
+  // that the fleet's health pings would fill: retire the one remote.
+  w.tunnels->retireEndpoint(0, /*respawn=*/false);
   regulation::IcpRegistry registry;
   regulation::TcaAgency agency(w.sim, registry);
   Deployment deployment(*w.domestic);
