@@ -475,6 +475,16 @@ TEST(ScholarCloud, ConnectTargetMustBeAWellFormedAuthority) {
   EXPECT_EQ(w.domestic->requestsProxied(), 1u);
 }
 
+// The proxy dials no tunnel of its own: without a provider a whitelisted
+// CONNECT gets a 502.
+TEST(ScholarCloud, NoTunnelProviderAnswers502) {
+  ScWorld w;
+  w.domestic->setTunnelProvider(nullptr);
+  EXPECT_EQ(connectStatus(w, "scholar.google.com:443"), 502);
+  EXPECT_EQ(w.domestic->requestsDenied(), 1u);
+  EXPECT_EQ(w.remote->streamsServed(), 0u);
+}
+
 TEST(ScholarCloud, WhitelistIsMutableOnDemand) {
   ScWorld w;
   EXPECT_TRUE(w.domestic->isWhitelisted("scholar.google.com"));
