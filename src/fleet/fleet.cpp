@@ -1,5 +1,10 @@
 #include "fleet/fleet.h"
 
+#include <algorithm>
+#include <utility>
+
+#include "http/tls.h"
+
 namespace sc::fleet {
 
 namespace {
@@ -96,6 +101,7 @@ Fleet::Fleet(transport::HostStack& stack, FleetOptions options, SpawnFn spawn,
 }
 
 Fleet::~Fleet() {
+  *alive_ = false;
   // Erase before closing: tunnel close handlers look the endpoint up and
   // must not schedule redials into a dead fleet.
   std::map<int, Endpoint> doomed;
@@ -105,6 +111,7 @@ Fleet::~Fleet() {
     for (auto& tunnel : ep.tunnels)
       if (tunnel != nullptr) tunnel->close();
   }
+  for (auto& tunnel : std::exchange(draining_, {})) tunnel->close();
 }
 
 bool Fleet::addEndpoint() {
@@ -116,9 +123,15 @@ bool Fleet::addEndpoint() {
   Endpoint& ep = endpoints_[id];
   ep.remote = spawned->endpoint;
   ep.name = spawned->name;
+  ep.sni = spawned->sni;
   ep.tunnels.resize(
       static_cast<std::size_t>(std::max(1, options_.tunnels_per_endpoint)));
   balancer_.addBackend(id);
+  // A fronted endpoint joins the picks once its first tunnel is up: its
+  // handshake waits out the function's cold start (up to 900 ms), and a
+  // pick before then would fail it over and probe it toward a ban. A plain
+  // endpoint is pickable at once; its dial is one round trip.
+  if (!ep.sni.empty()) balancer_.setAvailable(id, false);
   prober_.watch(id);
   for (std::size_t slot = 0; slot < ep.tunnels.size(); ++slot)
     ensureTunnel(id, slot);
@@ -136,35 +149,70 @@ void Fleet::ensureTunnel(int id, std::size_t slot) {
   auto direct = stack_.directConnector(tag_);
   direct->connect(
       transport::ConnectTarget::byAddress(it->second.remote),
-      [this, id, slot, span](transport::Stream::Ptr wire) {
-        if (auto* sp = obs::spansOf(stack_.sim()))
-          sp->end(span, wire != nullptr ? obs::SpanStatus::kOk
-                                        : obs::SpanStatus::kError);
-        const auto ep = endpoints_.find(id);
-        if (ep == endpoints_.end()) {
+      [this, id, slot, span, alive = alive_](transport::Stream::Ptr wire) {
+        if (!*alive) {
           if (wire != nullptr) wire->close();
-          return;  // endpoint retired while dialing
-        }
-        if (wire == nullptr) {
-          stack_.sim().schedule(5 * sim::kSecond,
-                                [this, id, slot] { ensureTunnel(id, slot); });
           return;
         }
-        core::Tunnel::Options topts;
-        topts.secret = options_.tunnel_secret;
-        topts.blinding_mode = options_.blinding_mode;
-        topts.client_side = true;
-        auto tunnel =
-            core::Tunnel::create(std::move(wire), stack_.sim(), std::move(topts));
-        tunnel->setOnClose([this, id, slot] {
-          const auto live = endpoints_.find(id);
-          if (live == endpoints_.end()) return;  // retired: no redial
-          live->second.tunnels[slot] = nullptr;
-          stack_.sim().schedule(sim::kSecond,
-                                [this, id, slot] { ensureTunnel(id, slot); });
-        });
-        ep->second.tunnels[slot] = std::move(tunnel);
+        const auto ep = endpoints_.find(id);
+        if (wire == nullptr || ep == endpoints_.end() ||
+            ep->second.sni.empty()) {
+          onDialed(id, slot, span, std::move(wire));
+          return;
+        }
+        // Fronted: the border sees only the SNI and the default (stock
+        // browser) fingerprint. No resumption: a ticket one ephemeral
+        // endpoint minted would not validate on its replacement.
+        http::TlsClientOptions tls;
+        tls.sni = ep->second.sni;
+        tls.allow_resumption = false;
+        http::TlsStream::clientHandshake(
+            std::move(wire), stack_.sim(), std::move(tls), nullptr,
+            [this, id, slot, span, alive](http::TlsStream::Ptr stream) {
+              if (!*alive) {
+                if (stream != nullptr) stream->close();
+                return;
+              }
+              onDialed(id, slot, span, std::move(stream));
+            });
       });
+}
+
+void Fleet::onDialed(int id, std::size_t slot, obs::SpanId span,
+                     transport::Stream::Ptr wire) {
+  if (auto* sp = obs::spansOf(stack_.sim()))
+    sp->end(span,
+            wire != nullptr ? obs::SpanStatus::kOk : obs::SpanStatus::kError);
+  const auto ep = endpoints_.find(id);
+  if (ep == endpoints_.end()) {
+    if (wire != nullptr) wire->close();
+    return;  // endpoint retired while dialing
+  }
+  if (wire == nullptr) {
+    stack_.sim().schedule(5 * sim::kSecond, [this, id, slot, alive = alive_] {
+      if (*alive) ensureTunnel(id, slot);
+    });
+    return;
+  }
+  core::Tunnel::Options topts;
+  topts.secret = options_.tunnel_secret;
+  topts.blinding_mode = options_.blinding_mode;
+  topts.client_side = true;
+  auto tunnel =
+      core::Tunnel::create(std::move(wire), stack_.sim(), std::move(topts));
+  if (blinding_epoch_ != 0) tunnel->rotateBlinding(blinding_epoch_);
+  tunnel->setOnClose([this, id, slot, alive = alive_] {
+    if (!*alive) return;
+    const auto live = endpoints_.find(id);
+    if (live == endpoints_.end()) return;  // retired: no redial
+    live->second.tunnels[slot] = nullptr;
+    stack_.sim().schedule(sim::kSecond, [this, id, slot, alive] {
+      if (*alive) ensureTunnel(id, slot);
+    });
+  });
+  ep->second.tunnels[slot] = std::move(tunnel);
+  if (!ep->second.sni.empty() && prober_.state(id) == Health::kUnknown)
+    balancer_.setAvailable(id, true);
 }
 
 core::Tunnel::Ptr Fleet::connectedTunnel(Endpoint& ep) {
@@ -189,13 +237,13 @@ void Fleet::probeEndpoint(int id, std::function<void(bool)> done) {
   // First answer wins: pong before the deadline is a pass, the deadline
   // firing first is a fail (a GFW-blocked wire swallows the ping silently).
   auto settled = std::make_shared<bool>(false);
-  tunnel->ping([settled, done] {
-    if (*settled) return;
+  tunnel->ping([settled, done, alive = alive_] {
+    if (*settled || !*alive) return;
     *settled = true;
     done(true);
   });
-  stack_.sim().schedule(kProbeTimeout, [settled, done] {
-    if (*settled) return;
+  stack_.sim().schedule(kProbeTimeout, [settled, done, alive = alive_] {
+    if (*settled || !*alive) return;
     *settled = true;
     done(false);
   });
@@ -217,14 +265,19 @@ void Fleet::onHealthChange(int id, Health from, Health to) {
       balancer_.setAvailable(id, false);
       break;
     case Health::kDown:
-      retireEndpoint(id, /*respawn=*/true);  // CensorLess-style rotation
+      // CensorLess-style rotation: a banned IP is dead, so cut at once.
+      retire(id, /*respawn=*/true, /*drain=*/false, /*down=*/true);
       break;
     case Health::kUnknown:
       break;
   }
 }
 
-void Fleet::retireEndpoint(int id, bool respawn) {
+void Fleet::retireEndpoint(int id, bool respawn, bool drain) {
+  retire(id, respawn, drain, /*down=*/false);
+}
+
+void Fleet::retire(int id, bool respawn, bool drain, bool down) {
   const auto it = endpoints_.find(id);
   if (it == endpoints_.end()) return;
   const std::string name = std::move(it->second.name);
@@ -232,15 +285,37 @@ void Fleet::retireEndpoint(int id, bool respawn) {
   balancer_.removeBackend(id);
   prober_.unwatch(id);
   endpoints_.erase(it);  // close handlers below see the endpoint gone
-  for (auto& tunnel : tunnels)
-    if (tunnel != nullptr) tunnel->close();
+  for (auto& tunnel : tunnels) {
+    if (tunnel == nullptr) continue;
+    if (drain && tunnel->connected() && tunnel->openStreams() > 0)
+      this->drain(std::move(tunnel));
+    else
+      tunnel->close();
+  }
   trace(obs::EventType::kFleetFailover, "retired", name, id);
   if (g_size_ != nullptr) g_size_->set(static_cast<double>(size()));
+  if (on_retire_) on_retire_(id, down);
   if (respawn && addEndpoint()) {
     ++respawns_;
     if (c_respawns_ != nullptr) c_respawns_->inc();
     trace(obs::EventType::kFleetScale, "respawn", name, size());
   }
+}
+
+void Fleet::drain(core::Tunnel::Ptr tunnel) {
+  // Closes once, at the first of: the last stream ending, the deadline.
+  // Weak: the tunnel holds this closure as its idle handler.
+  const auto close = [this, weak = std::weak_ptr(tunnel), alive = alive_] {
+    const core::Tunnel::Ptr doomed = weak.lock();
+    if (!*alive || doomed == nullptr) return;
+    const auto it = std::ranges::find(draining_, doomed);
+    if (it == draining_.end()) return;  // already closed
+    draining_.erase(it);
+    doomed->close();
+  };
+  tunnel->setOnIdle(close);
+  stack_.sim().schedule(core::kProxiedRequestTimeout, close);
+  draining_.push_back(std::move(tunnel));
 }
 
 bool Fleet::crashEndpoint(int id) {
@@ -249,13 +324,12 @@ bool Fleet::crashEndpoint(int id) {
   const auto it = endpoints_.find(id);
   if (it == endpoints_.end()) return false;
   trace(obs::EventType::kFleetScale, "crash", it->second.name, id);
-  // Closing fires each tunnel's onClose: the slot nulls out and a redial is
-  // scheduled. Against a still-routable endpoint the fleet heals quietly; a
-  // script that also downs the endpoint's access link turns those redials
-  // into timeouts and the prober walks it to kDown -> retire + respawn.
+  // A local Tunnel::close() fires no onClose, so the dead tunnels stay in
+  // their slots and nothing redials: the prober finds no connected tunnel
+  // and walks the endpoint to kDown -> retire + respawn.
   for (auto& tunnel : it->second.tunnels) {
     if (tunnel != nullptr) {
-      auto doomed = tunnel;  // keep alive: close handler nulls the slot
+      auto doomed = tunnel;  // keep alive while its streams' handlers run
       doomed->close();
     }
   }
@@ -305,6 +379,8 @@ std::vector<core::Tunnel::Ptr> Fleet::connectedTunnels() const {
   for (const auto& [id, ep] : endpoints_)
     for (const auto& tunnel : ep.tunnels)
       if (tunnel != nullptr && tunnel->connected()) out.push_back(tunnel);
+  for (const auto& tunnel : draining_)
+    if (tunnel->connected()) out.push_back(tunnel);
   return out;
 }
 
@@ -366,16 +442,19 @@ void Fleet::tryPick(net::Ipv4 client, transport::ConnectTarget target,
   stack_.sim().schedule(
       kPickRetryDelay,
       [this, client, target = std::move(target), passthrough,
-       fn = std::move(fn), retries_left]() mutable {
+       fn = std::move(fn), retries_left, alive = alive_]() mutable {
+        if (!*alive) return;
         tryPick(client, std::move(target), passthrough, std::move(fn),
                 retries_left - 1);
       });
 }
 
 void Fleet::rotateBlinding(std::uint32_t new_epoch) {
+  blinding_epoch_ = new_epoch;
   for (auto& [id, ep] : endpoints_)
     for (auto& tunnel : ep.tunnels)
       if (tunnel != nullptr) tunnel->rotateBlinding(new_epoch);
+  for (auto& tunnel : draining_) tunnel->rotateBlinding(new_epoch);
 }
 
 std::optional<int> Fleet::leaseBackgroundSlot(net::Ipv4 client) {

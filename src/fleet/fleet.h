@@ -6,6 +6,13 @@
 // treated as ephemeral: when the GFW blocks or probe-confirms an egress IP,
 // the endpoint is retired and a replacement is spawned on a fresh IP.
 //
+// It is the one tunnel pool: ScholarCloud's remote proxies (the Testbed's
+// fleet of one, the fleet cells) and the serverless method's cloud
+// functions are both Fleets. What differs is data the spawner hands back:
+// a function endpoint names the SNI its TLS answers to, and its tunnels
+// are dialed fronted (TCP, then a stock-fingerprint TLS handshake with that
+// SNI, then the tunnel inside it).
+//
 // Pieces, each separately testable:
 //   - Balancer: weighted least-connections + per-client session affinity;
 //   - HealthProber: sim-time tunnel pings, exponential backoff, kDown ->
@@ -16,8 +23,14 @@
 // The Fleet implements core::TunnelProvider, so the domestic proxy delegates
 // every stream open here without sc_core ever naming a fleet type. Spawning
 // an endpoint is delegated to SpawnFn: the embedding world (scenario, test,
-// Testbed) creates the node/stack/RemoteProxy and returns the tunnel
-// endpoint — the fleet never builds topology.
+// Testbed) or a spawn source (serverless::FunctionProvider) creates the
+// node/stack/proxy and returns the tunnel endpoint — the fleet never builds
+// topology, and knows nothing of what an endpoint costs.
+//
+// Retiring an endpoint either severs its tunnels (a kDown verdict, a
+// scale-down) or drains them: the endpoint takes no new picks,
+// and each tunnel closes when its last stream ends or at
+// core::kProxiedRequestTimeout, whichever comes first (a scheduled reap).
 #pragma once
 
 #include <functional>
@@ -33,6 +46,7 @@
 #include "fleet/balancer.h"
 #include "fleet/cache.h"
 #include "fleet/health.h"
+#include "obs/span.h"
 #include "transport/host_stack.h"
 
 namespace sc::fleet {
@@ -43,6 +57,11 @@ namespace sc::fleet {
 struct EndpointSpawn {
   net::Endpoint endpoint;
   std::string name;
+  // The name the endpoint's TLS answers to. Empty: tunnels ride plain TCP
+  // (a RemoteProxy). Set: every tunnel to it is dialed fronted, so the
+  // border sees this SNI and a stock browser fingerprint, never the
+  // endpoint's own name.
+  std::string sni = {};
 };
 
 struct FleetOptions {
@@ -60,6 +79,9 @@ struct FleetOptions {
 class Fleet final : public core::TunnelProvider {
  public:
   using SpawnFn = std::function<std::optional<EndpointSpawn>(int seq)>;
+  // Told of every retire, before any replacement is spawned. `down` is
+  // true when the health prober walked the endpoint to kDown (a ban).
+  using RetireFn = std::function<void(int id, bool down)>;
 
   // `stack` is the domestic proxy's host stack (tunnels dial from there);
   // `tag` labels tunnel packets for loss accounting.
@@ -82,13 +104,15 @@ class Fleet final : public core::TunnelProvider {
   // Wire to gfw.ips().setOnChange(...) (the embedding world does this so
   // sc_fleet never links sc_gfw): collapses every probe backoff to "now".
   void onBlocklistChurn() { prober_.probeAllNow(); }
-  // Retires `id` (drains; no new picks) and, when `respawn` is set, spawns
-  // a replacement on a fresh endpoint.
-  void retireEndpoint(int id, bool respawn);
+  void setOnRetire(RetireFn fn) { on_retire_ = std::move(fn); }
+  // Retires `id`: no new picks from now on. Its tunnels are cut at once,
+  // or with `drain` left to finish their open streams. When `respawn` is
+  // set, a replacement is spawned on a fresh endpoint.
+  void retireEndpoint(int id, bool respawn, bool drain = false);
   // Chaos seam: the remote machine dies mid-flight. Every tunnel to `id` is
-  // severed at once — no drain, no retire, no balancer update. Detection is
-  // deliberately left to the prober (redials race probe failures), so
-  // crash-to-respawn latency is a measured outcome, not a scripted one.
+  // severed at once — no drain, no retire, no balancer update, and no
+  // redial. Detection is left to the prober, so crash-to-respawn latency
+  // is a measured outcome, not a scripted one.
   // Pass id < 0 to crash the lowest live id. Returns false if nothing lives.
   bool crashEndpoint(int id);
   bool scaleUp();
@@ -107,6 +131,7 @@ class Fleet final : public core::TunnelProvider {
   int size() const { return static_cast<int>(endpoints_.size()); }
   std::vector<net::Endpoint> liveEndpoints() const;
   std::optional<int> endpointIdFor(net::Ipv4 ip) const;
+  // Live endpoints' tunnels first, then any still draining.
   std::vector<core::Tunnel::Ptr> connectedTunnels() const;
   Health endpointHealth(int id) const { return prober_.state(id); }
   std::uint64_t respawns() const noexcept { return respawns_; }
@@ -121,12 +146,17 @@ class Fleet final : public core::TunnelProvider {
   struct Endpoint {
     net::Endpoint remote;
     std::string name;
+    std::string sni;
     std::vector<core::Tunnel::Ptr> tunnels;
     std::size_t next_tunnel = 0;
   };
 
   bool addEndpoint();
   void ensureTunnel(int id, std::size_t slot);
+  void onDialed(int id, std::size_t slot, obs::SpanId span,
+                transport::Stream::Ptr wire);
+  void retire(int id, bool respawn, bool drain, bool down);
+  void drain(core::Tunnel::Ptr tunnel);
   core::Tunnel::Ptr connectedTunnel(Endpoint& ep);
   void probeEndpoint(int id, std::function<void(bool)> done);
   void onHealthChange(int id, Health from, Health to);
@@ -146,6 +176,11 @@ class Fleet final : public core::TunnelProvider {
   std::unique_ptr<ShardedLruCache> cache_;
   std::unique_ptr<Autoscaler> autoscaler_;
   std::map<int, Endpoint> endpoints_;
+  // Tunnels of retired endpoints finishing their open streams.
+  std::vector<core::Tunnel::Ptr> draining_;
+  RetireFn on_retire_;
+  // The last rotateBlinding epoch: every tunnel dialed later starts there.
+  std::uint32_t blinding_epoch_ = 0;
   int next_seq_ = 0;
   std::uint64_t respawns_ = 0;
   std::uint64_t failovers_ = 0;
@@ -157,6 +192,10 @@ class Fleet final : public core::TunnelProvider {
   obs::Counter* c_failovers_ = nullptr;
   // sc.domestic.pool_saturation: pick retries while no stream was available.
   obs::Counter* c_pool_saturation_ = nullptr;
+  // Guards every callback the simulator may run after the fleet is gone
+  // (dials, redials, pick retries, probe deadlines, drain deadlines): the
+  // destructor clears it, and a late callback then touches nothing.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace sc::fleet

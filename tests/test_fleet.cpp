@@ -488,16 +488,15 @@ struct FleetWorld {
     gfw.ips().setOnChange([this] { fl->onBlocklistChurn(); });
   }
 
-  // One whitelisted absolute-form GET through the proxy. State lives on the
-  // heap: if the deadline fires first, late callbacks must not touch a dead
-  // stack frame.
-  std::optional<http::Response> fetchOnce(
-      sim::Time budget = 30 * sim::kSecond) {
-    struct State {
-      std::optional<http::Response> result;
-      bool done = false;
-    };
-    auto st = std::make_shared<State>();
+  // One whitelisted absolute-form GET through the proxy, started now. State
+  // lives on the heap: if a deadline fires first, late callbacks must not
+  // touch a dead stack frame.
+  struct Fetch {
+    std::optional<http::Response> result;
+    bool done = false;
+  };
+  std::shared_ptr<Fetch> startFetch() {
+    auto st = std::make_shared<Fetch>();
     sim::Simulator& s = sim;
     client.tcpConnect(
         proxy->proxyEndpoint(), [&s, st](const auto& conn) {
@@ -517,6 +516,12 @@ struct FleetWorld {
                 st->done = true;
               });
         });
+    return st;
+  }
+
+  std::optional<http::Response> fetchOnce(
+      sim::Time budget = 30 * sim::kSecond) {
+    const auto st = startFetch();
     EXPECT_TRUE(
         sim.runWhile([st] { return st->done; }, sim.now() + budget));
     return st->result;
@@ -607,6 +612,72 @@ TEST(Fleet, BlindingRotationReKeysEveryFleetTunnel) {
   const auto resp = w.fetchOnce();
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 200);
+
+  // Tunnels dialed after the rotation come up at its epoch, too.
+  ASSERT_TRUE(w.fl->crashEndpoint(-1));
+  // The crashed endpoint is not redialed in place: the prober retires it,
+  // and its replacement dials two fresh tunnels.
+  ASSERT_TRUE(w.sim.runWhile(
+      [&] { return w.fl->connectedTunnels().size() == 4u; },
+      w.sim.now() + 30 * sim::kSecond));
+  const auto redialed = w.fl->connectedTunnels();
+  ASSERT_EQ(redialed.size(), 4u);
+  for (const auto& tunnel : redialed) EXPECT_EQ(tunnel->blindingEpoch(), 5u);
+  const auto again = w.fetchOnce();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->status, 200);
+}
+
+// Retires endpoint 0 of a one-endpoint fleet while a fetch rides one of its
+// tunnels, and returns that fetch once it ended.
+std::shared_ptr<FleetWorld::Fetch> retireUnderAFetch(FleetWorld& w,
+                                                     bool drain) {
+  w.runFor(3 * sim::kSecond);
+  auto fetch = w.startFetch();
+  EXPECT_TRUE(w.sim.runWhile([&] { return w.fl->activeStreams() > 0; },
+                             w.sim.now() + 10 * sim::kSecond));
+  EXPECT_FALSE(fetch->done);
+  w.fl->retireEndpoint(0, /*respawn=*/false, drain);
+  EXPECT_EQ(w.fl->size(), 0);
+  EXPECT_TRUE(w.sim.runWhile([&] { return fetch->done; },
+                             w.sim.now() + 30 * sim::kSecond));
+  return fetch;
+}
+
+TEST(Fleet, DrainingRetireLetsAnOpenStreamFinishThenCloses) {
+  FleetWorld w(7, 1);
+  const auto fetch = retireUnderAFetch(w, /*drain=*/true);
+  ASSERT_TRUE(fetch->result.has_value());
+  EXPECT_EQ(fetch->result->status, 200);
+  w.runFor(sim::kSecond);  // the stream's close reaches the tunnel
+  EXPECT_TRUE(w.fl->connectedTunnels().empty());
+}
+
+TEST(Fleet, SeveringRetireCutsAnOpenStream) {
+  FleetWorld w(7, 1);
+  const auto fetch = retireUnderAFetch(w, /*drain=*/false);
+  EXPECT_FALSE(fetch->result.has_value() && fetch->result->status == 200);
+  EXPECT_TRUE(w.fl->connectedTunnels().empty());
+}
+
+TEST(Fleet, DestroyedWithDialsInFlightIsSafe) {
+  FleetWorld w;
+  // Tunnels mid-dial, probes armed, and a pick waiting on a retry: the
+  // fleet dies with all of them still queued in the simulator.
+  bool handed = false;
+  w.fl->withStream(net::Ipv4{},
+                   transport::ConnectTarget::byHostname(kHost, 80),
+                   /*passthrough=*/false,
+                   [&](transport::Stream::Ptr) { handed = true; });
+  ASSERT_FALSE(handed);
+  w.deployment.reset();
+  w.fl = nullptr;
+  w.runFor(30 * sim::kSecond);
+  EXPECT_FALSE(handed);
+  // With its provider gone the proxy answers a proxied GET with 502.
+  const auto resp = w.fetchOnce();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, 502);
 }
 
 TEST(Fleet, ManualScaleUpAndDown) {
