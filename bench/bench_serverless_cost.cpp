@@ -98,7 +98,6 @@ int main() {
   // set against a censor that bans every IP it confirms always loses; the
   // two spare bans prove the set is exhausted, not merely thinned.
   cells[1].prewarm = std::max(1, bans - 2);
-  cells[1].max_live = cells[1].prewarm;
   cells[1].ttl = 0;  // no reaping: bans are the only thing that kills it
 
   // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports

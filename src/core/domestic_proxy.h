@@ -79,8 +79,8 @@ class DomesticProxy {
   const std::string& icpNumber() const noexcept { return icp_number_; }
 
   // ---- tunnel provider ----
-  // Every stream open goes through the installed provider (a fleet or the
-  // serverless dispatcher: balancing, health, failover), and its
+  // Every stream open goes through the installed provider (a fleet:
+  // balancing, health, failover), and its
   // ResponseCache (if any) short-circuits repeat GETs domestically. With no
   // provider installed (nullptr) every proxied request fails with 502.
   void setTunnelProvider(TunnelProvider* provider) { provider_ = provider; }

@@ -6,9 +6,11 @@
 //
 //   - TunnelProvider: hands out proxied streams to a target. The domestic
 //     proxy has no tunnels of its own: every stream it opens comes from the
-//     installed provider (fleet::Fleet, or serverless::FrontedDispatcher),
-//     through its balancing, health state and failover. The Testbed's
-//     ScholarCloud is a fleet of one endpoint.
+//     installed provider, through its balancing, health state and failover.
+//     Outside tests that is always a fleet::Fleet, the one tunnel pool: the
+//     Testbed's ScholarCloud is a fleet of one endpoint, and the serverless
+//     gateway a fleet of fronted cloud functions. The interface keeps
+//     sc_core free of fleet types and lets tests substitute a fake.
 //   - ResponseCache: a domestic-side response cache consulted before a GET
 //     ever crosses the border link. fleet::ShardedLruCache implements it.
 #pragma once

@@ -96,7 +96,7 @@ CampaignResult runAccessCampaign(Testbed& tb, Method method, std::uint32_t tag,
 
   // ScholarCloud's GFW-crossing leg is the proxies' tunnel; fold its loss
   // in. The serverless method has the same split shape — its border leg is
-  // the dispatcher's fronted dials, tagged kServerlessTunnelTag.
+  // the gateway fleet's fronted dials, tagged kServerlessTunnelTag.
   const bool include_tunnel =
       method == Method::kScholarCloud || method == Method::kServerless;
   const std::uint32_t tunnel_tag = method == Method::kServerless

@@ -52,7 +52,7 @@ Bytes fleetSecret() { return toBytes("scholarcloud-operator-secret"); }
 Bytes serverlessSecret() { return toBytes("serverless-dispatch-secret"); }
 
 // A domestic proxy whitelisting the cell's one host; its tunnels come from
-// the TunnelProvider installed next (the fleet or the dispatcher).
+// the fleet installed next.
 core::DomesticProxyOptions scholarOnlyOptions() {
   core::DomesticProxyOptions opts;
   opts.whitelist = {Testbed::kScholarHost};
@@ -98,13 +98,14 @@ fleet::Fleet& FleetDeployment::approveAndSpawn(CellWorld& cw,
 
 namespace {
 
-serverless::FunctionProvider::SpawnFn functionSpawner(
+serverless::FunctionProvider::ProvisionFn functionProvisioner(
     net::World& world,
     std::vector<std::unique_ptr<transport::HostStack>>& stacks,
     std::vector<std::unique_ptr<serverless::FunctionRuntime>>& runtimes,
-    net::Ipv4 us_dns_ip, crypto::BlindingMode blinding_mode) {
-  return [&world, &stacks, &runtimes, us_dns_ip, blinding_mode](
-             int seq) -> std::optional<serverless::FunctionSpawn> {
+    serverless::CostModel& cost, net::Ipv4 us_dns_ip,
+    crypto::BlindingMode blinding_mode) {
+  return [&world, &stacks, &runtimes, &cost, us_dns_ip, blinding_mode](
+             int seq, sim::Time warm_at) -> std::optional<fleet::EndpointSpawn> {
     const std::string name = "fn-" + std::to_string(seq);
     auto& node = world.addUsServer(name);
     auto stack = std::make_unique<transport::HostStack>(node, 2.3e9);
@@ -113,20 +114,26 @@ serverless::FunctionProvider::SpawnFn functionSpawner(
     ropts.tunnel_secret = serverlessSecret();
     ropts.blinding_mode = blinding_mode;
     ropts.dns_server = us_dns_ip;
-    runtimes.push_back(
-        std::make_unique<serverless::FunctionRuntime>(*stack, ropts));
+    runtimes.push_back(std::make_unique<serverless::FunctionRuntime>(
+        *stack, ropts, warm_at, &cost));
     stacks.push_back(std::move(stack));
-    return serverless::FunctionSpawn{
-        net::Endpoint{node.primaryIp(), ropts.port}, name};
+    return fleet::EndpointSpawn{net::Endpoint{node.primaryIp(), ropts.port},
+                                name, ropts.cert_name};
   };
 }
 
-serverless::DispatcherOptions dispatcherOptions(
-    crypto::BlindingMode blinding_mode) {
-  serverless::DispatcherOptions opts;
-  opts.front_domain = Testbed::kFrontDomain;
+// One fronted tunnel per function, no domestic cache (endpoints are
+// ephemeral, and a shared cache is the ScholarCloud fleet's trade), and a
+// ban verdict after two failed probes.
+fleet::FleetOptions functionFleetOptions(int prewarm,
+                                         crypto::BlindingMode blinding_mode) {
+  fleet::FleetOptions opts;
+  opts.initial_size = prewarm;
+  opts.tunnels_per_endpoint = 1;
   opts.tunnel_secret = serverlessSecret();
   opts.blinding_mode = blinding_mode;
+  opts.health.fail_threshold = 2;
+  opts.enable_cache = false;
   return opts;
 }
 
@@ -144,14 +151,17 @@ ServerlessDeployment::ServerlessDeployment(
               Testbed::kServerlessTunnelTag),
       cost(world.network().sim()),
       provider(world.network().sim(), provider_options,
-               functionSpawner(world, fn_stacks_, fn_runtimes_, us_dns_ip,
-                               blinding_mode),
+               functionProvisioner(world, fn_stacks_, fn_runtimes_, cost,
+                                   us_dns_ip, blinding_mode),
                &cost, Testbed::kServerlessTunnelTag),
-      dispatcher(gateway_stack_, dispatcherOptions(blinding_mode), provider,
-                 &cost, Testbed::kServerlessTunnelTag) {
-  gateway.setTunnelProvider(&dispatcher);
+      fleet(gateway_stack_,
+            functionFleetOptions(provider_options.prewarm, blinding_mode),
+            [this](int seq) { return provider.spawn(seq); },
+            Testbed::kServerlessTunnelTag) {
+  provider.serve(fleet);
+  gateway.setTunnelProvider(&fleet);
   // Blocklist churn collapses ban-detection latency to one probe RTT.
-  gfw.ips().setOnChange([this] { dispatcher.onBlocklistChurn(); });
+  gfw.ips().setOnChange([this] { fleet.onBlocklistChurn(); });
 }
 
 FetchLoop::FetchLoop(CellWorld& cw, net::Endpoint proxy, sim::Time timeout,

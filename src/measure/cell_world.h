@@ -11,10 +11,10 @@
 //                          "sc-domestic" proxy whose fleet
 //                          spawns RemoteProxy endpoints "<prefix>-remote-<seq>"
 //                          on fresh US IPs, with blocklist churn fed to it.
-//   ServerlessDeployment — the unregistered, provider-only "fn-gateway", its
-//                          CostModel, the FunctionProvider spawning "fn-<seq>"
-//                          and the FrontedDispatcher. The Testbed builds the
-//                          same one lazily.
+//   ServerlessDeployment — the unregistered "fn-gateway", its
+//                          CostModel, and a fleet of fronted endpoints fed by
+//                          the FunctionProvider spawning "fn-<seq>". The
+//                          Testbed builds the same one lazily.
 //   FetchLoop            — raw-GET users hammering a proxy.
 //
 // Each part is built in declaration order and torn down in reverse, so a
@@ -41,7 +41,6 @@
 #include "obs/hub.h"
 #include "regulation/icp_registry.h"
 #include "serverless/cost.h"
-#include "serverless/dispatcher.h"
 #include "serverless/provider.h"
 #include "serverless/runtime.h"
 #include "sim/simulator.h"
@@ -105,8 +104,8 @@ class ServerlessDeployment {
   ServerlessDeployment& operator=(const ServerlessDeployment&) = delete;
 
  private:
-  // Declared first so they go last: the dispatcher severs its tunnels while
-  // the function hosts and the gateway stack are still alive.
+  // Declared first so they go last: the fleet severs its tunnels while the
+  // function hosts and the gateway stack are still alive.
   std::vector<std::unique_ptr<transport::HostStack>> fn_stacks_;
   std::vector<std::unique_ptr<serverless::FunctionRuntime>> fn_runtimes_;
   transport::HostStack gateway_stack_;
@@ -115,7 +114,7 @@ class ServerlessDeployment {
   core::DomesticProxy gateway;
   serverless::CostModel cost;
   serverless::FunctionProvider provider;
-  serverless::FrontedDispatcher dispatcher;
+  fleet::Fleet fleet;
 };
 
 // Raw-GET users: campus hosts that each fetch the cell's page through a

@@ -18,27 +18,22 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
 
   serverless::ProviderOptions popts;
   popts.prewarm = opt.prewarm;
-  popts.max_live = opt.max_live;
   popts.ttl = opt.ttl;
   popts.respawn = opt.respawn;
   ServerlessDeployment deployed(cw.world, cw.gfw, cw.usDnsIp(), popts,
                                 crypto::BlindingMode::kByteMap);
-  serverless::FunctionProvider& provider = deployed.provider;
   serverless::CostModel& cost = deployed.cost;
 
   chaos::LinkInjector link_inj(cw.network);
-  // "egress" resolves to the first warm, not-yet-banned endpoint IP at fire
-  // time — the GFW discovering an IP it can see traffic to.
+  // "egress" resolves to the first live, not-yet-banned endpoint IP at fire
+  // time — the GFW discovering an IP it can see traffic to (the fronted
+  // dial starts at spawn, cold start or not).
   chaos::GfwInjector gfw_inj(
-      cw.gfw, [&provider, &cw](const std::string& target)
+      cw.gfw, [&deployed, &cw](const std::string& target)
                   -> std::optional<net::Ipv4> {
         if (target != "egress") return std::nullopt;
-        for (int id : provider.readyIds()) {
-          const auto* ep = provider.get(id);
-          if (ep != nullptr &&
-              !cw.gfw.ips().isBlocked(ep->remote.ip, cw.sim.now()))
-            return ep->remote.ip;
-        }
+        for (const net::Endpoint& ep : deployed.fleet.liveEndpoints())
+          if (!cw.gfw.ips().isBlocked(ep.ip, cw.sim.now())) return ep.ip;
         return std::nullopt;
       });
   chaos::DnsInjector dns_inj(cw.us_dns, "us-dns");
@@ -82,11 +77,12 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
   out.spawns = cost.spawns();
   out.cold_starts = cost.coldStarts();
   out.bans = cost.bans();
-  out.reaps = provider.reaps();
+  out.reaps = deployed.provider.reaps();
   out.cold_start_max_ms = cost.coldStartMaxMs();
   out.cold_start_mean_ms = cost.coldStartMeanMs();
-  out.final_live = provider.liveCount();
-  out.final_connected = deployed.dispatcher.connectedCount();
+  out.final_live = deployed.provider.liveCount();
+  out.final_connected =
+      static_cast<int>(deployed.fleet.connectedTunnels().size());
   out.border_bytes =
       cw.network.tagStats(Testbed::kServerlessTunnelTag).bytes_originated;
   out.readFrom(tracker);

@@ -2,8 +2,8 @@
 // a scripted fault timeline, with the cost meter running.
 //
 // One world shape, built from the shared parts in cell_world.h: a CellWorld
-// with a ServerlessDeployment (the dispatcher gateway in provider-only mode,
-// FunctionRuntime endpoints spawned on fresh US IPs behind the fronted SNI),
+// with a ServerlessDeployment (the gateway and its fleet of FunctionRuntime
+// endpoints, spawned on fresh US IPs behind the fronted SNI),
 // Link + DNS + GFW injectors armed so "egress" IP bans land on live endpoint
 // IPs, and FetchLoop users hammering the gateway. Two configurations of the
 // same world make the headline comparison:
@@ -31,7 +31,6 @@ struct ServerlessCellOptions {
   std::uint64_t seed = 42;
   int users = 3;
   int prewarm = 2;
-  int max_live = 8;
   sim::Time ttl = 120 * sim::kSecond;  // 0 = endpoints never reaped
   bool respawn = true;                 // false = static-endpoint baseline
   chaos::ChaosScript script;

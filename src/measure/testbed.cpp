@@ -10,8 +10,7 @@ namespace {
 constexpr int kTorPublicGuards = 2;
 constexpr int kTorPublicMiddles = 2;
 constexpr int kTorPublicExits = 2;
-// The serverless provider's cap and idle TTL (its own default cap is 16).
-constexpr int kServerlessMaxLive = 8;
+// The serverless functions' lifetime.
 constexpr sim::Time kServerlessTtl = 120 * sim::kSecond;
 
 // ScholarCloud as the paper deployed it (§3): one domestic proxy tunneling
@@ -262,7 +261,6 @@ void Testbed::ensureServerless() {
   if (serverless_ != nullptr) return;
   serverless::ProviderOptions popts;
   popts.prewarm = kServerlessPrewarm;
-  popts.max_live = kServerlessMaxLive;
   popts.ttl = kServerlessTtl;
   serverless_ = std::make_unique<ServerlessDeployment>(
       *world_, *gfw_, us_dns_ip_, popts, options_.blinding_mode);
@@ -271,8 +269,8 @@ void Testbed::ensureServerless() {
 serverless::FunctionProvider* Testbed::serverlessProvider() noexcept {
   return serverless_ != nullptr ? &serverless_->provider : nullptr;
 }
-serverless::FrontedDispatcher* Testbed::serverlessDispatcher() noexcept {
-  return serverless_ != nullptr ? &serverless_->dispatcher : nullptr;
+fleet::Fleet* Testbed::serverlessFleet() noexcept {
+  return serverless_ != nullptr ? &serverless_->fleet : nullptr;
 }
 serverless::CostModel* Testbed::serverlessCost() noexcept {
   return serverless_ != nullptr ? &serverless_->cost : nullptr;

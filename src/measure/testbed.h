@@ -21,6 +21,7 @@
 #include "core/deployment.h"
 #include "core/remote_proxy.h"
 #include "dns/server.h"
+#include "fleet/fleet.h"
 #include "gfw/gfw.h"
 #include "http/browser.h"
 #include "http/origin.h"
@@ -29,7 +30,6 @@
 #include "openvpn/openvpn.h"
 #include "regulation/mps_investigation.h"
 #include "serverless/cost.h"
-#include "serverless/dispatcher.h"
 #include "serverless/provider.h"
 #include "shadowsocks/shadowsocks.h"
 #include "tor/client.h"
@@ -162,7 +162,7 @@ class Testbed {
   // proxies, not the client, so PLR is measured here (Fig. 5c).
   static constexpr std::uint32_t kScTunnelTag = 900;
   // Same role for the serverless method: the fronted dials from the
-  // dispatcher gateway to the function endpoints are the GFW-crossing leg.
+  // gateway's fleet to the function endpoints are the GFW-crossing leg.
   static constexpr std::uint32_t kServerlessTunnelTag = 901;
   // The innocuous SNI every fronted dial carries; the per-endpoint
   // hostnames never appear on the wire.
@@ -172,7 +172,7 @@ class Testbed {
   // before — the subsystem is built lazily to keep other methods' worlds,
   // and therefore their rng draws, byte-identical to the seed).
   serverless::FunctionProvider* serverlessProvider() noexcept;
-  serverless::FrontedDispatcher* serverlessDispatcher() noexcept;
+  fleet::Fleet* serverlessFleet() noexcept;
   serverless::CostModel* serverlessCost() noexcept;
 
  private:

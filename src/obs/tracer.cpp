@@ -25,7 +25,6 @@ const char* eventTypeName(EventType type) {
     case EventType::kSloAlert: return "slo_alert";
     case EventType::kPopulationTick: return "population_tick";
     case EventType::kServerlessLifecycle: return "serverless_lifecycle";
-    case EventType::kServerlessDispatch: return "serverless_dispatch";
   }
   return "?";
 }

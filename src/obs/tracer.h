@@ -52,15 +52,13 @@ enum class EventType : std::uint8_t {
                    // total), a=flow-level arrivals evaluated in the slice
   kServerlessLifecycle,  // what="spawn"|"warm"|"retire", detail=endpoint name
                          // (retire detail="<name>:<cause>"), a=endpoint id
-  kServerlessDispatch,   // what="invoke"|"fail"|"starved", detail=endpoint
-                         // name, a=endpoint id (-1 when nothing was picked)
 };
 
 // Number of EventType values. Keep in sync when adding enum values; the
 // exhaustiveness test in test_obs.cpp walks [0, kEventTypeCount) and fails
 // on any missing or duplicate eventTypeName.
 inline constexpr std::size_t kEventTypeCount =
-    static_cast<std::size_t>(EventType::kServerlessDispatch) + 1;
+    static_cast<std::size_t>(EventType::kServerlessLifecycle) + 1;
 
 const char* eventTypeName(EventType type);
 

@@ -39,7 +39,7 @@ class CostModel {
   void coldStart(sim::Time latency);
   void ban();  // an endpoint lost to a GFW IP ban (subset of stops)
 
-  // ---- dispatch accrual (driven by the FrontedDispatcher) ----
+  // ---- invocation accrual (driven by the FunctionRuntime) ----
   void invocation();
 
   // ---- readouts (live endpoints accrue up to sim.now()) ----

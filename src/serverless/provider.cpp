@@ -1,7 +1,6 @@
 #include "serverless/provider.h"
 
 #include "obs/hub.h"
-#include "obs/tracer.h"
 
 namespace sc::serverless {
 
@@ -10,105 +9,80 @@ constexpr std::uint64_t kProviderRngLabel = 0x5e'41'e5'50ULL;
 }  // namespace
 
 FunctionProvider::FunctionProvider(sim::Simulator& sim,
-                                   ProviderOptions options, SpawnFn spawn,
-                                   CostModel* cost, std::uint32_t tag)
+                                   ProviderOptions options,
+                                   ProvisionFn provision, CostModel* cost,
+                                   std::uint32_t tag)
     : sim_(sim),
       options_(std::move(options)),
-      spawn_(std::move(spawn)),
+      provision_(std::move(provision)),
       cost_(cost),
       tag_(tag),
-      rng_(sim.rng().fork(kProviderRngLabel)) {
-  for (int i = 0; i < options_.prewarm; ++i)
-    if (this->spawn("prewarm") < 0) break;
-}
+      rng_(sim.rng().fork(kProviderRngLabel)) {}
 
-int FunctionProvider::spawn(const char* cause) {
-  if (static_cast<int>(endpoints_.size()) >= options_.max_live) return -1;
+std::optional<fleet::EndpointSpawn> FunctionProvider::spawn(int seq) {
   // Static baseline: nothing gets provisioned after the pre-warm set.
-  if (!options_.respawn && std::string_view(cause) != "prewarm") return -1;
-  const int id = next_seq_;
-  std::optional<FunctionSpawn> provisioned = spawn_(id);
-  if (!provisioned.has_value()) return -1;
-  ++next_seq_;
-  ++spawns_;
-
-  Endpoint ep;
-  ep.id = id;
-  ep.remote = provisioned->endpoint;
-  ep.name = std::move(provisioned->name);
-  ep.spawned_at = sim_.now();
+  if (!options_.respawn &&
+      spawns_ >= static_cast<std::uint64_t>(options_.prewarm))
+    return std::nullopt;
   constexpr auto window =
       static_cast<std::uint64_t>(kColdStartMax - kColdStartMin);
   const sim::Time cold =
       kColdStartMin + static_cast<sim::Time>(rng_.uniformU64(window + 1));
-  ep.ready_at = ep.spawned_at + cold;
+  std::optional<fleet::EndpointSpawn> provisioned =
+      provision_(seq, sim_.now() + cold);
+  if (!provisioned.has_value()) return std::nullopt;
+  ++spawns_;
+  Endpoint ep;
+  ep.name = provisioned->name;
   if (obs::SpanTracer* spans = obs::spansOf(sim_))
-    ep.cold_span = spans->begin(obs::SpanKind::kColdStart, tag_, cause, ep.name);
-  trace("spawn", ep.name, id);
+    ep.cold_span = spans->begin(obs::SpanKind::kColdStart, tag_, "spawn",
+                                ep.name);
+  trace("spawn", ep.name, seq);
   if (cost_ != nullptr) {
-    cost_->endpointStarted(id);
+    cost_->endpointStarted(seq);
     cost_->coldStart(cold);
   }
-  endpoints_.emplace(id, std::move(ep));
+  endpoints_.emplace(seq, std::move(ep));
 
-  sim_.schedule(cold, [this, id] {
-    const auto it = endpoints_.find(id);
+  sim_.schedule(cold, [this, seq] {
+    const auto it = endpoints_.find(seq);
     if (it == endpoints_.end()) return;  // retired while cold-starting
-    it->second.ready = true;
-    trace("warm", it->second.name, id);
+    trace("warm", it->second.name, seq);
     if (obs::SpanTracer* spans = obs::spansOf(sim_))
       spans->end(it->second.cold_span, obs::SpanStatus::kOk);
-    if (options_.ttl > 0) {
-      sim_.schedule(options_.ttl, [this, id] {
-        if (endpoints_.find(id) == endpoints_.end()) return;
-        ++reaps_;
-        retire(id, "ttl");
-      });
-    }
-    if (on_ready_) on_ready_(id);
+    if (options_.ttl > 0)
+      sim_.schedule(options_.ttl, [this, seq] { reap(seq); });
   });
-  return id;
+  return provisioned;
 }
 
-void FunctionProvider::retire(int id, const char* cause) {
+void FunctionProvider::serve(fleet::Fleet& fleet) {
+  fleet_ = &fleet;
+  fleet.setOnRetire([this](int id, bool down) { retired(id, down); });
+}
+
+void FunctionProvider::reap(int id) {
+  if (fleet_ == nullptr || !endpoints_.contains(id)) return;
+  ++reaps_;
+  fleet_->retireEndpoint(id, /*respawn=*/true, /*drain=*/true);
+}
+
+void FunctionProvider::retired(int id, bool banned) {
   const auto it = endpoints_.find(id);
   if (it == endpoints_.end()) return;
-  ++retires_;
-  trace("retire", it->second.name + ":" + cause, id);
+  trace("retire", it->second.name + (banned ? ":ban" : ":ttl"), id);
   if (obs::SpanTracer* spans = obs::spansOf(sim_))
     spans->end(it->second.cold_span, obs::SpanStatus::kCancelled);
   if (cost_ != nullptr) {
     cost_->endpointStopped(id);
-    if (std::string_view(cause) == "ban") cost_->ban();
+    if (banned) cost_->ban();
   }
-  // Erase before notifying: the dispatcher's onRetire severs the tunnel,
-  // whose close handler must not see the endpoint as still live.
   endpoints_.erase(it);
-  if (on_retire_) on_retire_(id, cause);
-  if (options_.respawn) ensureFloor();
-}
-
-void FunctionProvider::ensureFloor() {
-  while (static_cast<int>(endpoints_.size()) < options_.prewarm)
-    if (spawn("respawn") < 0) break;
 }
 
 const FunctionProvider::Endpoint* FunctionProvider::get(int id) const {
   const auto it = endpoints_.find(id);
   return it == endpoints_.end() ? nullptr : &it->second;
-}
-
-std::vector<int> FunctionProvider::readyIds() const {
-  std::vector<int> out;
-  for (const auto& [id, ep] : endpoints_)
-    if (ep.ready) out.push_back(id);
-  return out;  // std::map iteration order: ascending, deterministic
-}
-
-std::optional<int> FunctionProvider::idFor(net::Ipv4 ip) const {
-  for (const auto& [id, ep] : endpoints_)
-    if (ep.remote.ip == ip) return id;
-  return std::nullopt;
 }
 
 void FunctionProvider::trace(const char* what, const std::string& detail,

@@ -6,9 +6,12 @@
 namespace sc::serverless {
 
 FunctionRuntime::FunctionRuntime(transport::HostStack& stack,
-                                 RuntimeOptions options)
+                                 RuntimeOptions options, sim::Time warm_at,
+                                 CostModel* cost)
     : stack_(stack),
       options_(std::move(options)),
+      warm_at_(warm_at),
+      cost_(cost),
       resolver_(stack, options_.dns_server),
       acceptor_(options_.cert_name, stack.sim()) {
   listener_ = stack_.tcpListen(options_.port,
@@ -18,6 +21,23 @@ FunctionRuntime::FunctionRuntime(transport::HostStack& stack,
 }
 
 void FunctionRuntime::onConnection(transport::TcpSocket::Ptr sock) {
+  const sim::Time cold_left = warm_at_ - stack_.sim().now();
+  if (cold_left > 0) {
+    // The ClientHello waits in the socket's buffer until the function is
+    // up. A connection closed meanwhile is dropped: its close has already
+    // fired, and a handshake on it would never end.
+    stack_.sim().schedule(cold_left, [this, sock = std::move(sock)]() mutable {
+      using State = transport::TcpSocket::State;
+      if (sock->state() == State::kSynReceived ||
+          sock->state() == State::kEstablished)
+        accept(std::move(sock));
+    });
+    return;
+  }
+  accept(std::move(sock));
+}
+
+void FunctionRuntime::accept(transport::TcpSocket::Ptr sock) {
   acceptor_.accept(std::move(sock), [this](http::TlsStream::Ptr tls) {
     if (tls == nullptr) return;
     ++tunnels_;
@@ -44,10 +64,11 @@ void FunctionRuntime::onConnection(transport::TcpSocket::Ptr sock) {
 void FunctionRuntime::onOpen(transport::Stream::Ptr stream,
                              transport::ConnectTarget target) {
   ++streams_;
+  if (cost_ != nullptr) cost_->invocation();
 
   auto connect_upstream = [this, stream](net::Ipv4 ip, net::Port port) {
     // Function invocations are metered CPU like any relay (Fig. 7 framing);
-    // cold starts are modelled at spawn time, not here.
+    // the cold start was paid once, before the first TLS accept.
     stack_.cpu().submit(options_.cycles_per_request, [this, stream, ip, port] {
       stack_.directConnector()->connect(
           transport::ConnectTarget::byAddress({ip, port}),

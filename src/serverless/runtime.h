@@ -1,7 +1,7 @@
 // The US-side half of one ephemeral endpoint: what the cloud function
 // actually runs. A FunctionRuntime is a stripped-down RemoteProxy behind a
 // TLS listener — it terminates the fronted TLS (any SNI is accepted; the
-// front domain is the *dispatcher's* camouflage, the function itself just
+// front domain is the *gateway's* camouflage, the function itself just
 // serves whoever completed the handshake and speaks the tunnel secret),
 // speaks the server side of the blinded mux tunnel, and splices each OPEN
 // onto an upstream fetched with its local uncensored resolver.
@@ -11,6 +11,10 @@
 // minutes), so the protection budget is spent on the tunnel secret instead.
 // A connection that completes TLS but fails the tunnel handshake produces
 // no plaintext and is closed by the Tunnel layer.
+//
+// The cold start happens here: a connection that arrives before `warm_at`
+// is accepted by TCP, but its TLS handshake waits until the function is
+// warm. Every OPEN is one invocation, billed to the CostModel.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,7 @@
 #include "core/tunnel.h"
 #include "dns/resolver.h"
 #include "http/tls.h"
+#include "serverless/cost.h"
 #include "transport/host_stack.h"
 
 namespace sc::serverless {
@@ -34,17 +39,22 @@ struct RuntimeOptions {
 
 class FunctionRuntime {
  public:
-  FunctionRuntime(transport::HostStack& stack, RuntimeOptions options);
+  // `cost` may be null (no accounting).
+  FunctionRuntime(transport::HostStack& stack, RuntimeOptions options,
+                  sim::Time warm_at = 0, CostModel* cost = nullptr);
 
   std::uint64_t tunnelsAccepted() const noexcept { return tunnels_; }
   std::uint64_t streamsServed() const noexcept { return streams_; }
 
  private:
   void onConnection(transport::TcpSocket::Ptr sock);
+  void accept(transport::TcpSocket::Ptr sock);
   void onOpen(transport::Stream::Ptr stream, transport::ConnectTarget target);
 
   transport::HostStack& stack_;
   RuntimeOptions options_;
+  sim::Time warm_at_;
+  CostModel* cost_;
   dns::Resolver resolver_;
   http::TlsAcceptor acceptor_;
   transport::TcpListener::Ptr listener_;

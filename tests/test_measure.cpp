@@ -290,7 +290,7 @@ TEST(Campaign, ScholarCloudGolden) {
 }
 
 TEST(Campaign, ServerlessGolden) {
-  EXPECT_EQ(campaignDigest(Method::kServerless), 0xa65606d0a55656ceULL);
+  EXPECT_EQ(campaignDigest(Method::kServerless), 0x8b175d1baf08f1ecULL);
 }
 
 // A campaign leaves nothing running behind it. A Tor campaign that left its

@@ -15,77 +15,98 @@
 #include "measure/serverless_scenario.h"
 #include "measure/testbed.h"
 #include "population/flow_model.h"
+#include "measure/cell_world.h"
 #include "serverless/cost.h"
-#include "serverless/dispatcher.h"
 #include "serverless/provider.h"
 #include "sim/simulator.h"
 
 namespace sc {
 namespace {
 
-// ---- FunctionProvider lifecycle (stub SpawnFn, no network) --------------
+// ---- FunctionProvider lifecycle ----------------------------------------
 
-serverless::FunctionProvider::SpawnFn stubSpawn() {
-  return [](int seq) -> std::optional<serverless::FunctionSpawn> {
-    return serverless::FunctionSpawn{
+// A provisioner with no network: the provider's own bookkeeping only. It
+// records each function's warm-up instant in `warm_at` when given one.
+serverless::FunctionProvider::ProvisionFn stubProvision(
+    std::vector<sim::Time>* warm_at = nullptr) {
+  return [warm_at](int seq,
+                   sim::Time warm) -> std::optional<fleet::EndpointSpawn> {
+    if (warm_at != nullptr) warm_at->push_back(warm);
+    return fleet::EndpointSpawn{
         net::Endpoint{net::Ipv4{0x0a000000u + static_cast<std::uint32_t>(seq)},
                       443},
-        "stub-" + std::to_string(seq)};
+        "stub-" + std::to_string(seq), measure::Testbed::kFrontDomain};
   };
 }
+
+// The provider feeding a real gateway fleet, on a cell world.
+struct FunctionWorld {
+  explicit FunctionWorld(std::uint64_t seed,
+                         const serverless::ProviderOptions& opts)
+      : cw(seed, /*tracing=*/false),
+        deployed(cw.world, cw.gfw, cw.usDnsIp(), opts,
+                 crypto::BlindingMode::kByteMap) {}
+
+  int idOf(const net::Endpoint& ep) const {
+    return *deployed.fleet.endpointIdFor(ep.ip);
+  }
+
+  measure::CellWorld cw;
+  measure::ServerlessDeployment deployed;
+};
 
 TEST(ServerlessProvider, PrewarmColdStartsInsideConfiguredBounds) {
   sim::Simulator sim(11);
   serverless::ProviderOptions opts;
   opts.prewarm = 3;
   opts.ttl = 0;
-  serverless::FunctionProvider provider(sim, opts, stubSpawn());
+  std::vector<sim::Time> warm_at;
+  serverless::FunctionProvider provider(sim, opts, stubProvision(&warm_at));
+  for (int seq = 0; seq < 3; ++seq) ASSERT_TRUE(provider.spawn(seq));
   EXPECT_EQ(provider.liveCount(), 3);
-  EXPECT_TRUE(provider.readyIds().empty());  // all still cold-starting
 
-  sim.runUntil(2 * sim::kSecond);
-  const auto ready = provider.readyIds();
-  ASSERT_EQ(ready.size(), 3u);
-  for (const int id : ready) {
-    const auto* ep = provider.get(id);
-    ASSERT_NE(ep, nullptr);
-    const sim::Time cold = ep->ready_at - ep->spawned_at;
+  ASSERT_EQ(warm_at.size(), 3u);
+  for (const sim::Time cold : warm_at) {  // spawned at t = 0
     EXPECT_GE(cold, serverless::kColdStartMin);
     EXPECT_LE(cold, serverless::kColdStartMax);
   }
 }
 
 TEST(ServerlessProvider, TtlReapsAndRespawnsWithFreshIds) {
-  sim::Simulator sim(12);
   serverless::ProviderOptions opts;
   opts.prewarm = 2;
   opts.ttl = 5 * sim::kSecond;
-  serverless::FunctionProvider provider(sim, opts, stubSpawn());
-  sim.runUntil(30 * sim::kSecond);
+  FunctionWorld w(12, opts);
+  w.cw.sim.runUntil(30 * sim::kSecond);
 
-  EXPECT_GT(provider.reaps(), 0u);
-  EXPECT_GE(provider.liveCount(), 2);  // floor restored after every reap
+  EXPECT_GT(w.deployed.provider.reaps(), 0u);
+  EXPECT_EQ(w.deployed.provider.liveCount(), 2);  // each reap replaced
+  const auto live = w.deployed.fleet.liveEndpoints();
+  ASSERT_EQ(live.size(), 2u);
   // Ids are a monotone sequence: every live id postdates every reaped one.
-  for (const int id : provider.readyIds())
-    EXPECT_GE(id, static_cast<int>(provider.reaps()));
+  for (const auto& ep : live) {
+    EXPECT_GE(w.idOf(ep), static_cast<int>(w.deployed.provider.reaps()));
+    EXPECT_NE(w.deployed.provider.get(w.idOf(ep)), nullptr);
+  }
 }
 
 TEST(ServerlessProvider, BanRetireChargesCostAndRefillsFloor) {
-  sim::Simulator sim(13);
-  serverless::CostModel cost(sim);
   serverless::ProviderOptions opts;
   opts.prewarm = 2;
   opts.ttl = 0;
-  serverless::FunctionProvider provider(sim, opts, stubSpawn(), &cost);
-  sim.runUntil(2 * sim::kSecond);
+  FunctionWorld w(13, opts);
+  w.cw.sim.runUntil(3 * sim::kSecond);
 
-  const auto ready = provider.readyIds();
-  ASSERT_FALSE(ready.empty());
-  provider.retire(ready.front(), "ban");
-  EXPECT_EQ(cost.bans(), 1u);
-  EXPECT_EQ(provider.liveCount(), 2);  // floor refilled immediately
-  EXPECT_EQ(provider.spawns(), 3u);
-  EXPECT_EQ(provider.get(ready.front()), nullptr);  // id never reused
+  const auto live = w.deployed.fleet.liveEndpoints();
+  ASSERT_EQ(live.size(), 2u);
+  const int banned = w.idOf(live.front());
+  w.cw.gfw.ips().add(live.front().ip);
+  ASSERT_TRUE(w.cw.sim.runWhile([&] { return w.deployed.cost.bans() > 0; },
+                                w.cw.sim.now() + 20 * sim::kSecond));
+  EXPECT_EQ(w.deployed.cost.bans(), 1u);
+  EXPECT_EQ(w.deployed.provider.liveCount(), 2);  // replaced at once
+  EXPECT_EQ(w.deployed.provider.spawns(), 3u);
+  EXPECT_EQ(w.deployed.provider.get(banned), nullptr);  // id never reused
 }
 
 TEST(ServerlessProvider, StaticSetDeclinesEverySpawnAfterPrewarm) {
@@ -94,16 +115,21 @@ TEST(ServerlessProvider, StaticSetDeclinesEverySpawnAfterPrewarm) {
   opts.prewarm = 2;
   opts.respawn = false;
   opts.ttl = 0;
-  serverless::FunctionProvider provider(sim, opts, stubSpawn());
-  sim.runUntil(2 * sim::kSecond);
+  serverless::FunctionProvider provider(sim, opts, stubProvision());
+  EXPECT_TRUE(provider.spawn(0));
+  EXPECT_TRUE(provider.spawn(1));
+  EXPECT_FALSE(provider.spawn(2));
 
-  EXPECT_EQ(provider.spawn("demand"), -1);
-  const auto ready = provider.readyIds();
-  ASSERT_EQ(ready.size(), 2u);
-  provider.retire(ready.front(), "ban");
-  provider.retire(ready.back(), "ban");
-  EXPECT_EQ(provider.liveCount(), 0);  // exhausted for good
-  EXPECT_EQ(provider.spawns(), 2u);
+  // Banning both pre-warmed endpoints exhausts the set for good.
+  FunctionWorld w(14, opts);
+  w.cw.sim.runUntil(3 * sim::kSecond);
+  for (const auto& ep : w.deployed.fleet.liveEndpoints())
+    w.cw.gfw.ips().add(ep.ip);
+  w.cw.sim.runUntil(w.cw.sim.now() + 20 * sim::kSecond);
+  EXPECT_EQ(w.deployed.provider.liveCount(), 0);
+  EXPECT_EQ(w.deployed.fleet.size(), 0);
+  EXPECT_EQ(w.deployed.provider.spawns(), 2u);
+  EXPECT_EQ(w.deployed.cost.bans(), 2u);
 }
 
 TEST(ServerlessCost, EndpointSecondsFoldOpenIntervalsAtReadout) {
@@ -125,7 +151,7 @@ TEST(ServerlessCost, EndpointSecondsFoldOpenIntervalsAtReadout) {
 
 // ---- the full method through the Testbed --------------------------------
 
-TEST(ServerlessTestbed, PageLoadsThroughFrontedDispatcher) {
+TEST(ServerlessTestbed, PageLoadsThroughFrontedFleet) {
   measure::Testbed bed;
   bool ready = false, ready_ok = false;
   auto& client = bed.addClient(measure::Method::kServerless, 42,
@@ -157,19 +183,21 @@ TEST(ServerlessTestbed, EndpointIpBanRetiresAndRespawnsOnFreshIp) {
   ASSERT_TRUE(bed.sim().runWhile([&] { return ready; }, sim::kMinute));
 
   auto* provider = bed.serverlessProvider();
+  auto* fleet = bed.serverlessFleet();
   ASSERT_NE(provider, nullptr);
+  ASSERT_NE(fleet, nullptr);
   // Let the pre-warmed endpoints finish their fronted dials.
   bed.sim().runUntil(bed.sim().now() + 5 * sim::kSecond);
-  const auto ready_ids = provider->readyIds();
-  ASSERT_FALSE(ready_ids.empty());
-  const net::Ipv4 banned_ip = provider->get(ready_ids.front())->remote.ip;
+  const auto live = fleet->liveEndpoints();
+  ASSERT_FALSE(live.empty());
+  const net::Ipv4 banned_ip = live.front().ip;
   const std::uint64_t spawns_before = provider->spawns();
 
   bed.gfw().ips().add(banned_ip);  // the GFW confirms one endpoint
   bed.sim().runUntil(bed.sim().now() + 20 * sim::kSecond);
 
   // The banned endpoint was retired and replaced on a fresh IP.
-  EXPECT_FALSE(provider->idFor(banned_ip).has_value());
+  EXPECT_FALSE(fleet->endpointIdFor(banned_ip).has_value());
   EXPECT_GT(provider->spawns(), spawns_before);
   ASSERT_NE(bed.serverlessCost(), nullptr);
   EXPECT_GE(bed.serverlessCost()->bans(), 1u);
@@ -194,8 +222,10 @@ TEST(ServerlessTestbed, TtlReapDrainsAnInFlightFetch) {
                                [&](bool ok) { ready = ok; });
   ASSERT_TRUE(bed.sim().runWhile([&] { return ready; }, sim::kMinute));
   auto* provider = bed.serverlessProvider();
+  auto* fleet = bed.serverlessFleet();
   auto* cost = bed.serverlessCost();
   ASSERT_NE(provider, nullptr);
+  ASSERT_NE(fleet, nullptr);
   ASSERT_NE(cost, nullptr);
   bed.sim().runUntil(bed.sim().now() + 5 * sim::kSecond);
 
@@ -211,17 +241,18 @@ TEST(ServerlessTestbed, TtlReapDrainsAnInFlightFetch) {
       [&] { return cost->invocations() > invocations; },
       bed.sim().now() + sim::kMinute));
   ASSERT_FALSE(done);
-  const std::uint64_t reaps = provider->retires();
-  for (const int id : provider->readyIds()) provider->retire(id, "ttl");
-  ASSERT_GT(provider->retires(), reaps);
+  const std::uint64_t reaps = provider->reaps();
+  for (const auto& ep : fleet->liveEndpoints())
+    provider->reap(*fleet->endpointIdFor(ep.ip));
+  ASSERT_GT(provider->reaps(), reaps);
 
   ASSERT_TRUE(bed.sim().runWhile([&] { return done; },
                                  bed.sim().now() + 2 * sim::kMinute));
   EXPECT_TRUE(page_ok);
   // Past the drain deadline no reaped tunnel is left connected.
   bed.sim().runUntil(bed.sim().now() + 45 * sim::kSecond);
-  EXPECT_LE(bed.serverlessDispatcher()->connectedCount(),
-            provider->liveCount());
+  EXPECT_LE(fleet->connectedTunnels().size(),
+            static_cast<std::size_t>(provider->liveCount()));
 }
 
 TEST(ServerlessTestbed, FrontDomainBlocklistingKillsTheMethod) {
@@ -245,8 +276,8 @@ TEST(ServerlessTestbed, FrontDomainBlocklistingKillsTheMethod) {
   ASSERT_TRUE(bed.sim().runWhile([&] { return done; },
                                  bed.sim().now() + 2 * sim::kMinute));
   EXPECT_FALSE(page_ok);
-  ASSERT_NE(bed.serverlessDispatcher(), nullptr);
-  EXPECT_EQ(bed.serverlessDispatcher()->connectedCount(), 0);
+  ASSERT_NE(bed.serverlessFleet(), nullptr);
+  EXPECT_TRUE(bed.serverlessFleet()->connectedTunnels().empty());
 }
 
 // ---- chaos cells ---------------------------------------------------------
@@ -259,7 +290,6 @@ TEST(ServerlessChaos, EphemeralSurvivesBanWaveStaticSetDies) {
   measure::ServerlessCellOptions frozen = opt;
   frozen.respawn = false;
   frozen.prewarm = 2;
-  frozen.max_live = 2;
   frozen.ttl = 0;
 
   const auto ephemeral = measure::runServerlessCell(opt);
@@ -293,12 +323,11 @@ TEST(ServerlessChaos, StaticBaselineCellGolden) {
   opt.duration = 30 * sim::kSecond;
   opt.respawn = false;
   opt.prewarm = 2;
-  opt.max_live = 2;
   opt.ttl = 0;
   const auto r = measure::runServerlessCell(opt);
   EXPECT_GT(r.attempts, 0);
   EXPECT_GT(r.bans, 0u);
-  EXPECT_EQ(digestOf(r), 0xf01475489e60add5ULL) << std::hex << digestOf(r);
+  EXPECT_EQ(digestOf(r), 0xb9e2597da00050d2ULL) << std::hex << digestOf(r);
 }
 
 TEST(ServerlessChaos, RunChaosCellDispatchesServerlessMethod) {
@@ -318,7 +347,7 @@ TEST(ServerlessChaos, RunChaosCellDispatchesServerlessMethod) {
       cell.unrecovered, cell.mean_detect_s, cell.mean_recover_s,
       cell.max_recover_s, cell.requests_lost, cell.respawns,
       cell.records.size());
-  EXPECT_EQ(digest, 0x315d9ad1b3af4140ULL) << std::hex << digest;
+  EXPECT_EQ(digest, 0x9fdda6fd7cef724dULL) << std::hex << digest;
 }
 
 TEST(ServerlessChaos, ParallelCellsMatchSerialByteForByte) {
@@ -340,9 +369,9 @@ TEST(ServerlessChaos, ParallelCellsMatchSerialByteForByte) {
     EXPECT_EQ(parallel[i].metrics_jsonl, serial[i].metrics_jsonl);
     EXPECT_EQ(parallel[i].trace_jsonl, serial[i].trace_jsonl);
   }
-  EXPECT_EQ(digestOf(serial[0]), 0xb0d69e91817305e2ULL)
+  EXPECT_EQ(digestOf(serial[0]), 0xb6144931db568218ULL)
       << std::hex << digestOf(serial[0]);
-  EXPECT_EQ(digestOf(serial[1]), 0x7aee345b487f5009ULL)
+  EXPECT_EQ(digestOf(serial[1]), 0x8819a75944642e5aULL)
       << std::hex << digestOf(serial[1]);
 }
 
