@@ -72,7 +72,7 @@ void BlindedStream::onInner(ByteView data) {
     std::uint32_t len = 0, epoch = 0;
     readU32(rx_buffer_, off, len);
     readU32(rx_buffer_, off, epoch);
-    if (rx_buffer_.size() < 8u + len) return;
+    if (rx_buffer_.size() - 8 < len) return;  // 8u + len may wrap
     const Bytes plain = codecFor(epoch).unblind(
         ByteView(rx_buffer_.data() + 8, len));
     rx_buffer_.erase(rx_buffer_.begin(),

@@ -2,7 +2,8 @@
 // US, GFW-capable border) used by transport/http/method unit tests that
 // don't need the full measurement Testbed, the digest behind the
 // measurement cells' same-seed goldens, the TLS-sim ClientHello bytes the
-// DPI tests classify, and the seeded mutator the hostile-input tests use.
+// DPI tests classify, the seeded mutator the hostile-input tests use, and
+// the stream end and border tap those tests drive decoders with.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,9 +14,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "net/link.h"
 #include "net/topology.h"
 #include "sim/rng.h"
 #include "transport/host_stack.h"
+#include "transport/stream.h"
 #include "util/bytes.h"
 #include "util/hash.h"
 
@@ -73,6 +76,58 @@ inline Bytes clientHelloBytes(std::string_view sni, std::string_view fp) {
   appendU16(out, static_cast<std::uint16_t>(fp.size()));
   appendBytes(out, toBytes(fp));
   return out;
+}
+
+// An in-memory stream end: what the layer above sends is kept in `sent`,
+// and deliver() hands bytes up as if the peer had sent them, so a decoder
+// can be fed any bytes in any chunking without a network.
+struct MemoryStream final : transport::Stream {
+  Bytes sent;
+  bool open = true;
+
+  void send(Bytes data) override { appendBytes(sent, data); }
+  void close() override { open = false; }
+  bool connected() const override { return open; }
+
+  void deliver(ByteView data) { emitData(data); }
+  void hangUp() { emitClose(); }
+};
+
+// Every TCP payload crossing the border, concatenated per direction (index
+// by net::Direction), plus FNV-1a over each segment's direction, seq, ack,
+// flags and payload: real wire bytes to seed hostile corpora with, and the
+// hash a wire golden pins.
+struct BorderPayloads final : net::PacketFilter {
+  Bytes by_dir[2];
+  Fnv1a wire;
+
+  Verdict onPacket(net::Packet& pkt, net::Direction dir, net::Link&) override {
+    if (!pkt.isTcp()) return Verdict::kPass;
+    const net::TcpSeg& t = pkt.tcp();
+    wire.addByte(static_cast<std::uint8_t>(dir));
+    wire.add(t.seq);
+    wire.add(t.ack);
+    wire.addByte(static_cast<std::uint8_t>(
+        t.flags.syn | t.flags.ack << 1 | t.flags.fin << 2 | t.flags.rst << 3 |
+        t.flags.psh << 4));
+    wire.add(static_cast<std::uint64_t>(pkt.payload.size()));
+    wire.add(asStringView(pkt.payload));
+    appendBytes(by_dir[static_cast<int>(dir)], pkt.payload);
+    return Verdict::kPass;
+  }
+};
+
+// Splits `wire` into pieces of 1 to `max_chunk` bytes drawn from `rng` and
+// hands each to `feed`.
+template <typename Feed>
+void feedInRandomChunks(ByteView wire, std::size_t max_chunk, sim::Rng& rng,
+                        Feed&& feed) {
+  for (std::size_t off = 0; off < wire.size();) {
+    const std::size_t n = std::min<std::size_t>(
+        wire.size() - off, 1 + rng.uniformU64(max_chunk));
+    feed(wire.subspan(off, n));
+    off += n;
+  }
 }
 
 // One seeded mutation: a copy of a random seed with 1 to 4 edits, each an

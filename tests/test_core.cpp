@@ -95,6 +95,172 @@ TEST(BlindedStream, RotationMidStreamStaysInSync) {
   EXPECT_EQ(toString(got), "epoch-zero epoch-five");
 }
 
+// ---- blinded chunk wire bytes and hostile chunks ----
+
+// What a BlindedStream writes for writes of 0, 1, 1400 and 5000 bytes, a
+// rotation, and one more write, in both modes.
+Bytes blindedChunks(crypto::BlindingMode mode) {
+  auto inner = std::make_shared<test::MemoryStream>();
+  auto blind = BlindedStream::wrap(inner, toBytes("chunk-secret"), 3, mode);
+  for (const std::size_t n : {0, 1, 1400, 5000}) {
+    Bytes data(n);
+    for (std::size_t i = 0; i < n; ++i)
+      data[i] = static_cast<std::uint8_t>(i * 13 + n);
+    blind->send(std::move(data));
+  }
+  blind->rotate(9);
+  blind->send(toBytes("after rotation"));
+  return std::move(inner->sent);
+}
+
+// Pinned before the chunk encoder stopped copying.
+TEST(BlindedStream, ChunkWireBytesGolden) {
+  const Bytes bytemap = blindedChunks(crypto::BlindingMode::kByteMap);
+  const Bytes printable = blindedChunks(crypto::BlindingMode::kPrintable);
+  Fnv1a h;
+  h.add(asStringView(bytemap));
+  h.add(asStringView(printable));
+  EXPECT_EQ(bytemap.size(), 6455u);
+  EXPECT_EQ(printable.size(), 8605u);
+  EXPECT_EQ(h.value(), 0xfa9d6a199badefd8ULL);
+}
+
+// A blinded exchange across the border in each mode, with a rotation mid
+// stream; the tap's per-direction payloads seed the hostile corpus.
+std::vector<Bytes> blindedBorderWire() {
+  std::vector<Bytes> out;
+  for (const auto mode :
+       {crypto::BlindingMode::kByteMap, crypto::BlindingMode::kPrintable}) {
+    test::BorderPayloads tap;
+    PipeWorld w;
+    w.world.borderLink().addFilter(&tap);
+    auto client_raw = w.connectRaw();
+    const Bytes secret = toBytes("shared");
+    auto client_blind = BlindedStream::wrap(client_raw, secret, 0, mode);
+    auto server_blind = BlindedStream::wrap(w.server_raw, secret, 0, mode);
+    Bytes got;
+    server_blind->setOnData([&](ByteView d) {
+      appendBytes(got, d);
+      server_blind->send(toBytes("ack"));
+    });
+    client_blind->send(toBytes("GET /scholar?q=blinding HTTP/1.1\r\n\r\n"));
+    client_blind->rotate(4);
+    client_blind->send(Bytes(3000, 0x61));
+    w.runUntilDone([&] { return got.size() >= 3036; });
+    out.push_back(tap.by_dir[0]);
+    out.push_back(tap.by_dir[1]);
+  }
+  return out;
+}
+
+Bytes chunkHeader(std::uint32_t len, std::uint32_t epoch) {
+  Bytes out;
+  appendU32(out, len);
+  appendU32(out, epoch);
+  return out;
+}
+
+// Real border bytes, then hostile chunks: lengths near 2^32 (8 + len
+// wraps), a length past the buffer, empty chunks, a huge epoch, and a
+// printable chunk whose length and alphabet are wrong.
+std::vector<Bytes> hostileBlindedCorpus() {
+  std::vector<Bytes> corpus = blindedBorderWire();
+  corpus.push_back({});
+  corpus.push_back({0x00, 0x00, 0x00});
+  Bytes wrap = chunkHeader(0xfffffffc, 0);
+  appendBytes(wrap, toBytes("abcdefgh"));
+  corpus.push_back(wrap);
+  Bytes wrap8 = chunkHeader(0xfffffff8, 0);
+  appendBytes(wrap8, toBytes("abcd"));
+  corpus.push_back(wrap8);
+  Bytes past = chunkHeader(4096, 0);
+  appendBytes(past, Bytes(100, 0x20));
+  corpus.push_back(past);
+  Bytes empties;
+  for (int i = 0; i < 50; ++i) appendBytes(empties, chunkHeader(0, 0));
+  corpus.push_back(empties);
+  Bytes far_epoch = chunkHeader(5, 0xffffffff);
+  appendBytes(far_epoch, toBytes("hello"));
+  corpus.push_back(far_epoch);
+  Bytes bad_text = chunkHeader(6, 0);
+  appendBytes(bad_text, toBytes("\x01\x02\x03\x04\x05\x06"));
+  corpus.push_back(bad_text);
+  return corpus;
+}
+
+struct BlindedFeedResult {
+  Bytes plain;
+  std::uint64_t deliveries = 0;
+};
+
+// What a BlindedStream hands up for `wire` fed in `chunk`-byte pieces
+// (0: random pieces from `rng`), then what a hang-up does.
+BlindedFeedResult feedBlinded(crypto::BlindingMode mode, ByteView wire,
+                              std::size_t chunk, sim::Rng& rng) {
+  BlindedFeedResult r;
+  auto inner = std::make_shared<test::MemoryStream>();
+  auto blind = BlindedStream::wrap(inner, toBytes("shared"), 0, mode);
+  blind->setOnData([&r](ByteView d) {
+    appendBytes(r.plain, d);
+    ++r.deliveries;
+  });
+  if (chunk == 0) {
+    test::feedInRandomChunks(wire, 2048, rng,
+                             [&](ByteView part) { inner->deliver(part); });
+  } else {
+    for (std::size_t off = 0; off < wire.size(); off += chunk)
+      inner->deliver(wire.subspan(off, std::min(chunk, wire.size() - off)));
+  }
+  inner->hangUp();
+  EXPECT_TRUE(inner->sent.empty());
+  return r;
+}
+
+// Pinned before the chunk reader consumed once per feed: each corpus entry
+// in both modes, fed whole and in 1-, 7- and 1400-byte pieces.
+TEST(BlindedStream, HostileChunkCorpusDigest) {
+  sim::Rng unused(1);
+  Fnv1a h;
+  for (const Bytes& wire : hostileBlindedCorpus()) {
+    for (const auto mode :
+         {crypto::BlindingMode::kByteMap, crypto::BlindingMode::kPrintable}) {
+      for (const std::size_t chunk : {std::max<std::size_t>(wire.size(), 1),
+                                      std::size_t{1}, std::size_t{7},
+                                      std::size_t{1400}}) {
+        const BlindedFeedResult r = feedBlinded(mode, wire, chunk, unused);
+        h.add(r.deliveries);
+        h.add(static_cast<std::uint64_t>(r.plain.size()));
+        h.add(asStringView(r.plain));
+      }
+    }
+  }
+  EXPECT_EQ(h.value(), 0xb0e4470ad7948269ULL);
+}
+
+// Seeded mutations fed whole and in random pieces: nothing crashes, and
+// the plaintext and the number of chunks handed up do not depend on the
+// chunking.
+TEST(BlindedStream, MutatedChunksAreSurvived) {
+  const std::vector<Bytes> seeds = hostileBlindedCorpus();
+  static constexpr char kSpice[] = "\x00\x01\x04\x08\xff\x7f\x41";
+  sim::Rng rng(0xb11dULL);
+  std::uint64_t delivered = 0;
+  constexpr int kIterations = 20000;
+  for (int i = 0; i < kIterations; ++i) {
+    const Bytes wire =
+        test::mutate(seeds, std::string_view(kSpice, sizeof kSpice - 1), rng);
+    const auto mode = (i & 1) == 0 ? crypto::BlindingMode::kByteMap
+                                   : crypto::BlindingMode::kPrintable;
+    const BlindedFeedResult whole =
+        feedBlinded(mode, wire, std::max<std::size_t>(wire.size(), 1), rng);
+    const BlindedFeedResult chunked = feedBlinded(mode, wire, 0, rng);
+    ASSERT_EQ(whole.plain, chunked.plain) << "iteration " << i;
+    ASSERT_EQ(whole.deliveries, chunked.deliveries) << "iteration " << i;
+    if (!whole.plain.empty()) ++delivered;
+  }
+  EXPECT_GT(delivered, static_cast<std::uint64_t>(kIterations) / 40);
+}
+
 // ---- Tunnel mux ----
 
 struct TunnelWorld : PipeWorld {

@@ -888,6 +888,194 @@ TEST(Tls, WireBytesAreNotPlaintext) {
   EXPECT_NE(wire.find("site.test"), std::string::npos);  // SNI in clear
 }
 
+// App data of `n` bytes that differs per size.
+Bytes appPattern(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    b[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8) * 7 + n);
+  return b;
+}
+
+// One TLS session across the border: a full handshake, then app data of
+// 0, 1, 1400, 16384, 16385 and 40000 bytes from the client (two sizes cross
+// the 16 KiB record split), each record answered by the server's "pong".
+struct TlsSessionWire {
+  test::BorderPayloads tap;
+  std::size_t client_got = 0;
+};
+
+void runTlsSession(TlsSessionWire& out) {
+  TlsWorld w;
+  w.world.borderLink().addFilter(&out.tap);
+  auto tls = w.connectTls(nullptr);
+  ASSERT_NE(tls, nullptr);
+  tls->setOnData([&out](ByteView d) { out.client_got += d.size(); });
+  std::size_t sent = 0;
+  for (const std::size_t n : {0, 1, 1400, 16384, 16385, 40000}) {
+    tls->send(appPattern(n));
+    sent += n;
+    w.runUntilDone([&] { return w.server_received.size() == sent; });
+  }
+  w.runUntilDone([&] { return out.client_got == 4 * 8; });  // 8 records
+  EXPECT_EQ(w.server_received.size(), sent);
+}
+
+// Pinned before the record path stopped copying: every segment of the
+// session's handshake and records, both ways.
+TEST(Tls, RecordWireBytesGolden) {
+  TlsSessionWire s;
+  runTlsSession(s);
+  EXPECT_EQ(s.tap.by_dir[0].size(), 78534u);
+  EXPECT_EQ(s.tap.by_dir[1].size(), 146u);
+  EXPECT_EQ(s.tap.wire.value(), 0x195cc046f5dd2492ULL);
+}
+
+// What one TLS end does with `wire` arriving from its peer in pieces of
+// `chunk` bytes (0: random pieces from `rng`): the bytes it sends back, how
+// the handshake ends and the plaintext it hands up, then what a hang-up
+// does. The simulator and acceptor are shared so the mutation loop stays
+// cheap; their state only advances the random draws.
+struct TlsFeedResult {
+  int outcome = 0;  // 0 pending, 1 established, 2 failed
+  Bytes sent;
+  Bytes plain;
+};
+
+TlsFeedResult feedTls(sim::Simulator& sim, TlsAcceptor& acceptor, bool server,
+                      ByteView wire, std::size_t chunk, sim::Rng& rng) {
+  TlsFeedResult r;
+  auto raw = std::make_shared<test::MemoryStream>();
+  TlsStream::Ptr tls;
+  const auto on_handshake = [&](TlsStream::Ptr t) {
+    r.outcome = t != nullptr ? 1 : 2;
+    tls = std::move(t);
+    if (tls != nullptr)
+      tls->setOnData([&r](ByteView d) { appendBytes(r.plain, d); });
+  };
+  if (server) {
+    acceptor.accept(raw, on_handshake);
+  } else {
+    TlsClientOptions opts;
+    opts.sni = "site.test";
+    TlsStream::clientHandshake(raw, sim, opts, nullptr, on_handshake);
+  }
+  if (chunk == 0) {
+    test::feedInRandomChunks(wire, 2048, rng,
+                             [&](ByteView part) { raw->deliver(part); });
+  } else {
+    for (std::size_t off = 0; off < wire.size(); off += chunk)
+      raw->deliver(wire.subspan(off, std::min(chunk, wire.size() - off)));
+  }
+  r.sent = std::move(raw->sent);
+  raw->hangUp();  // drops a pending handshake's hold on the TLS end
+  return r;
+}
+
+void addTlsFeed(Fnv1a& h, const TlsFeedResult& r) {
+  h.addByte(static_cast<std::uint8_t>(r.outcome));
+  h.add(static_cast<std::uint64_t>(r.sent.size()));
+  h.add(asStringView(r.sent));
+  h.add(static_cast<std::uint64_t>(r.plain.size()));
+  h.add(asStringView(r.plain));
+}
+
+Bytes tlsRecord(std::uint8_t type, ByteView payload) {
+  Bytes rec;
+  appendU8(rec, type);
+  appendU16(rec, 0x0303);
+  appendU16(rec, static_cast<std::uint16_t>(payload.size()));
+  appendBytes(rec, payload);
+  return rec;
+}
+
+// Both directions of a real session as the border saw them, then hostile
+// records: short headers, lengths past the buffer, handshake messages out
+// of order or truncated, app data before the handshake, alerts, floods of
+// empty records.
+std::vector<Bytes> hostileTlsCorpus(const TlsSessionWire& s) {
+  std::vector<Bytes> corpus = {s.tap.by_dir[0], s.tap.by_dir[1]};
+  corpus.push_back({});
+  corpus.push_back({0x16, 0x03});
+  corpus.push_back({0x16, 0x03, 0x03, 0xff, 0xff, 0x01});
+  corpus.push_back(tlsRecord(0x16, {}));
+  corpus.push_back(tlsRecord(0x17, toBytes("abcd")));
+  corpus.push_back(tlsRecord(0x15, Bytes{0x02, 0x28}));
+  corpus.push_back(tlsRecord(0x16, Bytes{0x01, 0xff, 0xff, 0x00}));
+  corpus.push_back(tlsRecord(0x16, Bytes{0x02}));
+  corpus.push_back(tlsRecord(0x16, Bytes{0x03, 0x00}));
+  corpus.push_back(tlsRecord(0x16, Bytes{0x04, 0x00, 0x09}));
+  corpus.push_back(test::clientHelloBytes("site.test", "chrome-56"));
+  Bytes flood;
+  for (int i = 0; i < 100; ++i) appendBytes(flood, tlsRecord(0x14, {}));
+  corpus.push_back(flood);
+  // A real first flight with its tail cut, and again with app data behind.
+  const Bytes& c2s = s.tap.by_dir[0];
+  corpus.emplace_back(c2s.begin(), c2s.begin() + static_cast<std::ptrdiff_t>(
+                                                     std::min<std::size_t>(
+                                                         c2s.size(), 60)));
+  Bytes flight(c2s.begin(), c2s.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min<std::size_t>(
+                                                  c2s.size(), 200)));
+  appendBytes(flight, tlsRecord(0x17, Bytes(16384, 0x41)));
+  corpus.push_back(flight);
+  return corpus;
+}
+
+// Pinned before the record reader stopped copying: everything each end
+// does with each corpus entry, fed whole and in 1-, 7- and 1400-byte
+// pieces, as server and as client.
+TEST(Tls, HostileRecordCorpusDigest) {
+  TlsSessionWire s;
+  runTlsSession(s);
+  sim::Simulator sim(11);
+  TlsAcceptor acceptor("site.test", sim);
+  sim::Rng unused(1);
+  Fnv1a h;
+  for (const Bytes& wire : hostileTlsCorpus(s)) {
+    for (const bool server : {true, false}) {
+      for (const std::size_t chunk : {std::max<std::size_t>(wire.size(), 1),
+                                      std::size_t{1}, std::size_t{7},
+                                      std::size_t{1400}})
+        addTlsFeed(h, feedTls(sim, acceptor, server, wire, chunk, unused));
+    }
+  }
+  EXPECT_EQ(h.value(), 0xa4015e03a70da355ULL);
+}
+
+// Seeded mutations of real and hostile flights, each fed whole and in
+// random pieces to a server and a client end: nothing crashes, a chunking
+// never changes what an end does, and some mutants still complete a
+// handshake.
+TEST(Tls, MutatedRecordsAreSurvived) {
+  TlsSessionWire s;
+  runTlsSession(s);
+  const std::vector<Bytes> seeds = hostileTlsCorpus(s);
+  static constexpr char kSpice[] = "\x16\x17\x15\x03\x00\x01\x02\x04\x20\xff";
+  sim::Rng rng(0x7157ULL);
+  std::uint64_t established = 0;
+  constexpr int kIterations = 20000;
+  for (int i = 0; i < kIterations; ++i) {
+    const Bytes wire =
+        test::mutate(seeds, std::string_view(kSpice, sizeof kSpice - 1), rng);
+    const bool server = (i & 1) == 0;
+    // Same simulator seed for both feeds, so both ends draw the same randoms.
+    sim::Simulator whole_sim(static_cast<std::uint64_t>(i));
+    TlsAcceptor whole_acceptor("site.test", whole_sim);
+    const TlsFeedResult whole = feedTls(whole_sim, whole_acceptor, server,
+                                        wire, std::max<std::size_t>(
+                                                  wire.size(), 1), rng);
+    sim::Simulator chunk_sim(static_cast<std::uint64_t>(i));
+    TlsAcceptor chunk_acceptor("site.test", chunk_sim);
+    const TlsFeedResult chunked =
+        feedTls(chunk_sim, chunk_acceptor, server, wire, 0, rng);
+    ASSERT_EQ(whole.outcome, chunked.outcome) << "iteration " << i;
+    ASSERT_EQ(whole.sent, chunked.sent) << "iteration " << i;
+    ASSERT_EQ(whole.plain, chunked.plain) << "iteration " << i;
+    if (whole.outcome == 1) ++established;
+  }
+  EXPECT_GT(established, static_cast<std::uint64_t>(kIterations) / 40);
+}
+
 // ---- PAC ----
 
 TEST(Pac, EvaluatesWhitelist) {

@@ -4,6 +4,7 @@
 #include "helpers.h"
 #include "http/socks.h"
 #include "tor/client.h"
+#include "util/hash.h"
 
 namespace sc::tor {
 namespace {
@@ -353,6 +354,239 @@ TEST(Meek, CdnRejectsUnknownHostHeader) {
   w.sim.runUntil(w.sim.now() + 10 * sim::kSecond);
   EXPECT_TRUE(received.empty());
   meek->close();
+}
+
+// ---- cell wire bytes and hostile cells ----
+
+Cell relayCell(std::uint32_t circ, RelayCommand cmd, std::uint16_t stream,
+               Bytes data) {
+  RelayPayload relay;
+  relay.cmd = cmd;
+  relay.stream_id = stream;
+  relay.data = std::move(data);
+  Cell cell;
+  cell.circ_id = circ;
+  cell.cmd = CellCommand::kRelay;
+  cell.payload = encodeRelayPayload(relay);
+  return cell;
+}
+
+// The cells of one short circuit life, each way: CREATE/CREATED, BEGIN,
+// CONNECTED, DATA of 1 byte, of a full cell and of nothing, END, DESTROY.
+std::vector<Cell> clientCells() {
+  Cell create;
+  create.circ_id = 0x80000001;
+  create.cmd = CellCommand::kCreate;
+  create.payload = Bytes(32, 0x5a);
+  Bytes full(kRelayDataMax);
+  for (std::size_t i = 0; i < full.size(); ++i)
+    full[i] = static_cast<std::uint8_t>(i * 7);
+  Cell destroy;
+  destroy.circ_id = 0x80000001;
+  destroy.cmd = CellCommand::kDestroy;
+  return {create,
+          relayCell(0x80000001, RelayCommand::kBegin, 1,
+                    toBytes("scholar.google.com:443")),
+          relayCell(0x80000001, RelayCommand::kData, 1, toBytes("G")),
+          relayCell(0x80000001, RelayCommand::kData, 1, full),
+          relayCell(0x80000001, RelayCommand::kEnd, 1, {}),
+          destroy};
+}
+
+std::vector<Cell> relayCells() {
+  Cell created;
+  created.circ_id = 0x80000001;
+  created.cmd = CellCommand::kCreated;
+  created.payload = Bytes(32, 0xa5);
+  return {created,
+          relayCell(0x80000001, RelayCommand::kConnected, 1, {}),
+          relayCell(0x80000001, RelayCommand::kData, 1, Bytes(300, 0x33)),
+          relayCell(0x80000001, RelayCommand::kExtended, 0, Bytes(32, 1))};
+}
+
+Bytes encodeAll(const std::vector<Cell>& cells) {
+  Bytes out;
+  for (const Cell& c : cells) appendBytes(out, encodeCell(c));
+  return out;
+}
+
+// Pinned before the cell encoder and reader stopped copying.
+TEST(Cells, CellAndRelayPayloadWireBytesGolden) {
+  Fnv1a h;
+  for (const auto& cells : {clientCells(), relayCells()}) {
+    for (const Cell& c : cells) {
+      const Bytes relay = c.cmd == CellCommand::kRelay ? c.payload : Bytes{};
+      h.add(asStringView(relay));
+      h.add(asStringView(encodeCell(c)));
+    }
+  }
+  EXPECT_EQ(h.value(), 0x31d451c7411a364fULL);
+}
+
+// The cell streams above, sent each way over TCP across the border; the
+// tap's per-direction payloads seed the hostile corpus.
+test::BorderPayloads cellLinkWire() {
+  test::BorderPayloads tap;
+  MiniWorld w;
+  w.world.borderLink().addFilter(&tap);
+  transport::Stream::Ptr server_side;
+  auto listener = w.server.tcpListen(9001, [&](transport::TcpSocket::Ptr s) {
+    server_side = s;
+    s->setOnData([s](ByteView) { s->send(encodeAll(relayCells())); });
+  });
+  transport::Stream::Ptr client_side;
+  Bytes got;
+  w.client.tcpConnect(net::Endpoint{w.server_node.primaryIp(), 9001},
+                      [&](const auto& conn) {
+                        client_side = conn;
+                        if (conn == nullptr) return;
+                        conn->setOnData(
+                            [&got](ByteView d) { appendBytes(got, d); });
+                        conn->send(encodeAll(clientCells()));
+                      });
+  const std::size_t reply = relayCells().size() * kCellSize;
+  w.runUntilDone([&] { return got.size() >= reply; });
+  return tap;
+}
+
+Bytes cellHeader(std::uint32_t circ, std::uint8_t cmd, std::uint16_t len) {
+  Bytes out;
+  appendU32(out, circ);
+  appendU8(out, cmd);
+  appendU16(out, len);
+  return out;
+}
+
+// Both directions of the real cell link, then hostile cells: truncated,
+// a length past the payload, an unknown command, relay payloads whose
+// length runs past the cell, a wrong magic, and bare relay payloads.
+std::vector<Bytes> hostileCellCorpus() {
+  const test::BorderPayloads wire = cellLinkWire();
+  std::vector<Bytes> corpus = {wire.by_dir[0], wire.by_dir[1]};
+  corpus.push_back({});
+  corpus.push_back(Bytes(kCellSize - 1, 0));
+  corpus.push_back(Bytes(2 * kCellSize + 3, 0xff));
+  Bytes long_len = cellHeader(7, 3, 0xffff);
+  long_len.resize(kCellSize, 0x41);
+  corpus.push_back(long_len);
+  Bytes odd_cmd = cellHeader(7, 0xee, 4);
+  odd_cmd.resize(kCellSize, 0);
+  corpus.push_back(odd_cmd);
+  Bytes relay_over;
+  appendU32(relay_over, kRelayMagic);
+  appendU8(relay_over, 3);
+  appendU16(relay_over, 1);
+  appendU16(relay_over, 0xffff);
+  corpus.push_back(relay_over);
+  Bytes relay_cell = cellHeader(7, 3, static_cast<std::uint16_t>(
+                                          relay_over.size()));
+  appendBytes(relay_cell, relay_over);
+  relay_cell.resize(kCellSize, 0);
+  corpus.push_back(relay_cell);
+  Bytes bad_magic = relay_over;
+  bad_magic[0] ^= 1;
+  corpus.push_back(bad_magic);
+  corpus.push_back(encodeRelayPayload(RelayPayload{}));
+  return corpus;
+}
+
+// Everything the reader and the relay decoder report for `wire` fed in
+// `chunk`-byte pieces (0: random pieces from `rng`).
+struct CellFeedResult {
+  std::vector<Cell> cells;
+  std::vector<std::optional<RelayPayload>> relays;
+};
+
+CellFeedResult feedCells(ByteView wire, std::size_t chunk, sim::Rng& rng) {
+  CellFeedResult r;
+  CellReader reader;
+  const auto take = [&](ByteView part) {
+    for (Cell& c : reader.feed(part)) {
+      r.relays.push_back(decodeRelayPayload(c.payload));
+      r.cells.push_back(std::move(c));
+    }
+  };
+  if (chunk == 0) {
+    test::feedInRandomChunks(wire, 3 * kCellSize, rng, take);
+  } else {
+    for (std::size_t off = 0; off < wire.size(); off += chunk)
+      take(wire.subspan(off, std::min(chunk, wire.size() - off)));
+  }
+  return r;
+}
+
+void addRelay(Fnv1a& h, const std::optional<RelayPayload>& relay) {
+  h.addByte(relay.has_value() ? 1 : 0);
+  if (!relay.has_value()) return;
+  h.addByte(static_cast<std::uint8_t>(relay->cmd));
+  h.add(relay->stream_id);
+  h.add(static_cast<std::uint64_t>(relay->data.size()));
+  h.add(asStringView(relay->data));
+}
+
+// Pinned before the reader consumed once per feed: each corpus entry fed
+// whole and in 1-, 7-, 97- and 514-byte pieces, and decoded directly as a
+// relay payload.
+TEST(Cells, HostileCellCorpusDigest) {
+  sim::Rng unused(1);
+  Fnv1a h;
+  for (const Bytes& wire : hostileCellCorpus()) {
+    addRelay(h, decodeRelayPayload(wire));
+    for (const std::size_t chunk : {std::max<std::size_t>(wire.size(), 1),
+                                    std::size_t{1}, std::size_t{7},
+                                    std::size_t{97}, kCellSize}) {
+      const CellFeedResult r = feedCells(wire, chunk, unused);
+      h.add(static_cast<std::uint64_t>(r.cells.size()));
+      for (std::size_t i = 0; i < r.cells.size(); ++i) {
+        h.add(r.cells[i].circ_id);
+        h.addByte(static_cast<std::uint8_t>(r.cells[i].cmd));
+        h.add(static_cast<std::uint64_t>(r.cells[i].payload.size()));
+        h.add(asStringView(r.cells[i].payload));
+        addRelay(h, r.relays[i]);
+      }
+    }
+  }
+  EXPECT_EQ(h.value(), 0xd245da32bd53ea1bULL);
+}
+
+// Seeded mutations fed whole and in random pieces: nothing crashes, the
+// chunking changes nothing, every cell re-encodes to what was read, and
+// every recognized relay payload round-trips.
+TEST(Cells, MutatedCellsAreSurvived) {
+  const std::vector<Bytes> seeds = hostileCellCorpus();
+  static constexpr char kSpice[] = "\x00\x01\x02\x03\x04\xff\x52\x43\x80";
+  sim::Rng rng(0xce11ULL);
+  std::uint64_t relays = 0;
+  constexpr int kIterations = 20000;
+  for (int i = 0; i < kIterations; ++i) {
+    const Bytes wire =
+        test::mutate(seeds, std::string_view(kSpice, sizeof kSpice - 1), rng);
+    const CellFeedResult whole =
+        feedCells(wire, std::max<std::size_t>(wire.size(), 1), rng);
+    const CellFeedResult chunked = feedCells(wire, 0, rng);
+    ASSERT_EQ(whole.cells.size(), wire.size() / kCellSize);
+    ASSERT_EQ(chunked.cells.size(), whole.cells.size());
+    for (std::size_t c = 0; c < whole.cells.size(); ++c) {
+      const Cell& cell = whole.cells[c];
+      ASSERT_EQ(chunked.cells[c].circ_id, cell.circ_id);
+      ASSERT_EQ(chunked.cells[c].payload, cell.payload);
+      ASSERT_LE(cell.payload.size(), kCellPayloadSize);
+      const Bytes again = encodeCell(cell);
+      ASSERT_EQ(again.size(), kCellSize);
+      const auto reread = CellReader().feed(again);
+      ASSERT_EQ(reread.size(), 1u);
+      ASSERT_EQ(reread[0].payload, cell.payload);
+      if (const auto& relay = whole.relays[c]) {
+        ++relays;
+        const auto round = decodeRelayPayload(encodeRelayPayload(*relay));
+        ASSERT_TRUE(round.has_value());
+        ASSERT_EQ(round->data, relay->data);
+        ASSERT_EQ(round->stream_id, relay->stream_id);
+      }
+    }
+    (void)decodeRelayPayload(wire);
+  }
+  EXPECT_GT(relays, static_cast<std::uint64_t>(kIterations) / 40);
 }
 
 TEST(Cells, OversizedPayloadIsClampedNotOverflowed) {
