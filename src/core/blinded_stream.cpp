@@ -55,31 +55,57 @@ void BlindedStream::rotate(std::uint32_t new_epoch) {
 
 void BlindedStream::send(Bytes data) {
   if (inner_ == nullptr) return;
-  const Bytes blinded = codecFor(tx_epoch_).blind(data);
-  Bytes chunk;
-  appendU32(chunk, static_cast<std::uint32_t>(blinded.size()));
-  appendU32(chunk, tx_epoch_);
-  appendBytes(chunk, blinded);
+  const crypto::BlindingCodec& codec = codecFor(tx_epoch_);
+  const std::size_t len = codec.blindedSize(data.size());
+  Bytes chunk(kChunkHeader + len);
+  std::size_t off = 0;
+  writeU32(chunk, off, static_cast<std::uint32_t>(len));
+  writeU32(chunk, off, tx_epoch_);
+  codec.blindInto(data, chunk.data() + kChunkHeader);
   ++chunks_sent_;
   inner_->send(std::move(chunk));
 }
 
+std::size_t BlindedStream::readChunk(ByteView buf) {
+  std::size_t off = 0;
+  std::uint32_t len = 0, epoch = 0;
+  if (!readU32(buf, off, len) || !readU32(buf, off, epoch) ||
+      buf.size() - kChunkHeader < len)
+    return 0;
+  const Bytes plain = codecFor(epoch).unblind(buf.subspan(kChunkHeader, len));
+  emitData(plain);
+  return kChunkHeader + len;
+}
+
 void BlindedStream::onInner(ByteView data) {
-  appendBytes(rx_buffer_, data);
-  while (true) {
-    if (rx_buffer_.size() < 8) return;
-    std::size_t off = 0;
-    std::uint32_t len = 0, epoch = 0;
-    readU32(rx_buffer_, off, len);
-    readU32(rx_buffer_, off, epoch);
-    if (rx_buffer_.size() - 8 < len) return;  // 8u + len may wrap
-    const Bytes plain = codecFor(epoch).unblind(
-        ByteView(rx_buffer_.data() + 8, len));
-    rx_buffer_.erase(rx_buffer_.begin(),
-                     rx_buffer_.begin() + 8 + static_cast<std::ptrdiff_t>(len));
-    emitData(plain);
-    if (inner_ == nullptr) return;
+  if (reading_ || !rx_buffer_.empty()) {
+    appendBytes(rx_buffer_, data);
+    if (reading_) return;  // the read running below this call takes them
+    data = {};
   }
+  reading_ = true;
+  // Whole chunks straight from the caller's bytes; the rest goes ahead of
+  // anything a handler's re-entrant delivery buffered meanwhile.
+  std::size_t used = 0;
+  while (inner_ != nullptr) {
+    const std::size_t n = readChunk(data.subspan(used));
+    if (n == 0) break;
+    used += n;
+  }
+  if (inner_ == nullptr) {
+    reading_ = false;
+    return;
+  }
+  rx_buffer_.insert(rx_buffer_.begin(), data.begin() + used, data.end());
+  std::size_t off = 0;
+  while (inner_ != nullptr) {
+    const std::size_t n = readChunk(ByteView(rx_buffer_).subspan(off));
+    if (n == 0) break;
+    off += n;
+  }
+  rx_buffer_.erase(rx_buffer_.begin(),
+                   rx_buffer_.begin() + static_cast<std::ptrdiff_t>(off));
+  reading_ = false;
 }
 
 void BlindedStream::close() {

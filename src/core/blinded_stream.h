@@ -49,14 +49,23 @@ class BlindedStream final : public transport::Stream,
                 std::uint32_t epoch, crypto::BlindingMode mode);
   void hook();
   void onInner(ByteView data);
+  // Unblinds and hands up the chunk at the front of `buf` if it is whole;
+  // returns its wire size, or 0 when `buf` holds only part of one.
+  std::size_t readChunk(ByteView buf);
   const crypto::BlindingCodec& codecFor(std::uint32_t epoch);
+
+  static constexpr std::size_t kChunkHeader = 8;  // length, epoch
 
   transport::Stream::Ptr inner_;
   Bytes secret_;
   crypto::BlindingMode mode_;
   std::uint32_t tx_epoch_;
   std::map<std::uint32_t, crypto::BlindingCodec> codecs_;
+  // Bytes of a chunk still arriving. A chunk that arrives whole is read in
+  // place from the inner stream's buffer, and the rest is erased once per
+  // delivery rather than once per chunk.
   Bytes rx_buffer_;
+  bool reading_ = false;
   std::uint64_t chunks_sent_ = 0;
 };
 

@@ -36,9 +36,9 @@ DomesticProxy::DomesticProxy(transport::HostStack& stack,
     respond(std::move(resp));
   });
 
-  server_->setDefaultHandler([this](const http::Request& req,
+  server_->setDefaultHandler([this](http::Request&& req,
                                     http::HttpServer::Respond respond) {
-    handleHttpRequest(req, std::move(respond));
+    handleHttpRequest(std::move(req), std::move(respond));
   });
   server_->setConnectHandler(
       [this](const http::Request& req, transport::Stream::Ptr client,
@@ -157,10 +157,10 @@ void DomesticProxy::onSocksRequest(transport::ConnectTarget target,
       });
 }
 
-void DomesticProxy::handleHttpRequest(const http::Request& req,
+void DomesticProxy::handleHttpRequest(http::Request&& req,
                                       http::HttpServer::Respond respond) {
   const auto url = http::Url::parse(req.target);
-  const std::string host = url ? url->host : req.host();
+  const std::string host(url ? std::string_view(url->host) : req.host());
   const net::Ipv4 client = peerOf(req);
 
   if (!url.has_value() || !isWhitelisted(host)) {
@@ -200,7 +200,7 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
   openProxiedStream(
       client, transport::ConnectTarget::byHostname(host, url->port),
       /*passthrough=*/false,
-      [this, req, url, cacheable, cache_key,
+      [this, req = std::move(req), url, cacheable, cache_key,
        respond = std::move(respond)](transport::Stream::Ptr stream) mutable {
         // Plain HTTP rides an AES-encrypted tunnel stream (the "HTTPS-like
         // encrypted tunnel" of §3's data-security paragraph).
@@ -213,7 +213,7 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
           return;
         }
         noteProxied();
-        http::Request upstream_req = req;
+        http::Request upstream_req = std::move(req);
         upstream_req.target = url->path;  // absolute-form to origin-form
         upstream_req.headers.set("via", "scholarcloud/1.0");
         http::HttpClient::fetchOn(

@@ -102,7 +102,7 @@ class DomesticProxy {
   void openProxiedStream(net::Ipv4 client, transport::ConnectTarget target,
                          bool passthrough, TunnelProvider::StreamHandler fn);
   net::Ipv4 peerOf(const http::Request& req);
-  void handleHttpRequest(const http::Request& req,
+  void handleHttpRequest(http::Request&& req,
                          http::HttpServer::Respond respond);
   void handleConnect(const http::Request& req,
                      transport::Stream::Ptr client,

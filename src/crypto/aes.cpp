@@ -206,12 +206,20 @@ Bytes AesCfbStream::decrypt(ByteView ciphertext) {
   return out;
 }
 
-void AesCfbStream::encryptInPlace(Bytes& data) {
+void AesCfbStream::encryptInPlace(std::span<std::uint8_t> data) noexcept {
   transform<false>(data.data(), data.data(), data.size());
 }
 
-void AesCfbStream::decryptInPlace(Bytes& data) {
+void AesCfbStream::decryptInPlace(std::span<std::uint8_t> data) noexcept {
   transform<true>(data.data(), data.data(), data.size());
+}
+
+void AesCfbStream::encryptInto(ByteView in, std::uint8_t* out) noexcept {
+  transform<false>(in.data(), out, in.size());
+}
+
+void AesCfbStream::decryptInto(ByteView in, std::uint8_t* out) noexcept {
+  transform<true>(in.data(), out, in.size());
 }
 
 Bytes aes256CfbEncrypt(const Aes256& cipher, ByteView iv, ByteView plaintext) {

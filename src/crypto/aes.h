@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.h"
 
@@ -51,11 +52,15 @@ class AesCfbStream {
   Bytes encrypt(ByteView plaintext);
   Bytes decrypt(ByteView ciphertext);
 
-  // In-place variants: transform the buffer without allocating an output.
-  // CFB is a stream mode, so ciphertext can overwrite plaintext byte by
-  // byte — the VPN encap/decap hot paths use these to reuse one buffer.
-  void encryptInPlace(Bytes& data);
-  void decryptInPlace(Bytes& data);
+  // In-place variants over any span, such as a frame's payload inside the
+  // buffer that carries its header: CFB is a stream mode, so ciphertext can
+  // overwrite plaintext byte by byte. The VPN encap/decap paths and the TLS
+  // record layer use these to keep one buffer per frame.
+  void encryptInPlace(std::span<std::uint8_t> data) noexcept;
+  void decryptInPlace(std::span<std::uint8_t> data) noexcept;
+  // Into `out`, which holds in.size() bytes and does not overlap `in`.
+  void encryptInto(ByteView in, std::uint8_t* out) noexcept;
+  void decryptInto(ByteView in, std::uint8_t* out) noexcept;
 
   // The expanded key, so a stream for the other direction can start from
   // it without running the key schedule again.

@@ -46,35 +46,39 @@ void BlindingCodec::rebuildTables() {
   }
 }
 
-Bytes BlindingCodec::blind(ByteView data) const {
+std::size_t BlindingCodec::blindedSize(std::size_t n) const noexcept {
+  return mode_ == BlindingMode::kByteMap ? n : (n + 2) / 3 * 4 + 1;
+}
+
+void BlindingCodec::blindInto(ByteView data, std::uint8_t* out) const noexcept {
   if (mode_ == BlindingMode::kByteMap) {
-    Bytes out(data.size());
     for (std::size_t i = 0; i < data.size(); ++i) out[i] = forward_[data[i]];
-    return out;
+    return;
   }
   // Printable: 3 bytes -> 4 alphabet chars (tail handled with length nibble).
-  Bytes out;
-  out.reserve((data.size() + 2) / 3 * 4);
+  const auto put4 = [&](std::uint32_t n) {
+    *out++ = alphabet_[n >> 18 & 63];
+    *out++ = alphabet_[n >> 12 & 63];
+    *out++ = alphabet_[n >> 6 & 63];
+    *out++ = alphabet_[n & 63];
+  };
   std::size_t i = 0;
-  for (; i + 3 <= data.size(); i += 3) {
-    const std::uint32_t n = std::uint32_t{data[i]} << 16 |
-                            std::uint32_t{data[i + 1]} << 8 | data[i + 2];
-    out.push_back(alphabet_[n >> 18 & 63]);
-    out.push_back(alphabet_[n >> 12 & 63]);
-    out.push_back(alphabet_[n >> 6 & 63]);
-    out.push_back(alphabet_[n & 63]);
-  }
+  for (; i + 3 <= data.size(); i += 3)
+    put4(std::uint32_t{data[i]} << 16 | std::uint32_t{data[i + 1]} << 8 |
+         data[i + 2]);
   const std::size_t rem = data.size() - i;
   if (rem > 0) {
     std::uint32_t n = std::uint32_t{data[i]} << 16;
     if (rem == 2) n |= std::uint32_t{data[i + 1]} << 8;
-    out.push_back(alphabet_[n >> 18 & 63]);
-    out.push_back(alphabet_[n >> 12 & 63]);
-    out.push_back(alphabet_[n >> 6 & 63]);
-    out.push_back(alphabet_[n & 63]);
+    put4(n);
   }
   // Unambiguous trailer: one char carrying the remainder length (0..2).
-  out.push_back(alphabet_[rem]);
+  *out = alphabet_[rem];
+}
+
+Bytes BlindingCodec::blind(ByteView data) const {
+  Bytes out(blindedSize(data.size()));
+  blindInto(data, out.data());
   return out;
 }
 

@@ -34,6 +34,10 @@ class BlindingCodec {
 
   Bytes blind(ByteView data) const;
   Bytes unblind(ByteView data) const;
+  // blind() into a caller's buffer of blindedSize(data.size()) bytes, so a
+  // framed writer can put the header and the blinded bytes in one buffer.
+  std::size_t blindedSize(std::size_t n) const noexcept;
+  void blindInto(ByteView data, std::uint8_t* out) const noexcept;
 
   // Re-keys the codec to a new epoch; both sides call this in lockstep when
   // the operators decide the GFW may have learned the current mapping.

@@ -9,15 +9,26 @@ class FetchOp : public std::enable_shared_from_this<FetchOp> {
           HttpClient::FetchCb cb)
       : stream_(std::move(stream)), sim_(sim), cb_(std::move(cb)) {}
 
-  // The timeout event owns the fetch; the stream's handlers only observe it,
-  // so a stream never keeps the fetch it serves alive.
+  // A fetch the world ends under still has its handlers on the stream.
+  ~FetchOp() {
+    if (stream_ != nullptr) {
+      stream_->setOnData(nullptr);
+      stream_->setOnClose(nullptr);
+    }
+  }
+
+  // The timeout event owns the fetch; the stream's handlers only observe it
+  // (finish or the destructor removes them), so a stream never keeps the
+  // fetch it serves alive. They hold a bare pointer, small enough to need
+  // no allocation, and keep the fetch alive while they run.
   void start(Request req, sim::Time timeout) {
-    std::weak_ptr<FetchOp> weak = weak_from_this();
-    stream_->setOnData([weak](ByteView data) {
-      if (auto self = weak.lock()) self->onData(data);
+    stream_->setOnData([this](ByteView data) {
+      const auto keep = shared_from_this();
+      onData(data);
     });
-    stream_->setOnClose([weak] {
-      if (auto self = weak.lock()) self->finish(std::nullopt);
+    stream_->setOnClose([this] {
+      const auto keep = shared_from_this();
+      finish(std::nullopt);
     });
     timer_ = sim_.schedule(timeout, [self = shared_from_this()] {
       self->finish(std::nullopt);

@@ -50,7 +50,7 @@ const Headers::Field* Headers::find(std::string_view key) const {
   return &*it;
 }
 
-std::optional<std::string> Headers::get(std::string_view key) const {
+std::optional<std::string_view> Headers::get(std::string_view key) const {
   const Field* field = find(key);
   if (field == nullptr) return std::nullopt;
   return field->second;
@@ -58,7 +58,9 @@ std::optional<std::string> Headers::get(std::string_view key) const {
 
 bool Headers::has(std::string_view key) const { return find(key) != nullptr; }
 
-std::string Request::host() const { return headers.get("host").value_or(""); }
+std::string_view Request::host() const {
+  return headers.get("host").value_or("");
+}
 
 namespace {
 
@@ -181,8 +183,8 @@ Bytes& bodyOf(Response& r) { return r.body; }
 }  // namespace
 
 template <typename Message>
-bool MessageParser<Message>::tryParseHeader(std::size_t& used) {
-  const std::string_view pending = asStringView(buffer_).substr(used);
+bool MessageParser<Message>::tryParseHeader(ByteView in, std::size_t& used) {
+  const std::string_view pending = asStringView(in).substr(used);
   const auto end = pending.find("\r\n\r\n");
   if (end == std::string_view::npos) {
     if (pending.size() > 64 * 1024) malformed_ = true;  // header bomb
@@ -194,6 +196,11 @@ bool MessageParser<Message>::tryParseHeader(std::size_t& used) {
   // holding no control byte but HTAB.
   Message msg;
   const std::string_view head = pending.substr(0, end);
+  // One field per line but the start line, and room for one more: a server
+  // stamps the peer's address on every request.
+  headersOf(msg).reserve(
+      static_cast<std::size_t>(std::count(head.begin(), head.end(), '\n')) +
+      1);
   bool first = true;
   for (std::size_t start = 0; start <= head.size();) {
     const std::size_t nl = std::min(head.find('\n', start), head.size());
@@ -239,23 +246,36 @@ bool MessageParser<Message>::tryParseHeader(std::size_t& used) {
 }
 
 template <typename Message>
-std::vector<Message> MessageParser<Message>::feed(ByteView data) {
-  std::vector<Message> complete;
-  if (malformed_) return complete;
-  appendBytes(buffer_, data);
-
-  std::size_t used = 0;  // bytes of buffer_ consumed by this call
+std::size_t MessageParser<Message>::parse(ByteView in,
+                                          std::vector<Message>& complete) {
+  std::size_t used = 0;
   while (!malformed_) {
-    if (!partial_.has_value() && !tryParseHeader(used)) break;
-    if (buffer_.size() - used < body_needed_) break;
+    if (!partial_.has_value() && !tryParseHeader(in, used)) break;
+    if (in.size() - used < body_needed_) break;
     Message msg = std::move(*partial_);
     partial_.reset();
-    const auto body = buffer_.begin() + static_cast<std::ptrdiff_t>(used);
-    bodyOf(msg).assign(body, body + static_cast<std::ptrdiff_t>(body_needed_));
+    const ByteView body = in.subspan(used, body_needed_);
+    bodyOf(msg).assign(body.begin(), body.end());
     used += body_needed_;
     body_needed_ = 0;
     complete.push_back(std::move(msg));
   }
+  return used;
+}
+
+template <typename Message>
+std::vector<Message> MessageParser<Message>::feed(ByteView data) {
+  std::vector<Message> complete;
+  if (malformed_) return complete;
+  if (buffer_.empty()) {
+    // Whole messages straight from the caller's bytes; keep the rest.
+    const std::size_t used = parse(data, complete);
+    buffer_.assign(data.begin() + static_cast<std::ptrdiff_t>(used),
+                   data.end());
+    return complete;
+  }
+  appendBytes(buffer_, data);
+  const std::size_t used = parse(buffer_, complete);
   buffer_.erase(buffer_.begin(),
                 buffer_.begin() + static_cast<std::ptrdiff_t>(used));
   return complete;

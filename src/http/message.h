@@ -24,9 +24,11 @@ class Headers {
 
   // Overwrites an existing field of the same name.
   void set(std::string_view key, std::string value);
-  std::optional<std::string> get(std::string_view key) const;
+  // A view of the stored value, valid until the headers change.
+  std::optional<std::string_view> get(std::string_view key) const;
   bool has(std::string_view key) const;
   const std::vector<Field>& all() const { return fields_; }
+  void reserve(std::size_t fields) { fields_.reserve(fields); }
 
  private:
   const Field* find(std::string_view key) const;
@@ -40,7 +42,7 @@ struct Request {
   Headers headers;
   Bytes body;
 
-  std::string host() const;  // from Host header
+  std::string_view host() const;  // from Host header; "" when absent
   Bytes serialize() const;
 };
 
@@ -63,10 +65,15 @@ class MessageParser {
   void reset();
 
  private:
-  // Parses the header block starting `used` bytes into buffer_ and moves
+  // Parses the header block starting `used` bytes into `in` and moves
   // `used` past it; false when it is incomplete or malformed.
-  bool tryParseHeader(std::size_t& used);
+  bool tryParseHeader(ByteView in, std::size_t& used);
+  // Takes every whole message at the front of `in` into `complete` and
+  // returns how many bytes they used.
+  std::size_t parse(ByteView in, std::vector<Message>& complete);
 
+  // Bytes of a message still arriving. A message that arrives whole is
+  // parsed in place from the caller's bytes.
   Bytes buffer_;
   std::optional<Message> partial_;
   std::size_t body_needed_ = 0;

@@ -1,5 +1,7 @@
 #include "http/server.h"
 
+#include <deque>
+
 #include "util/strings.h"
 
 namespace sc::http {
@@ -10,6 +12,12 @@ struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
   net::Ipv4 peer;
   RequestParser parser;
   bool closing = false;
+  // Requests waiting for the core and responses waiting to be written, in
+  // the order their CPU jobs were submitted. The host's CpuQueue runs jobs
+  // FIFO, so each job takes the front of its queue and its closure holds
+  // only the session, small enough to need no allocation of its own.
+  std::deque<Request> to_dispatch;
+  std::deque<Response> to_write;
 
   Session(HttpServer& srv, transport::Stream::Ptr s, net::Ipv4 p)
       : server(srv), stream(std::move(s)), peer(p) {}
@@ -66,21 +74,24 @@ struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
     auto self = shared_from_this();
 
     // Charge CPU for request handling; respond once the core gets to it.
+    to_dispatch.push_back(std::move(req));
     const double cycles = server.options_.cycles_per_request;
-    server.stack_.cpu().submit(cycles, [self, req = std::move(req),
-                                        close_after] {
+    server.stack_.cpu().submit(cycles, [self, close_after] {
+      Request next = std::move(self->to_dispatch.front());
+      self->to_dispatch.pop_front();
       self->server.dispatch(
-          req, [self, close_after](Response resp) {
+          std::move(next), [self, close_after](Response resp) {
             if (self->closing || self->stream == nullptr) return;
             resp.headers.set("server", "sc-httpd/1.0");
             const double body_cycles =
                 self->server.options_.cycles_per_body_byte *
                 static_cast<double>(resp.body.size());
-            self->server.stack_.cpu().submit(body_cycles, [self, close_after,
-                                                           resp = std::move(
-                                                               resp)] {
+            self->to_write.push_back(std::move(resp));
+            self->server.stack_.cpu().submit(body_cycles, [self, close_after] {
+              const Response out = std::move(self->to_write.front());
+              self->to_write.pop_front();
               if (self->closing || self->stream == nullptr) return;
-              self->stream->send(resp.serialize());
+              self->stream->send(out.serialize());
               if (close_after) {
                 self->stream->close();
                 self->onClose();
@@ -122,7 +133,7 @@ HttpServer::HttpServer(transport::HostStack& stack, ServerOptions options)
         }
       });
 
-  default_ = [](const Request&, Respond respond) {
+  default_ = [](Request&&, Respond respond) {
     Response resp;
     resp.status = 404;
     resp.reason = statusReason(404);
@@ -142,10 +153,10 @@ void HttpServer::onStream(transport::Stream::Ptr stream, net::Ipv4 peer) {
   session->start();
 }
 
-void HttpServer::dispatch(const Request& req, Respond respond) {
+void HttpServer::dispatch(Request&& req, Respond respond) {
   // Strip absolute-form targets down to a path for matching.
-  std::string path = req.target;
-  if (const auto url = Url::parse(path)) path = url->path;
+  const auto url = Url::parse(req.target);
+  const std::string_view path = url ? std::string_view(url->path) : req.target;
 
   const RouteEntry* best = nullptr;
   for (const auto& entry : routes_) {
@@ -154,9 +165,9 @@ void HttpServer::dispatch(const Request& req, Respond respond) {
       best = &entry;
   }
   if (best != nullptr) {
-    best->handler(req, std::move(respond));
+    best->handler(std::move(req), std::move(respond));
   } else {
-    default_(req, std::move(respond));
+    default_(std::move(req), std::move(respond));
   }
 }
 

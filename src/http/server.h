@@ -30,7 +30,8 @@ struct ServerOptions {
 class HttpServer {
  public:
   using Respond = std::function<void(Response)>;
-  using Handler = std::function<void(const Request&, Respond)>;
+  // The request is the handler's to move from (a proxy forwards it on).
+  using Handler = std::function<void(Request&&, Respond)>;
 
   HttpServer(transport::HostStack& stack, ServerOptions options);
   ~HttpServer();
@@ -64,7 +65,7 @@ class HttpServer {
   struct Session;
 
   void onStream(transport::Stream::Ptr stream, net::Ipv4 peer);
-  void dispatch(const Request& req, Respond respond);
+  void dispatch(Request&& req, Respond respond);
 
   transport::HostStack& stack_;
   ServerOptions options_;

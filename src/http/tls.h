@@ -18,6 +18,13 @@
 // this world never tries to decrypt TLS — like its real counterpart, it
 // classifies and blocks on metadata — so these shortcuts do not change any
 // observable the experiments measure.
+//
+// Buffers: each record sent is one buffer holding its header and payload
+// (app data is encrypted straight into it), handed to the raw stream by
+// move. Records that arrive whole are read in place from the raw stream's
+// bytes; only a record split across deliveries is buffered, and the
+// buffer's consumed prefix is erased once per delivery. Each app-data
+// record is decrypted into one plaintext buffer.
 #pragma once
 
 #include <functional>
@@ -99,9 +106,13 @@ class TlsStream final : public transport::Stream,
   void hookRaw();
   void observeRaw();
   void onRawData(ByteView data);
+  // Handles the record at the front of `buf` if it is whole; returns its
+  // wire size, or 0 when `buf` holds only part of one.
+  std::size_t readRecord(ByteView buf);
   void onRawClose();
   void handleHandshakeRecord(ByteView payload);
-  void sendRecord(std::uint8_t type, ByteView payload);
+  // Writes the length of a record begun with its header and sends it.
+  void sendRecord(Bytes record);
   void deriveSessionKeys();
   void finishHandshake();
   void fail();
@@ -124,7 +135,11 @@ class TlsStream final : public transport::Stream,
   Bytes pending_ticket_;
   std::unique_ptr<crypto::AesCfbStream> encryptor_;
   std::unique_ptr<crypto::AesCfbStream> decryptor_;
+  // Bytes of a record still arriving. A record that arrives whole is read
+  // in place from the raw stream's buffer, and the rest is erased once per
+  // delivery rather than once per record.
   Bytes record_buffer_;
+  bool reading_ = false;
   std::uint64_t crypto_bytes_ = 0;
 };
 

@@ -1,42 +1,64 @@
 #include "tor/cell.h"
 
+#include <algorithm>
+
 namespace sc::tor {
 
+namespace {
+constexpr std::size_t kCellHeader = kCellSize - kCellPayloadSize;
+
+// The cell that starts `wire`, which holds at least kCellSize bytes.
+Cell decodeCell(ByteView wire) {
+  Cell cell;
+  std::size_t off = 0;
+  std::uint8_t cmd = 0;
+  std::uint16_t len = 0;
+  readU32(wire, off, cell.circ_id);
+  readU8(wire, off, cmd);
+  readU16(wire, off, len);
+  cell.cmd = static_cast<CellCommand>(cmd);
+  if (len > kCellPayloadSize) len = kCellPayloadSize;
+  const ByteView payload = wire.subspan(kCellHeader, len);
+  cell.payload.assign(payload.begin(), payload.end());
+  return cell;
+}
+}  // namespace
+
 Bytes encodeCell(const Cell& cell) {
-  Bytes out;
-  out.reserve(kCellSize);
-  appendU32(out, cell.circ_id);
-  appendU8(out, static_cast<std::uint8_t>(cell.cmd));
-  appendU16(out, static_cast<std::uint16_t>(cell.payload.size()));
-  appendBytes(out, cell.payload);
-  out.resize(kCellSize, 0);  // fixed-size padding
+  Bytes out(kCellSize);  // zeroed: the fixed-size padding
+  std::size_t off = 0;
+  writeU32(out, off, cell.circ_id);
+  writeU8(out, off, static_cast<std::uint8_t>(cell.cmd));
+  writeU16(out, off, static_cast<std::uint16_t>(cell.payload.size()));
+  std::copy_n(cell.payload.begin(),
+              std::min(cell.payload.size(), kCellPayloadSize),
+              out.begin() + kCellHeader);
   return out;
 }
 
 std::vector<Cell> CellReader::feed(ByteView data) {
-  appendBytes(buffer_, data);
+  // Cells are read in place from the caller's bytes unless part of one is
+  // already buffered; the consumed prefix is erased once per feed.
+  const bool buffered = !buffer_.empty();
+  if (buffered) appendBytes(buffer_, data);
+  const ByteView in = buffered ? ByteView(buffer_) : data;
   std::vector<Cell> cells;
-  while (buffer_.size() >= kCellSize) {
-    std::size_t off = 0;
-    Cell cell;
-    std::uint8_t cmd = 0;
-    std::uint16_t len = 0;
-    readU32(buffer_, off, cell.circ_id);
-    readU8(buffer_, off, cmd);
-    readU16(buffer_, off, len);
-    cell.cmd = static_cast<CellCommand>(cmd);
-    if (len > kCellPayloadSize) len = kCellPayloadSize;
-    cell.payload.assign(buffer_.begin() + 7,
-                        buffer_.begin() + 7 + len);
+  cells.reserve(in.size() / kCellSize);
+  std::size_t off = 0;
+  for (; in.size() - off >= kCellSize; off += kCellSize)
+    cells.push_back(decodeCell(in.subspan(off)));
+  if (buffered) {
     buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(kCellSize));
-    cells.push_back(std::move(cell));
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(off));
+  } else {
+    buffer_.assign(in.begin() + static_cast<std::ptrdiff_t>(off), in.end());
   }
   return cells;
 }
 
 Bytes encodeRelayPayload(const RelayPayload& relay) {
   Bytes out;
+  out.reserve(9 + relay.data.size());
   appendU32(out, kRelayMagic);
   appendU8(out, static_cast<std::uint8_t>(relay.cmd));
   appendU16(out, relay.stream_id);

@@ -3,9 +3,13 @@
 // boundaries leak nothing about payload sizes.
 //
 // RELAY cells are onion-encrypted: the client applies one AES-CFB layer per
-// hop; each relay peels (or adds, backward) exactly one layer. A peeled
-// relay payload is "recognized" by its leading magic — the stand-in for the
-// real protocol's zeroed-digest check.
+// hop; each relay peels (or adds, backward) exactly one layer, in place in
+// the cell's payload. A peeled relay payload is "recognized" by its leading
+// magic — the stand-in for the real protocol's zeroed-digest check.
+//
+// Buffers: an encoded cell is one 514-byte buffer. CellReader decodes cells
+// in place from the bytes it is fed, buffers only a partial cell, and
+// erases its consumed prefix once per feed.
 #pragma once
 
 #include <optional>

@@ -283,13 +283,12 @@ void TorClient::bootstrapDone(bool ok) {
 
 void TorClient::sendRelay(const RelayPayload& relay) {
   if (link_ == nullptr || hops_.empty()) return;
-  Bytes payload = encodeRelayPayload(relay);
-  for (std::size_t i = hops_.size(); i-- > 0;)
-    payload = hops_[i].forward->encrypt(payload);
   Cell cell;
   cell.circ_id = circ_id_;
   cell.cmd = CellCommand::kRelay;
-  cell.payload = std::move(payload);
+  cell.payload = encodeRelayPayload(relay);
+  for (std::size_t i = hops_.size(); i-- > 0;)
+    hops_[i].forward->encryptInPlace(cell.payload);
   link_->send(encodeCell(cell));
 }
 
@@ -308,10 +307,9 @@ void TorClient::onCell(Cell cell) {
       return;
     }
     case CellCommand::kRelay: {
-      Bytes payload = std::move(cell.payload);
       for (std::size_t i = 0; i < hops_.size(); ++i) {
-        payload = hops_[i].backward->decrypt(payload);
-        if (auto relay = decodeRelayPayload(payload)) {
+        hops_[i].backward->decryptInPlace(cell.payload);
+        if (auto relay = decodeRelayPayload(cell.payload)) {
           onRecognized(std::move(*relay));
           return;
         }

@@ -21,20 +21,19 @@ FrontedCdn::FrontedCdn(transport::HostStack& stack, std::string front_domain)
   opts.cycles_per_request = 8e5;  // CDN edges are fast
   server_ = std::make_unique<http::HttpServer>(stack_, opts);
   server_->setDefaultHandler(
-      [this](const http::Request& req, http::HttpServer::Respond respond) {
-        forward(req, std::move(respond));
+      [this](http::Request&& req, http::HttpServer::Respond respond) {
+        forward(std::move(req), std::move(respond));
       });
 }
 
 void FrontedCdn::addOrigin(const std::string& host_header,
                            net::Endpoint origin) {
-  origins_[host_header] = origin;
+  origins_[host_header].endpoint = origin;
 }
 
 void FrontedCdn::withUpstream(
-    const std::string& host, net::Endpoint origin,
-    std::function<void(transport::Stream::Ptr)> cb) {
-  auto& idle = pool_[host];
+    Origin& origin, std::function<void(transport::Stream::Ptr)> cb) {
+  auto& idle = origin.idle;
   while (!idle.empty()) {
     auto stream = idle.back();
     idle.pop_back();
@@ -43,11 +42,11 @@ void FrontedCdn::withUpstream(
       return;
     }
   }
-  stack_.directConnector()->connect(transport::ConnectTarget::byAddress(origin),
-                                    std::move(cb));
+  stack_.directConnector()->connect(
+      transport::ConnectTarget::byAddress(origin.endpoint), std::move(cb));
 }
 
-void FrontedCdn::forward(const http::Request& req,
+void FrontedCdn::forward(http::Request&& req,
                          http::HttpServer::Respond respond) {
   const auto it = origins_.find(req.host());
   if (it == origins_.end()) {
@@ -58,33 +57,34 @@ void FrontedCdn::forward(const http::Request& req,
     return;
   }
   ++fronted_;
-  const std::string host = req.host();
-  auto respond_shared =
-      std::make_shared<http::HttpServer::Respond>(std::move(respond));
+  // Map nodes stay put, so the callbacks hold the origin by address. Each
+  // runs once and hands the request and the responder on by move.
+  Origin* origin = &it->second;
   withUpstream(
-      host, it->second,
-      [this, host, req, respond_shared](transport::Stream::Ptr upstream) {
+      *origin, [this, origin, req = std::move(req),
+                respond = std::move(respond)](
+                   transport::Stream::Ptr upstream) mutable {
         if (upstream == nullptr) {
           http::Response resp;
           resp.status = 502;
           resp.reason = http::statusReason(502);
-          (*respond_shared)(std::move(resp));
+          respond(std::move(resp));
           return;
         }
         http::HttpClient::fetchOn(
-            upstream, stack_.sim(), req, 30 * sim::kSecond,
-            [this, host, upstream,
-             respond_shared](std::optional<http::Response> r) {
+            upstream, stack_.sim(), std::move(req), 30 * sim::kSecond,
+            [origin, upstream, respond = std::move(respond)](
+                std::optional<http::Response> r) {
               if (!r.has_value()) {
                 upstream->close();
                 http::Response resp;
                 resp.status = 504;
                 resp.reason = http::statusReason(504);
-                (*respond_shared)(std::move(resp));
+                respond(std::move(resp));
                 return;
               }
-              pool_[host].push_back(upstream);  // keep-alive reuse
-              (*respond_shared)(std::move(*r));
+              origin->idle.push_back(upstream);  // keep-alive reuse
+              respond(std::move(*r));
             });
       });
 }
@@ -98,15 +98,14 @@ MeekServer::MeekServer(transport::HostStack& stack,
   opts.port = http_port;
   server_ = std::make_unique<http::HttpServer>(stack_, opts);
   server_->setDefaultHandler(
-      [this](const http::Request& req, http::HttpServer::Respond respond) {
-        onRequest(req, std::move(respond));
+      [this](http::Request&& req, http::HttpServer::Respond respond) {
+        onRequest(std::move(req), std::move(respond));
       });
 }
 
-void MeekServer::onRequest(const http::Request& req,
+void MeekServer::onRequest(http::Request&& req,
                            http::HttpServer::Respond respond) {
-  const std::string session_id =
-      req.headers.get("x-session-id").value_or("");
+  const std::string session_id(req.headers.get("x-session-id").value_or(""));
   if (session_id.empty()) {
     http::Response resp;
     resp.status = 400;
@@ -167,16 +166,16 @@ void MeekServer::onRequest(const http::Request& req,
   // Push upstream bytes (the link buffers sends internally if still
   // connecting thanks to Stream's pending buffer semantics — but the link
   // pointer may not exist yet; queue through a retry in that case).
-  const Bytes upstream(req.body.begin(), req.body.end());
+  Bytes upstream = std::move(req.body);
   if (!upstream.empty()) {
     if (session->link != nullptr) {
-      session->link->send(upstream);
+      session->link->send(std::move(upstream));
     } else if (!session->link_failed) {
       // Link still connecting: deliver once it exists.
       auto self_stack = &stack_;
       // Each pending retry owns the retry function; it does not own itself.
       auto deliver = std::make_shared<std::function<void(int)>>();
-      *deliver = [session, upstream, self_stack,
+      *deliver = [session, upstream = std::move(upstream), self_stack,
                   weak = std::weak_ptr(deliver)](int tries) {
         if (session->link != nullptr) {
           session->link->send(upstream);
@@ -219,7 +218,7 @@ void MeekServer::onRequest(const http::Request& req,
     session->hold_timer.cancel();
     old();
   }
-  session->pending_finish = finish;
+  session->pending_finish = std::move(finish);
   session->hold_timer =
       stack_.sim().schedule(100 * sim::kMillisecond, [session] {
         if (auto parked = std::move(session->pending_finish)) parked();
@@ -312,18 +311,19 @@ void MeekClient::pollNow() {
   http::Request req;
   req.method = "POST";
   req.target = "/meek";
+  req.headers.reserve(2);
   req.headers.set("host", options_.bridge_host_header);  // fronted inner host
   req.headers.set("x-session-id", session_id_);
   req.body.swap(out_buffer_);
 
   auto self = shared_from_this();
-  ensureConnection([self, req = std::move(req)](transport::Stream::Ptr conn) {
+  ensureConnection([self, req = std::move(req)](
+                       transport::Stream::Ptr conn) mutable {
     if (conn == nullptr) {
       self->in_flight_ = false;
       // Requeue the body and retry later.
-      Bytes body = req.body;
-      if (!body.empty()) {
-        Bytes merged = std::move(body);
+      Bytes merged = std::move(req.body);
+      if (!merged.empty()) {
         appendBytes(merged, self->out_buffer_);
         self->out_buffer_ = std::move(merged);
       }
@@ -331,7 +331,7 @@ void MeekClient::pollNow() {
       return;
     }
     http::HttpClient::fetchOn(
-        conn, self->stack_.sim(), req, 20 * sim::kSecond,
+        conn, self->stack_.sim(), std::move(req), 20 * sim::kSecond,
         [self](std::optional<http::Response> resp) {
           self->in_flight_ = false;
           if (self->closed_) return;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <deque>
+#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -34,17 +35,22 @@ class FrontedCdn {
   std::uint64_t requestsFronted() const noexcept { return fronted_; }
 
  private:
-  void forward(const http::Request& req, http::HttpServer::Respond respond);
+  struct Origin {
+    net::Endpoint endpoint;
+    // Keep-alive connections to it (real CDN edges pool upstreams).
+    std::vector<transport::Stream::Ptr> idle;
+  };
 
-  void withUpstream(const std::string& host, net::Endpoint origin,
+  void forward(http::Request&& req, http::HttpServer::Respond respond);
+
+  void withUpstream(Origin& origin,
                     std::function<void(transport::Stream::Ptr)> cb);
 
   transport::HostStack& stack_;
   std::string front_domain_;
   std::unique_ptr<http::HttpServer> server_;
-  std::unordered_map<std::string, net::Endpoint> origins_;
-  // Keep-alive connections to each origin (real CDN edges pool upstreams).
-  std::unordered_map<std::string, std::vector<transport::Stream::Ptr>> pool_;
+  // By Host header; std::less<> finds a request's host without a copy.
+  std::map<std::string, Origin, std::less<>> origins_;
   std::uint64_t fronted_ = 0;
 };
 
@@ -68,7 +74,7 @@ class MeekServer {
     sim::EventHandle hold_timer;
   };
 
-  void onRequest(const http::Request& req, http::HttpServer::Respond respond);
+  void onRequest(http::Request&& req, http::HttpServer::Respond respond);
 
   transport::HostStack& stack_;
   net::Endpoint bridge_;

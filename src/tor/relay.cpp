@@ -117,7 +117,8 @@ void TorRelay::onCell(const ConnPtr& conn, Cell cell) {
       const bool from_inbound = circuit->in_conn == conn;
       if (from_inbound) {
         // Peel one layer and either recognize or forward.
-        Bytes peeled = circuit->crypto.forward->decrypt(cell.payload);
+        Bytes& peeled = cell.payload;
+        circuit->crypto.forward->decryptInPlace(peeled);
         if (auto relay = decodeRelayPayload(peeled)) {
           handleRecognized(circuit, std::move(*relay));
           return;
@@ -135,7 +136,8 @@ void TorRelay::onCell(const ConnPtr& conn, Cell cell) {
       Cell bwd;
       bwd.circ_id = circuit->in_circ;
       bwd.cmd = CellCommand::kRelay;
-      bwd.payload = circuit->crypto.backward->encrypt(cell.payload);
+      bwd.payload = std::move(cell.payload);
+      circuit->crypto.backward->encryptInPlace(bwd.payload);
       sendOnConn(circuit->in_conn, bwd);
       return;
     }
@@ -154,7 +156,8 @@ void TorRelay::sendBackward(const CircuitPtr& circuit,
   Cell cell;
   cell.circ_id = circuit->in_circ;
   cell.cmd = CellCommand::kRelay;
-  cell.payload = circuit->crypto.backward->encrypt(encodeRelayPayload(relay));
+  cell.payload = encodeRelayPayload(relay);
+  circuit->crypto.backward->encryptInPlace(cell.payload);
   sendOnConn(circuit->in_conn, cell);
 }
 

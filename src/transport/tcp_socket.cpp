@@ -1,6 +1,7 @@
 #include "transport/tcp_socket.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "obs/hub.h"
 #include "transport/host_stack.h"
@@ -93,11 +94,9 @@ void TcpSocket::send(Bytes data) {
   if (state_ != State::kEstablished && state_ != State::kCloseWait &&
       state_ != State::kSynSent && state_ != State::kSynReceived)
     return;
-  if (unsent() == 0) {
-    send_buffer_ = std::move(data);  // nothing queued: take the caller's bytes
-    send_head_ = 0;
-  } else {
-    send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  if (!data.empty()) {
+    unsent_ += data.size();
+    chunks_.push_back(std::move(data));  // kept whole, never copied
   }
   trySendData();
 }
@@ -127,6 +126,47 @@ void TcpSocket::sendSegment(net::TcpFlags flags, std::uint32_t seq,
   stack_.sendPacket(std::move(pkt));
 }
 
+Bytes TcpSocket::copyOut(std::size_t chunk, std::size_t off,
+                         std::size_t n) const {
+  Bytes out(n);
+  for (std::size_t done = 0; done < n; ++chunk, off = 0) {
+    const Bytes& from = chunks_[chunk];
+    const std::size_t k = std::min(n - done, from.size() - off);
+    std::memcpy(out.data() + done, from.data() + off, k);
+    done += k;
+  }
+  return out;
+}
+
+void TcpSocket::advance(std::size_t& chunk, std::size_t& off,
+                        std::size_t n) const {
+  off += n;
+  while (chunk < chunks_.size() && off >= chunks_[chunk].size()) {
+    off -= chunks_[chunk].size();
+    ++chunk;
+  }
+}
+
+void TcpSocket::releaseAcked(std::size_t n) {
+  acked_off_ += n;
+  while (chunk_head_ < chunks_.size() &&
+         acked_off_ >= chunks_[chunk_head_].size()) {
+    acked_off_ -= chunks_[chunk_head_].size();
+    chunks_[chunk_head_++] = Bytes();  // every byte acked: free it now
+  }
+  // Like trimConsumed, keeping the send position's index in step.
+  if (chunk_head_ == chunks_.size()) {
+    chunks_.clear();
+    send_chunk_ = 0;
+    chunk_head_ = 0;
+  } else if (2 * chunk_head_ >= chunks_.size()) {
+    chunks_.erase(chunks_.begin(),
+                  chunks_.begin() + static_cast<std::ptrdiff_t>(chunk_head_));
+    send_chunk_ -= chunk_head_;
+    chunk_head_ = 0;
+  }
+}
+
 void TcpSocket::sendAck() {
   net::TcpFlags ack;
   ack.ack = true;
@@ -143,24 +183,23 @@ void TcpSocket::trySendData() {
   while (unsent() > 0 &&
          (inflight_bytes_ == 0 || inflight_bytes_ + kMss <= window)) {
     const std::size_t n = std::min(unsent(), kMss);
-    const auto first =
-        send_buffer_.begin() + static_cast<std::ptrdiff_t>(send_head_);
-    send_head_ += n;
+    Bytes payload = copyOut(send_chunk_, send_off_, n);
+    advance(send_chunk_, send_off_, n);
+    unsent_ -= n;
     InFlight& seg = inflight_.emplace_back();
     seg.seq = snd_nxt_;
-    seg.data.assign(first, first + static_cast<std::ptrdiff_t>(n));
+    seg.len = n;
     seg.sent_at = stack_.sim().now();
     inflight_bytes_ += n;
 
     net::TcpFlags flags;
     flags.ack = true;
     flags.psh = unsent() == 0;
-    sendSegment(flags, snd_nxt_, seg.data);
+    sendSegment(flags, snd_nxt_, std::move(payload));
     snd_nxt_ += static_cast<std::uint32_t>(n);
     stats_.bytes_sent += n;
     sent_any = true;
   }
-  trimConsumed(send_buffer_, send_head_);
 
   if (unsent() == 0 && fin_queued_ && !fin_sent_) {
     InFlight& seg = inflight_.emplace_back();
@@ -236,16 +275,17 @@ void TcpSocket::retransmitHead(const char* kind) {
   flags.ack = true;
   flags.fin = head.fin;
   flags.psh = !head.fin;
-  sendSegment(flags, head.seq, head.data);
+  sendSegment(flags, head.seq, copyOut(chunk_head_, acked_off_, head.len));
   armRetransmitTimer();
 }
 
 void TcpSocket::popInflight() {
-  InFlight& head = inflightHead();
+  const InFlight& head = inflightHead();
   inflight_bytes_ -= head.span();
-  head.data = Bytes();  // acked: free its bytes now
+  const std::size_t len = head.len;
   ++inflight_head_;
   trimConsumed(inflight_, inflight_head_);
+  releaseAcked(len);
 }
 
 void TcpSocket::updateRttEstimate(sim::Time sample) {
@@ -287,8 +327,7 @@ void TcpSocket::handleAck(const net::Packet& pkt) {
     while (!inflightEmpty()) {
       const InFlight& head = inflightHead();
       const std::uint32_t seg_end =
-          head.seq + static_cast<std::uint32_t>(head.data.size()) +
-          (head.fin ? 1 : 0);
+          head.seq + static_cast<std::uint32_t>(head.len) + (head.fin ? 1 : 0);
       if (!seqLe(seg_end, ack)) break;
       if (!head.retransmitted)
         updateRttEstimate(stack_.sim().now() - head.sent_at);
@@ -431,8 +470,12 @@ void TcpSocket::teardown(bool reset) {
   inflight_.clear();
   inflight_head_ = 0;
   inflight_bytes_ = 0;
-  send_buffer_.clear();
-  send_head_ = 0;
+  chunks_.clear();
+  chunk_head_ = 0;
+  acked_off_ = 0;
+  send_chunk_ = 0;
+  send_off_ = 0;
+  unsent_ = 0;
   if (registered_) stack_.unregisterSocket(*this);
   registered_ = false;
   if (reset) emitClose();

@@ -9,10 +9,12 @@
 // connection-reset weapon; also what servers send to probes hitting closed
 // ports — the signal active probing exploits).
 //
-// The send side is two flat queues, each a vector with a head offset:
-// unsent application bytes, and the in-flight segments awaiting their ACK.
-// A segment's bytes are copied once into its in-flight record and once into
-// its packet; the in-flight byte count is kept as segments come and go.
+// The send side is two flat queues, each a vector with a head offset: the
+// application's buffers, kept whole as send() handed them over, and the
+// in-flight segments awaiting their ACK. A segment's bytes are copied once,
+// from those buffers straight into its packet (again only when it is
+// retransmitted), and a buffer is freed as soon as every byte in it is
+// acked. The in-flight byte count is kept as segments come and go.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +107,13 @@ class TcpSocket final : public Stream,
   void noteRetransmit(const char* kind, std::uint32_t seq);
 
   void sendSegment(net::TcpFlags flags, std::uint32_t seq, Bytes payload);
+  // `n` bytes of the send buffers from offset `off` of chunks_[chunk] on.
+  Bytes copyOut(std::size_t chunk, std::size_t off, std::size_t n) const;
+  // Moves a position in the send buffers `n` bytes on; a position never
+  // rests at the end of a buffer.
+  void advance(std::size_t& chunk, std::size_t& off, std::size_t n) const;
+  // Frees the buffers the oldest `n` in-flight bytes, now acked, used up.
+  void releaseAcked(std::size_t n);
   void sendAck();
   void trySendData();
   // Resends the oldest unacked segment (RTO or fast retransmit).
@@ -128,29 +137,32 @@ class TcpSocket final : public Stream,
   // own a socket that is still dialling.
   Ptr connect_hold_;
 
-  // Send side. Unsent bytes are send_buffer_[send_head_, end); in-flight
-  // segments are inflight_[inflight_head_, end), oldest first. Each queue
+  // Send side. The application's buffers are chunks_[chunk_head_, end);
+  // the oldest unacked byte is at offset acked_off_ of chunks_[chunk_head_],
+  // the next unsent one at offset send_off_ of chunks_[send_chunk_].
+  // In-flight segments are inflight_[inflight_head_, end), oldest first,
+  // and their bytes run from the first position to the second. Each queue
   // drops its consumed prefix when it empties or once the prefix is the
   // larger part.
-  Bytes send_buffer_;
-  std::size_t send_head_ = 0;
+  std::vector<Bytes> chunks_;
+  std::size_t chunk_head_ = 0;
+  std::size_t acked_off_ = 0;
+  std::size_t send_chunk_ = 0;
+  std::size_t send_off_ = 0;
+  std::size_t unsent_ = 0;
   struct InFlight {
     std::uint32_t seq = 0;
-    Bytes data;
+    std::size_t len = 0;  // data bytes
     sim::Time sent_at = 0;
     bool retransmitted = false;
     bool fin = false;
     // Window space the segment holds: its bytes, or one for a bare FIN.
-    std::size_t span() const noexcept {
-      return fin && data.empty() ? 1 : data.size();
-    }
+    std::size_t span() const noexcept { return fin && len == 0 ? 1 : len; }
   };
   std::vector<InFlight> inflight_;
   std::size_t inflight_head_ = 0;
   std::size_t inflight_bytes_ = 0;  // sum of span() over in-flight segments
-  std::size_t unsent() const noexcept {
-    return send_buffer_.size() - send_head_;
-  }
+  std::size_t unsent() const noexcept { return unsent_; }
   bool inflightEmpty() const noexcept {
     return inflight_head_ == inflight_.size();
   }

@@ -27,6 +27,11 @@ inline std::string_view asStringView(ByteView b) noexcept {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
 
+// The reverse view: text as bytes, aliasing the string's buffer.
+inline ByteView asBytes(std::string_view s) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
 // Hex encoding, lowercase. decodeHex returns empty on malformed input.
 std::string toHex(ByteView b);
 Bytes fromHex(std::string_view hex);
@@ -37,6 +42,23 @@ void appendU8(Bytes& out, std::uint8_t v);
 void appendU16(Bytes& out, std::uint16_t v);   // big-endian (network order)
 void appendU32(Bytes& out, std::uint32_t v);   // big-endian
 void appendU64(Bytes& out, std::uint64_t v);   // big-endian
+
+// Write helpers for a frame sized up front (one allocation per frame):
+// `off` advances past the written bytes, which `out` must have room for.
+inline void writeU8(std::span<std::uint8_t> out, std::size_t& off,
+                    std::uint8_t v) noexcept {
+  out[off++] = v;
+}
+inline void writeU16(std::span<std::uint8_t> out, std::size_t& off,
+                     std::uint16_t v) noexcept {  // big-endian
+  out[off++] = static_cast<std::uint8_t>(v >> 8);
+  out[off++] = static_cast<std::uint8_t>(v);
+}
+inline void writeU32(std::span<std::uint8_t> out, std::size_t& off,
+                     std::uint32_t v) noexcept {  // big-endian
+  writeU16(out, off, static_cast<std::uint16_t>(v >> 16));
+  writeU16(out, off, static_cast<std::uint16_t>(v));
+}
 
 // Read helpers; `off` advances past the consumed bytes. Return false when
 // the buffer is too short (decoder signals malformed frame to its caller).

@@ -19,11 +19,16 @@ std::vector<std::string> splitString(std::string_view s, char sep) {
   }
 }
 
+namespace {
+// std::isspace in the "C" locale, without the locale lookup.
+constexpr bool isAsciiSpace(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+}  // namespace
+
 std::string_view trimWhitespace(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())))
-    s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())))
-    s.remove_suffix(1);
+  while (!s.empty() && isAsciiSpace(s.front())) s.remove_prefix(1);
+  while (!s.empty() && isAsciiSpace(s.back())) s.remove_suffix(1);
   return s;
 }
 

@@ -117,18 +117,18 @@ void expectWithinBudget(const char* what, Count&& count,
 TEST(AllocBudget, TorCampaign) {
   expectWithinBudget(
       "tor campaign, 10 accesses",
-      [] { return campaignAllocations(Method::kTor); }, 203625);
+      [] { return campaignAllocations(Method::kTor); }, 97801);
 }
 
 TEST(AllocBudget, ScholarCloudCampaign) {
   expectWithinBudget(
       "scholarcloud campaign, 10 accesses",
-      [] { return campaignAllocations(Method::kScholarCloud); }, 30766);
+      [] { return campaignAllocations(Method::kScholarCloud); }, 22963);
 }
 
 TEST(AllocBudget, ShadowsocksFig7Cell) {
   expectWithinBudget("shadowsocks fig7 cell, 30 clients", fig7CellAllocations,
-                     505152);
+                     408839);
 }
 
 }  // namespace

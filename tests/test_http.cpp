@@ -344,8 +344,9 @@ template <typename Message>
            << parser.malformed();
   const Message& b = again.front();
   const std::string length =
-      m.body.empty() ? m.headers.get("content-length").value_or("0")
-                     : std::to_string(m.body.size());
+      m.body.empty()
+          ? std::string(m.headers.get("content-length").value_or("0"))
+          : std::to_string(m.body.size());
   if (!sameStartLine(m, b) || b.body != m.body ||
       fieldsButLength(b.headers) != fieldsButLength(m.headers) ||
       b.headers.get("content-length") != std::optional<std::string>(length))
