@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the hot primitives: the crypto the
-// tunnels run on, the blinding codec, Tor cell handling, the HTTP message
-// codec, a router's next-hop lookup, the simulator's event loop, a host's
+// tunnels run on, the blinding codec, Tor cell handling, a TLS record's
+// seal and open, the HTTP message codec, a router's next-hop lookup, the simulator's event loop, a host's
 // socket demux, a TCP bulk send, and the population day's per-arrival user
 // draw, query rank and cache hit. Useful for spotting regressions that would silently
 // stretch the figure benches' wall time.
@@ -20,6 +20,7 @@
 #include "fleet/cache.h"
 #include "http/message.h"
 #include "http/origin.h"
+#include "http/tls.h"
 #include "net/topology.h"
 #include "population/population.h"
 #include "sim/rng.h"
@@ -106,6 +107,88 @@ void BM_TorCellRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TorCellRoundTrip);
+
+// One end of an in-memory link: what is sent waits in `out` until the
+// benchmark hands it to the peer with deliver().
+class MemoryEnd final : public sc::transport::Stream {
+ public:
+  void send(sc::Bytes data) override {
+    out.insert(out.end(), data.begin(), data.end());
+  }
+  void close() override {}
+  bool connected() const override { return true; }
+  void deliver(sc::ByteView data) { emitData(data); }
+
+  sc::Bytes out;
+};
+
+// Hands every byte either end has sent to the other until both are quiet.
+void pump(MemoryEnd& a, MemoryEnd& b) {
+  while (!a.out.empty() || !b.out.empty()) {
+    sc::Bytes to_b = std::move(a.out);
+    a.out.clear();
+    if (!to_b.empty()) b.deliver(to_b);
+    sc::Bytes to_a = std::move(b.out);
+    b.out.clear();
+    if (!to_a.empty()) a.deliver(to_a);
+  }
+}
+
+// One app-data record of `state.range(0)` bytes sealed by a TLS client and
+// opened by its server, over an in-memory link after a full handshake: the
+// per-record path every HTTPS exchange (and every meek poll) runs.
+void BM_TlsRecordRoundTrip(benchmark::State& state) {
+  sc::sim::Simulator sim(1);
+  sc::http::TlsAcceptor acceptor("site.test", sim);
+  const auto client_raw = std::make_shared<MemoryEnd>();
+  const auto server_raw = std::make_shared<MemoryEnd>();
+  sc::http::TlsStream::Ptr client, server;
+  std::size_t received = 0;
+  acceptor.accept(server_raw, [&](sc::http::TlsStream::Ptr tls) {
+    server = std::move(tls);
+    server->setOnData([&received](sc::ByteView d) { received += d.size(); });
+  });
+  sc::http::TlsClientOptions opts;
+  opts.sni = "site.test";
+  sc::http::TlsStream::clientHandshake(
+      client_raw, sim, opts, nullptr,
+      [&client](sc::http::TlsStream::Ptr tls) { client = std::move(tls); });
+  pump(*client_raw, *server_raw);
+  if (client == nullptr || server == nullptr) {
+    state.SkipWithError("handshake failed");
+    return;
+  }
+  const sc::Bytes data = makeData(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    client->send(data);
+    sc::Bytes wire = std::move(client_raw->out);
+    client_raw->out.clear();
+    server_raw->deliver(wire);
+  }
+  benchmark::DoNotOptimize(received);
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TlsRecordRoundTrip)->Arg(1400);
+
+// A meek poll as the CDN edge and the meek server receive it: POST /meek
+// with the fronted host, the session id and one cell of body.
+void BM_HttpRequestParse(benchmark::State& state) {
+  sc::http::Request poll;
+  poll.method = "POST";
+  poll.target = "/meek";
+  poll.headers.set("host", "meek-reflector.example");
+  poll.headers.set("x-session-id", "0123456789abcdef");
+  poll.body = makeData(sc::tor::kCellSize);
+  const sc::Bytes wire = poll.serialize();
+  for (auto _ : state) {
+    sc::http::RequestParser parser;
+    auto messages = parser.feed(wire);
+    benchmark::DoNotOptimize(messages.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_HttpRequestParse);
 
 // One Scholar homepage response (the 6 KiB page every access fetches),
 // parsed from its wire bytes in a single feed.
