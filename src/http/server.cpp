@@ -1,10 +1,32 @@
 #include "http/server.h"
 
-#include <deque>
+#include <vector>
 
 #include "util/strings.h"
 
 namespace sc::http {
+
+namespace {
+// First in, first out over a vector that is emptied whenever it drains, so
+// it allocates nothing until used and at most one buffer after.
+template <typename T>
+class Fifo {
+ public:
+  void push(T item) { items_.push_back(std::move(item)); }
+  T pop() {
+    T item = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    }
+    return item;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+}  // namespace
 
 struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
   HttpServer& server;
@@ -16,8 +38,8 @@ struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
   // the order their CPU jobs were submitted. The host's CpuQueue runs jobs
   // FIFO, so each job takes the front of its queue and its closure holds
   // only the session, small enough to need no allocation of its own.
-  std::deque<Request> to_dispatch;
-  std::deque<Response> to_write;
+  Fifo<Request> to_dispatch;
+  Fifo<Response> to_write;
 
   Session(HttpServer& srv, transport::Stream::Ptr s, net::Ipv4 p)
       : server(srv), stream(std::move(s)), peer(p) {}
@@ -74,22 +96,19 @@ struct HttpServer::Session : std::enable_shared_from_this<HttpServer::Session> {
     auto self = shared_from_this();
 
     // Charge CPU for request handling; respond once the core gets to it.
-    to_dispatch.push_back(std::move(req));
+    to_dispatch.push(std::move(req));
     const double cycles = server.options_.cycles_per_request;
     server.stack_.cpu().submit(cycles, [self, close_after] {
-      Request next = std::move(self->to_dispatch.front());
-      self->to_dispatch.pop_front();
       self->server.dispatch(
-          std::move(next), [self, close_after](Response resp) {
+          self->to_dispatch.pop(), [self, close_after](Response resp) {
             if (self->closing || self->stream == nullptr) return;
             resp.headers.set("server", "sc-httpd/1.0");
             const double body_cycles =
                 self->server.options_.cycles_per_body_byte *
                 static_cast<double>(resp.body.size());
-            self->to_write.push_back(std::move(resp));
+            self->to_write.push(std::move(resp));
             self->server.stack_.cpu().submit(body_cycles, [self, close_after] {
-              const Response out = std::move(self->to_write.front());
-              self->to_write.pop_front();
+              const Response out = self->to_write.pop();
               if (self->closing || self->stream == nullptr) return;
               self->stream->send(out.serialize());
               if (close_after) {

@@ -117,18 +117,18 @@ void expectWithinBudget(const char* what, Count&& count,
 TEST(AllocBudget, TorCampaign) {
   expectWithinBudget(
       "tor campaign, 10 accesses",
-      [] { return campaignAllocations(Method::kTor); }, 97801);
+      [] { return campaignAllocations(Method::kTor); }, 96375);
 }
 
 TEST(AllocBudget, ScholarCloudCampaign) {
   expectWithinBudget(
       "scholarcloud campaign, 10 accesses",
-      [] { return campaignAllocations(Method::kScholarCloud); }, 22963);
+      [] { return campaignAllocations(Method::kScholarCloud); }, 22620);
 }
 
 TEST(AllocBudget, ShadowsocksFig7Cell) {
   expectWithinBudget("shadowsocks fig7 cell, 30 clients", fig7CellAllocations,
-                     408839);
+                     406269);
 }
 
 }  // namespace
