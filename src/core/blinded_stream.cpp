@@ -78,34 +78,9 @@ std::size_t BlindedStream::readChunk(ByteView buf) {
 }
 
 void BlindedStream::onInner(ByteView data) {
-  if (reading_ || !rx_buffer_.empty()) {
-    appendBytes(rx_buffer_, data);
-    if (reading_) return;  // the read running below this call takes them
-    data = {};
-  }
-  reading_ = true;
-  // Whole chunks straight from the caller's bytes; the rest goes ahead of
-  // anything a handler's re-entrant delivery buffered meanwhile.
-  std::size_t used = 0;
-  while (inner_ != nullptr) {
-    const std::size_t n = readChunk(data.subspan(used));
-    if (n == 0) break;
-    used += n;
-  }
-  if (inner_ == nullptr) {
-    reading_ = false;
-    return;
-  }
-  rx_buffer_.insert(rx_buffer_.begin(), data.begin() + used, data.end());
-  std::size_t off = 0;
-  while (inner_ != nullptr) {
-    const std::size_t n = readChunk(ByteView(rx_buffer_).subspan(off));
-    if (n == 0) break;
-    off += n;
-  }
-  rx_buffer_.erase(rx_buffer_.begin(),
-                   rx_buffer_.begin() + static_cast<std::ptrdiff_t>(off));
-  reading_ = false;
+  chunks_.feed(
+      data, [this](ByteView buf) { return readChunk(buf); },
+      [this] { return inner_ != nullptr; });  // a handler may close us
 }
 
 void BlindedStream::close() {

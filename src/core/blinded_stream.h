@@ -17,6 +17,7 @@
 
 #include "crypto/blinding.h"
 #include "transport/stream.h"
+#include "util/frame_buffer.h"
 
 namespace sc::core {
 
@@ -61,11 +62,7 @@ class BlindedStream final : public transport::Stream,
   crypto::BlindingMode mode_;
   std::uint32_t tx_epoch_;
   std::map<std::uint32_t, crypto::BlindingCodec> codecs_;
-  // Bytes of a chunk still arriving. A chunk that arrives whole is read in
-  // place from the inner stream's buffer, and the rest is erased once per
-  // delivery rather than once per chunk.
-  Bytes rx_buffer_;
-  bool reading_ = false;
+  FrameBuffer chunks_;
   std::uint64_t chunks_sent_ = 0;
 };
 

@@ -136,35 +136,9 @@ std::size_t TlsStream::readRecord(ByteView buf) {
 }
 
 void TlsStream::onRawData(ByteView data) {
-  if (reading_ || !record_buffer_.empty()) {
-    appendBytes(record_buffer_, data);
-    if (reading_) return;  // the read running below this call takes them
-    data = {};
-  }
-  reading_ = true;
-  // Whole records straight from the caller's bytes; the rest goes ahead of
-  // anything a handler's re-entrant delivery buffered meanwhile.
-  std::size_t used = 0;
-  while (raw_ != nullptr) {
-    const std::size_t n = readRecord(data.subspan(used));
-    if (n == 0) break;
-    used += n;
-  }
-  if (raw_ == nullptr) {  // closed during a callback
-    reading_ = false;
-    return;
-  }
-  record_buffer_.insert(record_buffer_.begin(), data.begin() + used,
-                        data.end());
-  std::size_t off = 0;
-  while (raw_ != nullptr) {
-    const std::size_t n = readRecord(ByteView(record_buffer_).subspan(off));
-    if (n == 0) break;
-    off += n;
-  }
-  record_buffer_.erase(record_buffer_.begin(),
-                       record_buffer_.begin() + static_cast<std::ptrdiff_t>(off));
-  reading_ = false;
+  records_.feed(
+      data, [this](ByteView buf) { return readRecord(buf); },
+      [this] { return raw_ != nullptr; });  // a callback may close us
 }
 
 void TlsStream::handleHandshakeRecord(ByteView payload) {

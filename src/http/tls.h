@@ -21,9 +21,8 @@
 //
 // Buffers: each record sent is one buffer holding its header and payload
 // (app data is encrypted straight into it), handed to the raw stream by
-// move. Records that arrive whole are read in place from the raw stream's
-// bytes; only a record split across deliveries is buffered, and the
-// buffer's consumed prefix is erased once per delivery. Each app-data
+// move. Records arriving are reassembled by a FrameBuffer: read in place
+// when whole, buffered only when split across deliveries. Each app-data
 // record is decrypted into one plaintext buffer.
 #pragma once
 
@@ -36,6 +35,7 @@
 #include "crypto/aes.h"
 #include "sim/simulator.h"
 #include "transport/stream.h"
+#include "util/frame_buffer.h"
 
 namespace sc::http {
 
@@ -135,11 +135,7 @@ class TlsStream final : public transport::Stream,
   Bytes pending_ticket_;
   std::unique_ptr<crypto::AesCfbStream> encryptor_;
   std::unique_ptr<crypto::AesCfbStream> decryptor_;
-  // Bytes of a record still arriving. A record that arrives whole is read
-  // in place from the raw stream's buffer, and the rest is erased once per
-  // delivery rather than once per record.
-  Bytes record_buffer_;
-  bool reading_ = false;
+  FrameBuffer records_;
   std::uint64_t crypto_bytes_ = 0;
 };
 

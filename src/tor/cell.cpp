@@ -37,22 +37,16 @@ Bytes encodeCell(const Cell& cell) {
 }
 
 std::vector<Cell> CellReader::feed(ByteView data) {
-  // Cells are read in place from the caller's bytes unless part of one is
-  // already buffered; the consumed prefix is erased once per feed.
-  const bool buffered = !buffer_.empty();
-  if (buffered) appendBytes(buffer_, data);
-  const ByteView in = buffered ? ByteView(buffer_) : data;
   std::vector<Cell> cells;
-  cells.reserve(in.size() / kCellSize);
-  std::size_t off = 0;
-  for (; in.size() - off >= kCellSize; off += kCellSize)
-    cells.push_back(decodeCell(in.subspan(off)));
-  if (buffered) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(off));
-  } else {
-    buffer_.assign(in.begin() + static_cast<std::ptrdiff_t>(off), in.end());
-  }
+  cells.reserve((buffer_.buffered() + data.size()) / kCellSize);
+  buffer_.feed(
+      data,
+      [&cells](ByteView buf) -> std::size_t {
+        if (buf.size() < kCellSize) return 0;
+        cells.push_back(decodeCell(buf));
+        return kCellSize;
+      },
+      [] { return true; });
   return cells;
 }
 

@@ -8,14 +8,15 @@
 // magic — the stand-in for the real protocol's zeroed-digest check.
 //
 // Buffers: an encoded cell is one 514-byte buffer. CellReader decodes cells
-// in place from the bytes it is fed, buffers only a partial cell, and
-// erases its consumed prefix once per feed.
+// with a FrameBuffer: in place from the bytes it is fed, buffering only a
+// partial cell.
 #pragma once
 
 #include <optional>
 
 #include "transport/stream.h"
 #include "util/bytes.h"
+#include "util/frame_buffer.h"
 
 namespace sc::tor {
 
@@ -62,7 +63,7 @@ class CellReader {
   std::vector<Cell> feed(ByteView data);
 
  private:
-  Bytes buffer_;
+  FrameBuffer buffer_;
 };
 
 Bytes encodeRelayPayload(const RelayPayload& relay);

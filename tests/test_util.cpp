@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "util/base64.h"
 #include "util/bytes.h"
+#include "util/frame_buffer.h"
 #include "util/hash.h"
 #include "util/strings.h"
 
@@ -199,5 +204,63 @@ TEST(Fnv1a, SeedConstructorResumesAStream) {
   EXPECT_EQ(resumed.value(), whole.value());
 }
 
+
+// Frames of one length byte and that many payload bytes.
+std::size_t readLengthFrame(ByteView buf, std::vector<std::string>& got) {
+  if (buf.empty() || buf.size() - 1 < buf[0]) return 0;
+  got.push_back(toString(buf.subspan(1, buf[0])));
+  return 1 + buf[0];
+}
+
+Bytes lengthFrames(std::initializer_list<std::string_view> payloads) {
+  Bytes out;
+  for (const std::string_view p : payloads) {
+    out.push_back(static_cast<std::uint8_t>(p.size()));
+    appendBytes(out, toBytes(p));
+  }
+  return out;
+}
+
+TEST(FrameBuffer, ReassemblesFramesSplitAnywhere) {
+  const Bytes wire = lengthFrames({"abc", "", "hello", "z"});
+  for (std::size_t chunk = 1; chunk <= wire.size(); ++chunk) {
+    FrameBuffer frames;
+    std::vector<std::string> got;
+    for (std::size_t off = 0; off < wire.size(); off += chunk)
+      frames.feed(
+          ByteView(wire).subspan(off, std::min(chunk, wire.size() - off)),
+          [&got](ByteView b) { return readLengthFrame(b, got); },
+          [] { return true; });
+    EXPECT_EQ(got, (std::vector<std::string>{"abc", "", "hello", "z"}))
+        << "chunk " << chunk;
+    EXPECT_EQ(frames.buffered(), 0u) << "chunk " << chunk;
+  }
+}
+
+// A frame's handler that makes the stream below deliver again re-enters
+// feed(): those bytes follow the rest of the running delivery, a frame
+// split across the two included, and a closed reader reads nothing more.
+TEST(FrameBuffer, ReentrantDeliveryIsReadInOrder) {
+  const Bytes wire = lengthFrames({"ab", "e", "cd", "x", "f"});
+  const ByteView first = ByteView(wire).subspan(0, 6);  // ab, e, cd's length
+  const ByteView later = ByteView(wire).subspan(6, 4);  // cd's bytes, x
+  const ByteView last = ByteView(wire).subspan(10);     // f
+  FrameBuffer frames;
+  std::vector<std::string> got;
+  bool open = true;
+  const auto is_open = [&open] { return open; };
+  std::function<std::size_t(ByteView)> read = [&](ByteView b) {
+    const std::size_t n = readLengthFrame(b, got);
+    if (n != 0 && got.back() == "ab") frames.feed(later, read, is_open);
+    if (n != 0 && got.back() == "x") open = false;
+    return n;
+  };
+  frames.feed(first, read, is_open);
+  EXPECT_EQ(got, (std::vector<std::string>{"ab", "e", "cd", "x"}));
+  open = true;
+  frames.feed(last, read, is_open);
+  EXPECT_EQ(got.back(), "f");
+  EXPECT_EQ(frames.buffered(), 0u);
+}
 }  // namespace
 }  // namespace sc
